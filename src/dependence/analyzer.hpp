@@ -47,4 +47,10 @@ struct AnalyzerOptions {
 DependenceSet analyze_dependences(const IvLayout& layout,
                                   const AnalyzerOptions& opts = {});
 
+/// The message of the InvalidProgramError analyze_dependences would
+/// throw for `p`, or "" when `p` is analyzable. Structural only: no
+/// constraint system is built, so callers that already hold a
+/// program's dependences can keep the analyzer's eligibility rules.
+std::string analysis_blocker(const Program& p);
+
 }  // namespace inlt

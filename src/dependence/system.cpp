@@ -1,5 +1,6 @@
 #include "dependence/system.hpp"
 
+#include "dependence/analyzer.hpp"
 #include "linalg/project.hpp"
 #include "support/check.hpp"
 
@@ -31,30 +32,39 @@ LinExpr lin_sub(const ConstraintSystem& cs, const LinExpr& a,
   return r;
 }
 
+// Why the loops of `sc` cannot enter a dependence system, or "" — the
+// first violation in loop order, as add_loop_bounds would meet it.
+std::string loops_blocker(const StatementContext& sc) {
+  for (const Node* l : sc.loops) {
+    if (l->step() != 1) return "dependence analysis requires unit loop steps";
+    if (!l->guards().empty() || !sc.stmt->guards().empty())
+      return "dependence analysis requires guard-free source programs";
+    for (const Bound* b : {&l->lower(), &l->upper()})
+      for (const BoundTerm& t : b->terms)
+        if (t.den != 1)
+          return "dependence analysis requires denominator-1 bounds";
+  }
+  return {};
+}
+
+std::string rank_mismatch(const ArrayAccess& a) {
+  return "array " + a.array + " used with inconsistent rank";
+}
+
 void add_loop_bounds(ConstraintSystem& cs, const Program& prog,
                      const StatementContext& sc, bool src_side) {
+  if (std::string why = loops_blocker(sc); !why.empty())
+    throw InvalidProgramError(why);
   for (const Node* l : sc.loops) {
-    if (l->step() != 1)
-      throw InvalidProgramError(
-          "dependence analysis requires unit loop steps");
-    if (!l->guards().empty() || !sc.stmt->guards().empty())
-      throw InvalidProgramError(
-          "dependence analysis requires guard-free source programs");
     std::string v = src_side ? src_var(l->var()) : dst_var(l->var());
     int vi = cs.var(v);
     for (const BoundTerm& t : l->lower().terms) {
-      if (t.den != 1)
-        throw InvalidProgramError(
-            "dependence analysis requires denominator-1 bounds");
       LinExpr lo = to_lin(cs, t.expr, prog, src_side);
       LinExpr e = cs.zero_expr();
       e.coef[vi] = 1;
       cs.add_ge(lin_sub(cs, e, lo));
     }
     for (const BoundTerm& t : l->upper().terms) {
-      if (t.den != 1)
-        throw InvalidProgramError(
-            "dependence analysis requires denominator-1 bounds");
       LinExpr hi = to_lin(cs, t.expr, prog, src_side);
       LinExpr e = cs.zero_expr();
       e.coef[vi] = 1;
@@ -122,8 +132,7 @@ std::vector<PairSystem> build_pair_systems(const IvLayout& layout) {
           if (a.array != b.array) continue;
           if (!a.is_write && !b.is_write) continue;
           if (a.subscripts.size() != b.subscripts.size())
-            throw InvalidProgramError("array " + a.array +
-                                      " used with inconsistent rank");
+            throw InvalidProgramError(rank_mismatch(a));
 
           std::vector<std::string> vars;
           for (const std::string& p : prog.params()) vars.push_back(p);
@@ -169,6 +178,28 @@ std::vector<PairSystem> build_pair_systems(const IvLayout& layout) {
   return out;
 }
 
+std::string analysis_blocker(const Program& prog) {
+  // build_pair_systems' visiting order, without the systems: the first
+  // conflicting access pair that fails decides the message.
+  std::vector<StatementContext> stmts = prog.statements();
+  for (const StatementContext& sa : stmts) {
+    for (const StatementContext& sb : stmts) {
+      std::vector<ArrayAccess> aaccs = sa.stmt->stmt_data().accesses();
+      std::vector<ArrayAccess> baccs = sb.stmt->stmt_data().accesses();
+      for (const ArrayAccess& a : aaccs) {
+        for (const ArrayAccess& b : baccs) {
+          if (a.array != b.array || (!a.is_write && !b.is_write)) continue;
+          if (a.subscripts.size() != b.subscripts.size())
+            return rank_mismatch(a);
+          for (const StatementContext* sc : {&sa, &sb})
+            if (std::string why = loops_blocker(*sc); !why.empty())
+              return why;
+        }
+      }
+    }
+  }
+  return {};
+}
 
 namespace {
 

@@ -158,8 +158,16 @@ void collect_partitioned_stmts(const Node* n,
 CostEstimate estimate_cost(const IvLayout& src, const DependenceSet& deps,
                            const IntMat& m, const AstRecovery& rec,
                            const ModelOptions& opts) {
+  return estimate_cost(src, m, rec, target_dependences(src, deps, m, rec),
+                       opts);
+}
+
+CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
+                           const AstRecovery& rec,
+                           const DependenceSet& target_deps,
+                           const ModelOptions& opts) {
   CostEstimate est = estimate_cost(src, m, rec, opts);
-  ParallelSchedule sched = analyze_target_parallelism(src, deps, m, rec);
+  ParallelSchedule sched = analyze_target_parallelism(rec, target_deps);
   est.partition = sched.partition;
   if (sched.partition.empty() || est.total_lines <= 0) return est;
 

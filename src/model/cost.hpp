@@ -137,4 +137,12 @@ CostEstimate estimate_cost(const IvLayout& src, const DependenceSet& deps,
                            const IntMat& m, const AstRecovery& rec,
                            const ModelOptions& opts = {});
 
+/// Same, from the candidate's target-space dependences
+/// (target_dependences(src, deps, m, rec)) when the caller already
+/// holds them, as search's candidate pipeline does.
+CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
+                           const AstRecovery& rec,
+                           const DependenceSet& target_deps,
+                           const ModelOptions& opts = {});
+
 }  // namespace inlt

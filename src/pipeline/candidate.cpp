@@ -1,9 +1,12 @@
 #include "pipeline/candidate.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <sstream>
 #include <utility>
+
+#include "support/trace.hpp"
 
 namespace inlt {
 
@@ -19,8 +22,27 @@ const char* stage_kind_name(StageKind k) {
   return "?";
 }
 
+namespace {
+
+// Span names must be static strings: the tracer keeps the pointer.
+const char* stage_span_name(StageKind k) {
+  switch (k) {
+    case StageKind::kLegality: return "search.stage.legality";
+    case StageKind::kComplete: return "search.stage.complete";
+    case StageKind::kCost:     return "search.stage.cost";
+    case StageKind::kCodegen:  return "search.stage.codegen";
+    case StageKind::kTile:     return "search.stage.tile";
+    case StageKind::kVerify:   return "search.stage.verify";
+  }
+  return "search.stage.?";
+}
+
+}  // namespace
+
 void CandidatePipeline::add(StageKind kind, bool deferred, StageFn run) {
-  stages_.push_back(Stage{kind, deferred, std::move(run)});
+  HistogramCell* ns = &Stats::global().histogram(
+      std::string(stage_span_name(kind)) + "_ns");
+  stages_.push_back(Stage{kind, deferred, std::move(run), ns});
 }
 
 bool CandidatePipeline::has(StageKind kind) const {
@@ -48,8 +70,26 @@ void CandidatePipeline::run(Candidate& c, bool deferred) const {
   for (const Stage& s : stages_) {
     if (s.deferred != deferred) continue;
     if (c.rejected) return;
+    // Gated like the tracer: the legality-only walk runs leaf stages
+    // millions of times per second, so untimed stages read no clock.
+    if (!Stats::timing_enabled() && !Tracer::enabled()) {
+      s.fn(c);
+      continue;
+    }
+    ScopedSpan span(stage_span_name(s.kind), "search");
+    const auto t0 = std::chrono::steady_clock::now();
     s.fn(c);
+    s.ns->record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
   }
+}
+
+void CandidatePipeline::run_deferred(Candidate& c) const {
+  run(c, /*deferred=*/true);
+  c.recovery.reset();
+  c.target_deps.reset();
+  c.plans = {};
 }
 
 namespace {

@@ -10,10 +10,12 @@
 //
 //  * `Candidate` is the first-class record a candidate accumulates as
 //    it moves through the stages: index, matrix, CandidateResult,
-//    optional cost estimate, plus inter-stage scratch (the recovered
-//    AST).
+//    optional cost estimate and tile plan, plus inter-stage scratch
+//    (the recovered AST and the target-space dependences).
 //  * `CandidatePipeline` is an ordered list of named stages
-//    (Legality -> Complete -> Cost -> Codegen -> Verify). Full mode,
+//    (Legality -> Complete -> Cost -> Codegen -> Tile -> Verify), each
+//    timed as a span and a `search.stage.<name>_ns` histogram while
+//    tracing or Stats timing is on. Full mode,
 //    the legality-only filter and rank mode are *configurations* of
 //    this list — which stages are present and what each one runs —
 //    not separate code paths. Stages marked deferred run after the
@@ -34,6 +36,7 @@
 
 #include "model/cost.hpp"
 #include "pipeline/search.hpp"
+#include "support/stats.hpp"
 
 namespace inlt {
 
@@ -57,9 +60,17 @@ struct Candidate {
   /// Cost-model estimate (kCost stage; unset if the stage is absent
   /// or the estimate failed).
   std::optional<CostEstimate> cost;
-  /// Inter-stage scratch: the recovered AST (kComplete stage) the
-  /// cost stage consumes. Dropped when the candidate settles.
+  /// Inter-stage scratch, built on first use by the stage that needs
+  /// it and dropped when the deferred stages finish (run_deferred), so
+  /// a pending candidate holds it only while a worker runs it: the
+  /// recovered AST skeleton...
   std::optional<AstRecovery> recovery;
+  /// ...the target-space dependences M·D (transform/target_deps.hpp)
+  /// the cost, tile and verify stages share...
+  std::optional<DependenceSet> target_deps;
+  /// ...and code generation's per-statement plans (kCodegen stage),
+  /// which name the augmented loops the tile stage must follow.
+  std::vector<StatementPlan> plans;
   /// Tile plan for the generated program (kTile stage; unset if the
   /// stage is absent or the candidate generated no code).
   std::optional<TilePlan> tile;
@@ -84,8 +95,9 @@ class CandidatePipeline {
   /// Run the leaf (non-deferred) stages in order; stops early when a
   /// stage rejects the candidate.
   void run_leaf(Candidate& c) const { run(c, /*deferred=*/false); }
-  /// Run the deferred stages in order; stops early on rejection.
-  void run_deferred(Candidate& c) const { run(c, /*deferred=*/true); }
+  /// Run the deferred stages in order; stops early on rejection. Drops
+  /// the candidate's inter-stage scratch afterwards.
+  void run_deferred(Candidate& c) const;
 
   bool has(StageKind kind) const;
   bool has_deferred() const;
@@ -97,6 +109,7 @@ class CandidatePipeline {
     StageKind kind;
     bool deferred;
     StageFn fn;
+    HistogramCell* ns;  ///< search.stage.<name>_ns
   };
   void run(Candidate& c, bool deferred) const;
 

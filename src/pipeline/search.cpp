@@ -14,6 +14,7 @@
 #include "transform/exact_legality.hpp"
 #include "transform/incremental.hpp"
 #include "transform/parallel.hpp"
+#include "transform/target_deps.hpp"
 
 namespace inlt {
 
@@ -176,6 +177,19 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   // each runs is decided here, once, instead of being interleaved
   // with the walk.
   std::optional<VerifyReference> ref;  // outlives the kVerify stage
+  // Inter-stage scratch, built on first use by whichever deferred
+  // stage needs it: the recovered skeleton, and the target-space
+  // dependences M·D that the cost, tile and verify stages share.
+  auto recovered = [this](Candidate& c) -> const AstRecovery& {
+    if (!c.recovery) c.recovery.emplace(recover_ast(*layout_, c.matrix));
+    return *c.recovery;
+  };
+  auto target_deps = [this, recovered](Candidate& c) -> const DependenceSet& {
+    if (!c.target_deps)
+      c.target_deps.emplace(
+          target_dependences(*layout_, deps_, c.matrix, recovered(c)));
+    return *c.target_deps;
+  };
   CandidatePipeline pipe;
   if (prune) {
     // The engine's full-depth verdict IS the hull legality test
@@ -209,10 +223,9 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     ModelOptions mopts = sopts.model;
     mopts.pad = opts_.codegen.pad;
     mopts.exec_threads = sopts.exec_threads;
-    HistogramCell* cost_hist = &Stats::global().histogram("search.cost_ns");
-    pipe.add(StageKind::kComplete, /*deferred=*/true, [this](Candidate& c) {
+    pipe.add(StageKind::kComplete, /*deferred=*/true, [recovered](Candidate& c) {
       try {
-        c.recovery.emplace(recover_ast(*layout_, c.matrix));
+        recovered(c);
       } catch (const Error& e) {
         // Engine-legal candidates are block-structured by the
         // generator contract; a recovery failure is a structure error
@@ -223,36 +236,56 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
       }
     });
     pipe.add(StageKind::kCost, /*deferred=*/true,
-             [this, mopts, cost_hist](Candidate& c) {
+             [this, mopts, target_deps](Candidate& c) {
                if (!c.recovery) return;
-               const auto s0 = std::chrono::steady_clock::now();
                try {
-                 c.cost.emplace(estimate_cost(*layout_, deps_, c.matrix,
-                                              *c.recovery, mopts));
+                 c.cost.emplace(estimate_cost(*layout_, c.matrix, *c.recovery,
+                                              target_deps(c), mopts));
                } catch (const Error&) {
                  // Unrankable, not illegal: the hit survives with no
                  // estimate and sorts after every scored one.
                }
-               cost_hist->record(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - s0)
-                       .count());
              });
   }
   if (full) {
     pipe.add(StageKind::kCodegen, /*deferred=*/true, [this](Candidate& c) {
-      c.result = evaluate_impl(c.matrix);
+      c.result = evaluate_impl(c.matrix, &c.plans);
       c.rejected = !c.result.legal;
     });
     if (sopts.tile) {
       const TileOptions topts = sopts.tile_opts;
       ModelOptions tmopts = sopts.model;
+      // M·D is the generated program's dependence set only under the
+      // diagonal padding both the analyzer and codegen default to.
+      const bool derive = opts_.analyzer.pad == PadMode::kDiagonal &&
+                          opts_.codegen.pad == PadMode::kDiagonal;
+      std::atomic<i64>* fallbacks =
+          &Stats::global().counter("tile.reanalysis_fallbacks");
       pipe.add(StageKind::kTile, /*deferred=*/true,
-               [topts, tmopts](Candidate& c) {
+               [this, topts, tmopts, derive, fallbacks, recovered,
+                target_deps](Candidate& c) {
                  if (!(c.result.legal && c.result.program)) return;
                  try {
-                   TiledProgram tp =
-                       apply_tile(*c.result.program, topts, tmopts);
+                   const Program& generated = *c.result.program;
+                   const IvLayout layout(generated);
+                   std::optional<DependenceSet> deps;
+                   if (derive)
+                     deps = generated_dependences(
+                         *layout_, deps_, c.matrix, recovered(c),
+                         target_deps(c), c.plans, layout);
+                   TiledProgram tp;
+                   if (deps) {
+                     tp = apply_tile(layout, *deps, topts, tmopts);
+                   } else {
+                     // Reconstruction loops, a subtree simplify
+                     // deleted, or a non-diagonal pad: analyze the
+                     // generated program, under the session's
+                     // projection memo like codegen.
+                     if (analysis_blocker(generated).empty())
+                       fallbacks->fetch_add(1, std::memory_order_relaxed);
+                     ScopedProjectionCache install(&cache_);
+                     tp = apply_tile(generated, topts, tmopts);
+                   }
                    if (tp.program) c.result.program = std::move(*tp.program);
                    c.tile.emplace(std::move(tp.plan));
                  } catch (const Error& e) {
@@ -268,7 +301,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     if (!sopts.verify_params.empty()) {
       const int exec_threads = sopts.exec_threads;
       pipe.add(StageKind::kVerify, /*deferred=*/true,
-               [this, &ref, exec_threads](Candidate& c) {
+               [&ref, exec_threads, recovered, target_deps](Candidate& c) {
                  if (!(c.result.legal && ref && c.result.program)) return;
                  // Candidate doall partition for the parallel engine;
                  // any analysis failure just verifies serially (the
@@ -276,13 +309,9 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
                  std::vector<std::string> partition;
                  if (exec_threads > 1) {
                    try {
-                     AstRecovery rec = c.recovery
-                                           ? std::move(*c.recovery)
-                                           : recover_ast(*layout_, c.matrix);
-                     partition = analyze_target_parallelism(*layout_, deps_,
-                                                            c.matrix, rec)
+                     partition = analyze_target_parallelism(recovered(c),
+                                                            target_deps(c))
                                      .partition;
-                     c.recovery.emplace(std::move(rec));
                      // A tiled hit's program loops over tiles: remap
                      // partitioned band variables to their tile loops.
                      if (c.tile && c.tile->applied)

@@ -230,8 +230,14 @@ struct SearchOptions {
   /// every one of them.
   i64 top_k = 0;
   /// Full mode only: tile every legal candidate's generated program.
-  /// After codegen the generated nest is re-analyzed fresh, a band and
-  /// sizes are planned (tile/plan.hpp) and, when the plan applies, the
+  /// After codegen a band and sizes are planned (tile/plan.hpp) from
+  /// the candidate's target-space dependences M·D
+  /// (transform/target_deps.hpp), not from a re-analysis of the
+  /// generated nest; only a generated program whose loop/statement tree
+  /// differs from the recovered skeleton (augmented or reconstruction
+  /// loops, a subtree removed by simplification), or a session that
+  /// pads non-diagonally, is analyzed afresh — counted in the
+  /// `tile.reanalysis_fallbacks` counter. When the plan applies, the
   /// hit's program is replaced by the tiled rewrite — so verification
   /// (verify_params) checks the *tiled* program against the source and
   /// its doall partition is remapped to the tile loops

@@ -49,7 +49,8 @@ TransformSession::TransformSession(Program program, SessionOptions opts)
 // Out of line: IncrementalLegality is incomplete in the header.
 TransformSession::~TransformSession() = default;
 
-CandidateResult TransformSession::evaluate_impl(const IntMat& m) {
+CandidateResult TransformSession::evaluate_impl(
+    const IntMat& m, std::vector<StatementPlan>* plans) {
   Stats::global().add("session.evaluations");
   ScopedSpan span("session.evaluate", "session");
   ScopedProjectionCache install(&cache_);
@@ -57,11 +58,13 @@ CandidateResult TransformSession::evaluate_impl(const IntMat& m) {
   try {
     if (opts_.exact) {
       ExactCodegenResult res = generate_code_exact(*layout_, m, opts_.codegen);
+      if (plans) *plans = std::move(res.plans);
       r.legal = true;
       r.program = opts_.simplify ? simplify_program(res.program)
                                  : std::move(res.program);
     } else {
       CodegenResult res = generate_code(*layout_, deps_, m, opts_.codegen);
+      if (plans) *plans = std::move(res.plans);
       r.legal = true;
       r.legality = std::move(res.legality);
       r.program = opts_.simplify ? simplify_program(res.program)

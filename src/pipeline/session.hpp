@@ -171,7 +171,9 @@ class TransformSession {
   Stats& stats() const { return Stats::global(); }
 
  private:
-  CandidateResult evaluate_impl(const IntMat& m);
+  /// `plans`, when set, receives code generation's per-statement plans.
+  CandidateResult evaluate_impl(const IntMat& m,
+                                std::vector<StatementPlan>* plans = nullptr);
 
   SessionOptions opts_;
   std::unique_ptr<Program> program_;  // stable address: layout_ points in

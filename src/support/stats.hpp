@@ -138,6 +138,17 @@ class Stats {
   ///  "histograms":{name:{"count":..,"sum":..,"buckets":{lo:n,...}}}}.
   std::string to_json() const;
 
+  /// Per-call timing of hot paths (the search pipeline's
+  /// `search.stage.<name>_ns` histograms) is off by default; like a
+  /// disabled ScopedSpan, an untimed call costs one relaxed load.
+  /// `inltc --stats` turns it on.
+  static void enable_timing(bool on = true) {
+    g_timing_.store(on, std::memory_order_relaxed);
+  }
+  static bool timing_enabled() {
+    return g_timing_.load(std::memory_order_relaxed);
+  }
+
   Stats() = default;
   Stats(const Stats&) = delete;
   Stats& operator=(const Stats&) = delete;
@@ -147,6 +158,7 @@ class Stats {
     std::atomic<i64> ns{0};
     std::atomic<i64> count{0};
   };
+  inline static std::atomic<bool> g_timing_{false};
   // unique_ptr keeps addresses stable across map growth.
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<std::atomic<i64>>> counters_;

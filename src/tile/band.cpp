@@ -43,9 +43,7 @@ struct PathCollector {
 
 struct BandContext {
   const IvLayout* layout = nullptr;
-  const std::vector<Dependence>* deps = nullptr;
-  const std::vector<DepVector>* vectors = nullptr;
-  // Per dependence: labels of src/dst resolved once.
+  const DependenceSet* deps = nullptr;
   // Per subtree root: the labels it contains (memoized).
   mutable std::map<const Node*, std::set<std::string>> subtree_labels;
 
@@ -75,12 +73,11 @@ std::vector<int> enclosing_positions(const IvLayout& layout,
 // irrelevant to the window (endpoint outside the subtree, or carried
 // by an enclosing loop).
 bool skip_dependence(const BandContext& ctx, const Dependence& d,
-                     const DepVector& v, const Node* band_root,
-                     const std::vector<int>& enclosing) {
+                     const Node* band_root, const std::vector<int>& enclosing) {
   const std::set<std::string>& labels = ctx.labels_of(band_root);
   if (!labels.count(d.src) || !labels.count(d.dst)) return true;
   if (!enclosing.empty() &&
-      lex_status(project_dep(v, enclosing)) == LexStatus::kPositive)
+      lex_status(project_dep(d.vector, enclosing)) == LexStatus::kPositive)
     return true;
   return false;
 }
@@ -97,12 +94,11 @@ std::string window_violation(const BandContext& ctx,
   for (size_t i = first; i <= last; ++i)
     band_pos.push_back(layout.loop_position(chain[i]->var()));
 
-  for (size_t di = 0; di < ctx.deps->size(); ++di) {
-    const Dependence& d = (*ctx.deps)[di];
-    const DepVector& v = (*ctx.vectors)[di];
-    if (skip_dependence(ctx, d, v, chain[first], enclosing)) continue;
+  for (size_t di = 0; di < ctx.deps->deps.size(); ++di) {
+    const Dependence& d = ctx.deps->deps[di];
+    if (skip_dependence(ctx, d, chain[first], enclosing)) continue;
     for (size_t i = first; i <= last; ++i) {
-      const DepEntry& e = v[static_cast<size_t>(band_pos[i - first])];
+      const DepEntry& e = d.vector[static_cast<size_t>(band_pos[i - first])];
       if (!e.definitely_non_negative()) {
         std::ostringstream os;
         os << "dependence #" << di << " (" << dep_kind_name(d.kind) << " "
@@ -182,24 +178,12 @@ BandReport detect_impl(const BandContext& ctx) {
 }  // namespace
 
 BandReport detect_bands(const IvLayout& layout, const DependenceSet& deps) {
-  std::vector<DepVector> vectors;
-  vectors.reserve(deps.deps.size());
-  for (const Dependence& d : deps.deps) vectors.push_back(d.vector);
-  return detect_bands(layout, deps.deps, vectors);
-}
-
-BandReport detect_bands(const IvLayout& layout,
-                        const std::vector<Dependence>& deps,
-                        const std::vector<DepVector>& vectors) {
-  INLT_CHECK_MSG(deps.size() == vectors.size(),
-                 "detect_bands: one vector per dependence required");
-  for (const DepVector& v : vectors)
-    INLT_CHECK_MSG(static_cast<int>(v.size()) == layout.size(),
+  for (const Dependence& d : deps.deps)
+    INLT_CHECK_MSG(static_cast<int>(d.vector.size()) == layout.size(),
                    "detect_bands: vector width must match the layout");
   BandContext ctx;
   ctx.layout = &layout;
   ctx.deps = &deps;
-  ctx.vectors = &vectors;
   return detect_impl(ctx);
 }
 
@@ -231,22 +215,18 @@ std::string band_reject_reason(const IvLayout& layout,
       // Found the chain on this path. Window = the contiguous path
       // segment from the first to the last chain member (intermediate
       // loops are part of the subtree, not of the band).
-      std::vector<DepVector> vectors;
-      for (const Dependence& d : deps.deps) vectors.push_back(d.vector);
       BandContext ctx;
       ctx.layout = &layout;
-      ctx.deps = &deps.deps;
-      ctx.vectors = &vectors;
+      ctx.deps = &deps;
       // Check non-negativity at exactly the named loops.
       const std::vector<int> enclosing =
           enclosing_positions(layout, path, start);
       for (size_t di = 0; di < deps.deps.size(); ++di) {
         const Dependence& d = deps.deps[di];
-        const DepVector& v = vectors[di];
-        if (skip_dependence(ctx, d, v, chain[0], enclosing)) continue;
+        if (skip_dependence(ctx, d, chain[0], enclosing)) continue;
         for (const Node* loop : chain) {
           const DepEntry& e =
-              v[static_cast<size_t>(layout.loop_position(loop->var()))];
+              d.vector[static_cast<size_t>(layout.loop_position(loop->var()))];
           if (!e.definitely_non_negative()) {
             std::ostringstream os;
             os << "dependence #" << di << " (" << dep_kind_name(d.kind)

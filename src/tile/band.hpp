@@ -60,16 +60,11 @@ struct BandReport {
 };
 
 /// Detect every maximal fully-permutable band of the layout's program
-/// under the given dependences (vectors in the layout's coordinates).
+/// under the given dependences (vectors in the layout's coordinates):
+/// the program's analyzed dependences, or — for a transformed nest —
+/// its target_dependences (transform/target_deps.hpp), whose vectors
+/// are in the target layout's coordinates.
 BandReport detect_bands(const IvLayout& layout, const DependenceSet& deps);
-
-/// Same, with the dependence vectors overridden — the candidate-space
-/// entry point: pass M·d columns in the *target* layout's coordinates
-/// (target position p carries row p of M) together with the target
-/// layout to detect bands of a transformed-but-not-yet-generated nest.
-BandReport detect_bands(const IvLayout& layout,
-                        const std::vector<Dependence>& deps,
-                        const std::vector<DepVector>& vectors);
 
 /// Is the named loop chain a fully-permutable band? Returns the empty
 /// string when it is, otherwise the reason it is not (the violated

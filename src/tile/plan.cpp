@@ -137,20 +137,23 @@ TilePlan plan_tile(const IvLayout& layout, const DependenceSet& deps,
 
 TiledProgram apply_tile(const Program& p, const TileOptions& opts,
                         const ModelOptions& mopts) {
-  TiledProgram out;
   IvLayout layout(p);
   DependenceSet deps;
-  try {
-    deps = analyze_dependences(layout);
-  } catch (const InvalidProgramError& e) {
-    out.plan.note =
-        std::string("program is not analyzable for tiling: ") + e.what();
+  if (analysis_blocker(p).empty()) deps = analyze_dependences(layout);
+  return apply_tile(layout, deps, opts, mopts);
+}
+
+TiledProgram apply_tile(const IvLayout& layout, const DependenceSet& deps,
+                        const TileOptions& opts, const ModelOptions& mopts) {
+  TiledProgram out;
+  if (std::string why = analysis_blocker(layout.program()); !why.empty()) {
+    out.plan.note = "program is not analyzable for tiling: " + why;
     return out;
   }
   out.plan = plan_tile(layout, deps, opts, mopts);
   if (!out.plan.applied) return out;
   try {
-    TileResult tr = tile_band(p, out.plan.spec);
+    TileResult tr = tile_band(layout.program(), out.plan.spec);
     out.plan.tile_vars = tr.tile_vars;
     if (tr.identity) out.plan.note = "identity rewrite (all tile sizes 1)";
     out.program.emplace(std::move(tr.program));

@@ -86,4 +86,15 @@ struct TiledProgram {
 TiledProgram apply_tile(const Program& p, const TileOptions& opts,
                         const ModelOptions& mopts = {});
 
+/// Same, with the dependences supplied instead of analyzed: `deps` in
+/// the coordinates of `layout` (whose program is the one tiled) — for
+/// a search candidate whose generated program has the recovered
+/// skeleton's shape, its target_dependences
+/// (transform/target_deps.hpp). Eligibility stays the analyzer's: a
+/// program analyze_dependences would reject gets the same not-applied
+/// plan and note, from a structural check (analysis_blocker).
+TiledProgram apply_tile(const IvLayout& layout, const DependenceSet& deps,
+                        const TileOptions& opts,
+                        const ModelOptions& mopts = {});
+
 }  // namespace inlt

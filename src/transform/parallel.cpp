@@ -47,64 +47,29 @@ std::vector<IntVec> parallel_row_basis(const IvLayout& layout,
   return out;
 }
 
-std::vector<std::string> parallel_loops(const IvLayout& layout,
-                                        const DependenceSet& deps) {
-  // A loop is doall when no dependence is *carried at* it: for every
-  // dependence whose statements it encloses, either an outer common
-  // loop definitely carries the dependence first, or the entry at this
-  // loop is exactly zero.
-  std::vector<std::string> out;
-  for (int q : layout.all_loop_positions()) {
-    bool carries = false;
-    for (const Dependence& d : deps.deps) {
-      std::vector<int> common = layout.common_loop_positions(d.src, d.dst);
-      bool encloses = false;
-      for (int c : common)
-        if (c == q) encloses = true;
-      if (!encloses) continue;  // the dependence lives elsewhere
-      bool carried_outside = false;
-      bool ambiguous_prefix = false;
-      for (int c : common) {
-        if (c == q) break;
-        const DepEntry& e = d.vector[c];
-        if (e.definitely_positive()) {
-          carried_outside = true;
-          break;
-        }
-        if (!e.is_zero()) ambiguous_prefix = true;  // may or may not carry
-      }
-      if (carried_outside) continue;
-      const DepEntry& here = d.vector[q];
-      if (ambiguous_prefix || !here.is_zero()) carries = true;
-    }
-    if (!carries) out.push_back(layout.positions()[q].loop->var());
-  }
-  return out;
-}
-
 namespace {
 
-// The "carried at" walk of parallel_loops, in target space: level q of
-// the transformed nest is doall iff for every dependence whose common
-// loops include q, either an outer common entry of M·d is definitely
-// positive (carried further out) or the entry at q is exactly zero
-// with an all-zero resolvable prefix.
-TargetLevel classify_level(const IvLayout& tgt,
-                           const DependenceSet& deps,
-                           const std::vector<DepVector>& tdeps, int q) {
+// A loop level is doall when no dependence is *carried at* it: for
+// every dependence whose common loops include q, either an outer common
+// entry is definitely positive (carried further out) or the entry at q
+// is exactly zero with an all-zero resolvable prefix. `deps` are in
+// `layout`'s coordinates (the source nest, or a target nest with its
+// target_dependences).
+TargetLevel classify_level(const IvLayout& layout, const DependenceSet& deps,
+                           int q) {
   TargetLevel lvl;
   lvl.position = q;
   lvl.doall = true;
   for (size_t i = 0; i < deps.deps.size(); ++i) {
     const Dependence& d = deps.deps[i];
-    std::vector<int> common = tgt.common_loop_positions(d.src, d.dst);
+    std::vector<int> common = layout.common_loop_positions(d.src, d.dst);
     if (std::find(common.begin(), common.end(), q) == common.end())
       continue;  // the dependence lives elsewhere
     bool carried_outside = false;
     bool ambiguous_prefix = false;
     for (int c : common) {
       if (c == q) break;
-      const DepEntry& e = tdeps[i][c];
+      const DepEntry& e = d.vector[c];
       if (e.definitely_positive()) {
         carried_outside = true;
         break;
@@ -112,7 +77,7 @@ TargetLevel classify_level(const IvLayout& tgt,
       if (!e.is_zero()) ambiguous_prefix = true;  // may or may not carry
     }
     if (carried_outside) continue;
-    const DepEntry& here = tdeps[i][q];
+    const DepEntry& here = d.vector[q];
     if (ambiguous_prefix || !here.is_zero()) {
       lvl.doall = false;
       if (lvl.carrier < 0) {
@@ -127,7 +92,6 @@ TargetLevel classify_level(const IvLayout& tgt,
 struct ScheduleWalk {
   const IvLayout& tgt;
   const DependenceSet& deps;
-  const std::vector<DepVector>& tdeps;
   ParallelSchedule& out;
 
   // `seq_enclosing` are the sequential target loops on the path to
@@ -138,7 +102,7 @@ struct ScheduleWalk {
             std::vector<std::string>& seq_enclosing) {
     if (!n->is_loop()) return;
     int q = tgt.segment(n).loop_pos;
-    TargetLevel lvl = classify_level(tgt, deps, tdeps, q);
+    TargetLevel lvl = classify_level(tgt, deps, q);
     lvl.var = n->var();
     lvl.depth = depth;
     bool child_under = under_partition;
@@ -163,29 +127,36 @@ struct ScheduleWalk {
 
 }  // namespace
 
-ParallelSchedule analyze_target_parallelism(const IvLayout& /*src*/,
-                                            const DependenceSet& deps,
-                                            const IntMat& m,
-                                            const AstRecovery& rec) {
-  const IvLayout& tgt = *rec.target_layout;
-  std::vector<DepVector> tdeps;
-  tdeps.reserve(deps.deps.size());
-  for (const Dependence& d : deps.deps)
-    tdeps.push_back(transform_dep(m, d.vector));
-
-  ParallelSchedule out;
-  ScheduleWalk w{tgt, deps, tdeps, out};
-  std::vector<std::string> seq;
-  for (const NodePtr& root : tgt.program().roots())
-    w.walk(root.get(), 0, false, seq);
+std::vector<std::string> parallel_loops(const IvLayout& layout,
+                                        const DependenceSet& deps) {
+  std::vector<std::string> out;
+  for (int q : layout.all_loop_positions())
+    if (classify_level(layout, deps, q).doall)
+      out.push_back(layout.positions()[q].loop->var());
   return out;
 }
 
 ParallelSchedule source_parallel_schedule(const IvLayout& layout,
                                           const DependenceSet& deps) {
-  IntMat id = IntMat::identity(layout.size());
-  AstRecovery rec = recover_ast(layout, id);
-  return analyze_target_parallelism(layout, deps, id, rec);
+  ParallelSchedule out;
+  ScheduleWalk w{layout, deps, out};
+  std::vector<std::string> seq;
+  for (const NodePtr& root : layout.program().roots())
+    w.walk(root.get(), 0, false, seq);
+  return out;
+}
+
+ParallelSchedule analyze_target_parallelism(const AstRecovery& rec,
+                                            const DependenceSet& target_deps) {
+  return source_parallel_schedule(*rec.target_layout, target_deps);
+}
+
+ParallelSchedule analyze_target_parallelism(const IvLayout& src,
+                                            const DependenceSet& deps,
+                                            const IntMat& m,
+                                            const AstRecovery& rec) {
+  return analyze_target_parallelism(rec,
+                                    target_dependences(src, deps, m, rec));
 }
 
 std::string ParallelSchedule::to_text(const DependenceSet& deps) const {

@@ -10,6 +10,7 @@
 
 #include "dependence/analyzer.hpp"
 #include "transform/block_structure.hpp"
+#include "transform/target_deps.hpp"
 
 namespace inlt {
 
@@ -61,17 +62,27 @@ struct ParallelSchedule {
   std::string to_text(const DependenceSet& deps) const;
 };
 
-/// Map the dependence columns into target space (M·d) and classify
-/// every transformed loop level as doall or sequential; pick the
-/// outermost doall on each nest path as the partition and derive the
-/// wavefront structure. `rec` must be recover_ast(src, m).
+/// Schedule of a nest as written: classify every loop level of
+/// `layout`'s program as doall or sequential under `deps` (given in
+/// `layout`'s coordinates), pick the outermost doall on each nest path
+/// as the partition and derive the wavefront structure. The source
+/// nest with its analyzed dependences, or a transformed nest with its
+/// target_dependences.
+ParallelSchedule source_parallel_schedule(const IvLayout& layout,
+                                          const DependenceSet& deps);
+
+/// The schedule of candidate M's transformed nest from its target-space
+/// dependences (target_dependences(src, deps, m, rec)). `carrier`
+/// indices stay valid for the source DependenceSet, which is
+/// index-aligned with them.
+ParallelSchedule analyze_target_parallelism(const AstRecovery& rec,
+                                            const DependenceSet& target_deps);
+
+/// Same, computing the target dependences. `rec` must be
+/// recover_ast(src, m).
 ParallelSchedule analyze_target_parallelism(const IvLayout& src,
                                             const DependenceSet& deps,
                                             const IntMat& m,
                                             const AstRecovery& rec);
-
-/// Schedule of the source nest as written (identity transform).
-ParallelSchedule source_parallel_schedule(const IvLayout& layout,
-                                          const DependenceSet& deps);
 
 }  // namespace inlt

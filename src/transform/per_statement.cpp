@@ -7,37 +7,31 @@
 
 namespace inlt {
 
-namespace {
-
-// IV = A_S * I_S + b_S for statement `label` in the source layout.
-void statement_embedding(const IvLayout& src, const std::string& label,
-                         PadMode pad, IntMat* a_s, IntVec* b_s) {
+StatementEmbedding statement_embedding(const IvLayout& src,
+                                       const std::string& label, PadMode pad) {
   const IvLayout::StmtInfo& info = src.stmt_info(label);
   int n = src.size();
   int k = static_cast<int>(info.loop_positions.size());
-  *a_s = IntMat(n, k);
-  *b_s = IntVec(n, 0);
-  for (int j = 0; j < k; ++j) (*a_s)(info.loop_positions[j], j) = 1;
-  for (int e : info.path_edge_positions) (*b_s)[e] = 1;
+  StatementEmbedding e{IntMat(n, k), IntVec(n, 0)};
+  for (int j = 0; j < k; ++j) e.a(info.loop_positions[j], j) = 1;
+  for (int p : info.path_edge_positions) e.b[p] = 1;
   if (pad == PadMode::kDiagonal) {
     for (size_t q = 0; q < info.padded_positions.size(); ++q) {
       int srcidx = info.pad_source[q];
       if (srcidx < 0) srcidx = k > 0 ? 0 : -1;
-      if (srcidx >= 0) (*a_s)(info.padded_positions[q], srcidx) = 1;
+      if (srcidx >= 0) e.a(info.padded_positions[q], srcidx) = 1;
     }
   }
+  return e;
 }
-
-}  // namespace
 
 PerStatement per_statement_transform(const IvLayout& src,
                                      const AstRecovery& rec, const IntMat& m,
                                      const std::string& label, PadMode pad) {
-  IntMat a_s;
-  IntVec b_s;
-  statement_embedding(src, label, pad, &a_s, &b_s);
+  const StatementEmbedding emb = statement_embedding(src, label, pad);
+  const IntMat& a_s = emb.a;
   IntMat ma = mat_mul(m, a_s);
-  IntVec mb = mat_vec(m, b_s);
+  IntVec mb = mat_vec(m, emb.b);
   const auto& tinfo = rec.target_layout->stmt_info(label);
   PerStatement out;
   out.matrix = IntMat(static_cast<int>(tinfo.loop_positions.size()),

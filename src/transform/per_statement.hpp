@@ -17,6 +17,19 @@
 
 namespace inlt {
 
+/// Definition 4's embedding of one statement: its source instance
+/// vector as an affine function IV = a·I_S + b of its iteration vector
+/// (padded positions copy their pad source under kDiagonal; edge
+/// positions on its path contribute the constant 1).
+struct StatementEmbedding {
+  IntMat a;  ///< layout.size() x k
+  IntVec b;  ///< layout.size()
+};
+
+StatementEmbedding statement_embedding(const IvLayout& src,
+                                       const std::string& label,
+                                       PadMode pad = PadMode::kDiagonal);
+
 struct PerStatement {
   /// k_tree x k: target tree-loop labels (outermost first) as a
   /// function of the source iteration vector.

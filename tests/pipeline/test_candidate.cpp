@@ -16,6 +16,7 @@ TEST(CandidatePipeline, StageKindNames) {
   EXPECT_STREQ(stage_kind_name(StageKind::kComplete), "complete");
   EXPECT_STREQ(stage_kind_name(StageKind::kCost), "cost");
   EXPECT_STREQ(stage_kind_name(StageKind::kCodegen), "codegen");
+  EXPECT_STREQ(stage_kind_name(StageKind::kTile), "tile");
   EXPECT_STREQ(stage_kind_name(StageKind::kVerify), "verify");
 }
 
@@ -63,6 +64,42 @@ TEST(CandidatePipeline, RejectionStopsRemainingStages) {
   dead.rejected = true;
   pipe.run_deferred(dead);
   EXPECT_TRUE(ran.empty());
+}
+
+TEST(CandidatePipeline, RunDeferredDropsScratch) {
+  // Pending candidates wait for a worker until search() ends; the
+  // inter-stage scratch must not live that long.
+  CandidatePipeline pipe;
+  pipe.add(StageKind::kComplete, /*deferred=*/true, [](Candidate& c) {
+    c.recovery.emplace();
+    c.target_deps.emplace();
+    c.plans.emplace_back();
+  });
+  pipe.add(StageKind::kCost, /*deferred=*/true,
+           [](Candidate& c) { c.rejected = true; });
+  Candidate c;
+  pipe.run_deferred(c);
+  EXPECT_TRUE(c.rejected);
+  EXPECT_FALSE(c.recovery.has_value());
+  EXPECT_FALSE(c.target_deps.has_value());
+  EXPECT_TRUE(c.plans.empty());
+}
+
+TEST(CandidatePipeline, StagesAreTimedOnlyWhenEnabled) {
+  CandidatePipeline pipe;
+  pipe.add(StageKind::kTile, /*deferred=*/true, [](Candidate&) {});
+  auto runs = [&] {
+    return Stats::global().snapshot().histograms["search.stage.tile_ns"].count;
+  };
+  const i64 before = runs();
+  Candidate c;
+  pipe.run_deferred(c);
+  EXPECT_EQ(runs(), before);
+  Stats::enable_timing();
+  pipe.run_deferred(c);
+  pipe.run_deferred(c);
+  Stats::enable_timing(false);
+  EXPECT_EQ(runs(), before + 2);
 }
 
 TEST(CandidatePipeline, EmptyPipelineHasNothing) {

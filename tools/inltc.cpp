@@ -541,6 +541,7 @@ int main(int argc, char** argv) {
   std::string path = opts.args[0];
   if (!opts.trace_out.empty() || opts.trace_summary)
     Tracer::global().enable();
+  if (opts.stats || opts.stats_json) Stats::enable_timing();
   if (opts.profile || cmd == "profile") ExecProfiler::global().enable();
 
   try {
