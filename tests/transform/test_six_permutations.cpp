@@ -28,6 +28,12 @@ struct PermCase {
   bool expect_legal;
 };
 
+// Without this, gtest prints the raw object bytes — including the
+// string's heap pointer — so the discovered test names change per run.
+void PrintTo(const PermCase& pc, std::ostream* os) {
+  *os << pc.order << (pc.expect_legal ? " legal" : " illegal");
+}
+
 class SixPermutations : public ::testing::TestWithParam<PermCase> {};
 
 TEST_P(SixPermutations, CompleteGenerateVerify) {
