@@ -31,6 +31,12 @@
 //    skews reorder instances without changing any reference's
 //    innermost stride), and mutual tie-out counts as agreement.
 //
+// Alongside, one rank of the Cholesky permutation × skew space at skew
+// bound 2, depth 2 (75,000 candidates) records the per-search cost
+// model's N_S memo: its hit ratio (machine-independent; gated in
+// bench/baseline.json) and `search.inflight_peak`, the most survivors
+// the streaming fan-out held unsettled at once (recorded as data).
+//
 // Emits BENCH_model.json (override with --out=PATH). Unknown
 // --benchmark_* flags are accepted and ignored so the binary can run
 // under the same harness invocation as the google-benchmark suites.
@@ -48,6 +54,7 @@
 #include "ir/gallery.hpp"
 #include "model/cost.hpp"
 #include "pipeline/search.hpp"
+#include "support/stats.hpp"
 #include "transform/completion.hpp"
 
 namespace {
@@ -214,6 +221,40 @@ FamilyReport rank_family(const std::string& name, Program (*make)(),
   return fam;
 }
 
+// The rank pipeline over a large space: memo effectiveness and the
+// fan-out's high-water mark, from the Stats delta of one search.
+struct RankSpaceReport {
+  i64 candidates = 0, legal = 0, estimates = 0;
+  i64 memo_hits = 0, memo_misses = 0, inflight_peak = 0;
+  double seconds = 0;
+  double hit_ratio() const {
+    const i64 n = memo_hits + memo_misses;
+    return n > 0 ? static_cast<double>(memo_hits) / static_cast<double>(n)
+                 : 0;
+  }
+};
+
+RankSpaceReport rank_space() {
+  TransformSession session(gallery::cholesky());
+  SearchOptions sopts;
+  sopts.mode = SearchMode::kLegalityOnly;
+  sopts.top_k = 5;
+  Stats::global().counter("search.inflight_peak").store(0);
+  const StatsSnapshot before = Stats::global().snapshot();
+  const double t0 = now_s();
+  SearchResult res = session.search(SearchSpace{2, 2}, sopts);
+  RankSpaceReport r;
+  r.seconds = now_s() - t0;
+  const StatsSnapshot delta = Stats::global().snapshot() - before;
+  r.candidates = res.stats.candidates_total;
+  r.legal = res.stats.legal;
+  r.estimates = delta.counter("model.estimates");
+  r.memo_hits = delta.counter("model.direction_memo_hits");
+  r.memo_misses = delta.counter("model.direction_memo_misses");
+  r.inflight_peak = Stats::global().value("search.inflight_peak");
+  return r;
+}
+
 void emit_family(std::ostream& os, const FamilyReport& fam) {
   os << "{\"name\":\"" << fam.name << "\",\"n\":" << kN
      << ",\"bucket_bits\":" << kBucketBits << ",\"variants\":[";
@@ -271,13 +312,31 @@ int main(int argc, char** argv) {
     all_pass = all_pass && fam.pass();
   }
 
+  const RankSpaceReport rs = rank_space();
+  std::printf("rank_space       cholesky skew 2/2: %lld candidates, %lld "
+              "legal, %lld estimates | memo %lld hits / %lld misses "
+              "(ratio %.4f) | inflight peak %lld | %.3fs\n",
+              static_cast<long long>(rs.candidates),
+              static_cast<long long>(rs.legal),
+              static_cast<long long>(rs.estimates),
+              static_cast<long long>(rs.memo_hits),
+              static_cast<long long>(rs.memo_misses), rs.hit_ratio(),
+              static_cast<long long>(rs.inflight_peak), rs.seconds);
+
   std::ostringstream js;
   js << "{\"benchmark\":\"bench_model\",\"families\":[";
   for (size_t i = 0; i < fams.size(); ++i) {
     if (i) js << ",";
     emit_family(js, fams[i]);
   }
-  js << "],\"rank_agreement\":" << (all_pass ? "true" : "false") << "}\n";
+  js << "],\"rank_space\":{\"candidates\":" << rs.candidates
+     << ",\"legal\":" << rs.legal << ",\"estimates\":" << rs.estimates
+     << ",\"memo_hits\":" << rs.memo_hits
+     << ",\"memo_misses\":" << rs.memo_misses
+     << ",\"memo_hit_ratio\":" << rs.hit_ratio()
+     << ",\"inflight_peak\":" << rs.inflight_peak
+     << ",\"seconds\":" << rs.seconds << "}";
+  js << ",\"rank_agreement\":" << (all_pass ? "true" : "false") << "}\n";
   std::ofstream out(out_path);
   out << js.str();
   std::printf("wrote %s\n", out_path.c_str());

@@ -102,8 +102,10 @@ DepVector transform_dep(const IntMat& m, const DepVector& d) {
   DepVector out;
   out.reserve(m.rows());
   for (int i = 0; i < m.rows(); ++i) {
+    // A zero coefficient adds exact(0), which leaves any entry as is.
     DepEntry acc = DepEntry::exact(0);
-    for (int j = 0; j < m.cols(); ++j) acc = acc + d[j] * m(i, j);
+    for (int j = 0; j < m.cols(); ++j)
+      if (const i64 c = m(i, j); c != 0) acc = acc + d[j] * c;
     out.push_back(acc);
   }
   return out;

@@ -1,8 +1,12 @@
 #include "model/cost.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "linalg/gauss.hpp"
 #include "linalg/hermite.hpp"
@@ -31,113 +35,137 @@ double rat_double(const Rational& r) {
   return static_cast<double>(r.num()) / static_cast<double>(r.den());
 }
 
-// Stride of each subscript dimension of `a` for one step of the
-// statement's innermost transformed loop, where `dir` is that step
-// expressed in source iteration variables (`vars` order).
-std::vector<Rational> subscript_strides(const ArrayAccess& a,
-                                        const std::vector<std::string>& vars,
-                                        const std::vector<Rational>& dir) {
-  std::vector<Rational> out;
-  out.reserve(a.subscripts.size());
-  for (const AffineExpr& sub : a.subscripts) {
-    Rational s = 0;
-    for (size_t j = 0; j < vars.size(); ++j) {
-      i64 c = sub.coef(vars[j]);
-      if (c != 0) s += Rational(c) * dir[j];
+constexpr size_t kMemoStripes = 16;
+
+// Memo key: statement index, N_S's row count, then N_S row-major.
+using StepKey = std::vector<i64>;
+
+struct StepKeyHash {
+  size_t operator()(const StepKey& key) const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (i64 v : key)
+      h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ull;
+    return static_cast<size_t>(h ^ (h >> 29));
+  }
+};
+
+// Source iteration delta `dir` for one step of a statement's innermost
+// transformed loop, and the per-subscript stride it gives each access.
+struct Step {
+  std::vector<Rational> dir;
+  std::vector<std::vector<Rational>> strides;  // [access][subscript]
+};
+
+// One statement's source-side facts, tabulated once per model.
+struct StmtTable {
+  std::string label;
+  int k = 0;  // enclosing loops
+  StatementEmbedding emb;
+  struct Access {
+    std::string array;
+    bool is_write = false;
+    std::vector<IntVec> coefs;  // per subscript: coefficient per loop var
+  };
+  std::vector<Access> accesses;
+  Step loopless;  // the Step when k == 0: nothing moves
+};
+
+}  // namespace
+
+struct CostModelTables {
+  std::vector<StmtTable> stmts;
+  struct alignas(64) Stripe {
+    std::mutex mu;
+    // Node-based: a Step's address is stable for the model's lifetime.
+    std::unordered_map<StepKey, Step, StepKeyHash> steps;
+  };
+  std::array<Stripe, kMemoStripes> memo;
+};
+
+namespace {
+
+Step make_step(const StmtTable& st, const IntMat& ns) {
+  // Complete the independent rows of N_S to a nonsingular basis T
+  // (dropped singular rows are guarded single-iteration loops;
+  // appended nullspace rows are the loops augmentation would add,
+  // innermost); the innermost target label steps by the last HNF
+  // diagonal of T on its lattice, and the source vars move by
+  // T^{-1} · (step · e_last).
+  const int k = st.k;
+  IntMat kept;
+  for (int r : independent_row_indices(ns)) kept.append_row(ns.row(r));
+  IntMat t_full =
+      kept.rows() == 0 ? IntMat::identity(k) : complete_to_nonsingular(kept);
+  RatMat t_inv = inverse(to_rational(t_full));
+  HermiteResult h = hermite_normal_form(t_full);
+  Rational step = h.h(k - 1, k - 1);
+  Step out;
+  out.dir.resize(static_cast<size_t>(k));
+  for (int i = 0; i < k; ++i) out.dir[i] = t_inv(i, k - 1) * step;
+  out.strides.reserve(st.accesses.size());
+  for (const StmtTable::Access& a : st.accesses) {
+    std::vector<Rational>& s = out.strides.emplace_back();
+    s.reserve(a.coefs.size());
+    for (const IntVec& c : a.coefs) {
+      Rational sum = 0;
+      for (int j = 0; j < k; ++j)
+        if (c[j] != 0) sum += Rational(c[j]) * out.dir[j];
+      s.push_back(sum);
     }
-    out.push_back(s);
   }
   return out;
 }
 
-}  // namespace
-
-CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
-                           const AstRecovery& rec, const ModelOptions& opts) {
-  ScopedTimer timer("model.estimate_ns");
-  ScopedSpan span("model.estimate", "model");
-  Stats::global().add("model.estimates");
-  CostEstimate est;
-  const Rational line(opts.line_elems);
-  const double trip = static_cast<double>(opts.nominal_trip);
-
-  for (const std::string& label : src.stmt_labels()) {
-    const StatementContext sc = src.program().find_statement(label);
-    const std::vector<std::string> vars = sc.loop_vars();
-    const int k = static_cast<int>(vars.size());
-    const std::vector<ArrayAccess> accesses = sc.stmt->stmt_data().accesses();
-
-    // Source iteration delta for one step of the statement's innermost
-    // transformed loop: complete the independent rows of M_S to a
-    // nonsingular basis T (dropped singular rows are guarded
-    // single-iteration loops; appended nullspace rows are the loops
-    // augmentation would add, innermost), then the innermost target
-    // label steps by the last HNF diagonal of T on its lattice and the
-    // source vars move by T^{-1} · (step · e_last).
-    std::vector<Rational> dir(static_cast<size_t>(k), Rational(0));
-    if (k > 0) {
-      PerStatement ps = per_statement_transform(src, rec, m, label, opts.pad);
-      IntMat kept;
-      for (int r : independent_row_indices(ps.matrix))
-        kept.append_row(ps.matrix.row(r));
-      IntMat t_full =
-          kept.rows() == 0 ? IntMat::identity(k) : complete_to_nonsingular(kept);
-      RatMat t_inv = inverse(to_rational(t_full));
-      HermiteResult h = hermite_normal_form(t_full);
-      Rational step = h.h(k - 1, k - 1);
-      for (int i = 0; i < k; ++i) dir[i] = t_inv(i, k - 1) * step;
-    }
-
-    // Executions of the statement's innermost loop over the whole nest.
-    const double inner_runs = k > 1 ? std::pow(trip, k - 1) : 1.0;
-
-    for (const ArrayAccess& a : accesses) {
-      RefCost rc;
-      rc.stmt = label;
-      rc.array = a.array;
-      rc.is_write = a.is_write;
-      rc.stride_dims = subscript_strides(a, vars, dir);
-
-      bool outer_moves = false;
-      for (size_t d = 0; d + 1 < rc.stride_dims.size(); ++d)
-        if (!rc.stride_dims[d].is_zero()) outer_moves = true;
-      const Rational contiguous =
-          rc.stride_dims.empty() ? Rational(0) : rat_abs(rc.stride_dims.back());
-
-      double lines_per_inner_run;
-      if (k == 0 || (!outer_moves && contiguous.is_zero())) {
-        rc.reuse = ReuseClass::kTemporal;
-        lines_per_inner_run = 1.0;
-      } else if (!outer_moves && contiguous < line) {
-        rc.reuse = ReuseClass::kSpatial;
-        lines_per_inner_run =
-            std::max(1.0, trip * rat_double(contiguous) /
-                              static_cast<double>(opts.line_elems));
-      } else {
-        rc.reuse = ReuseClass::kNone;
-        lines_per_inner_run = trip;
+// N_S of statement `st` under `m` (Def 7: the target tree-loop rows of
+// M·A_S), as the memo key: statement index, row count, rows.
+StepKey step_key(size_t stmt, const StmtTable& st, const IntMat& m,
+                 const AstRecovery& rec) {
+  const std::vector<int>& rows =
+      rec.target_layout->stmt_info(st.label).loop_positions;
+  StepKey key;
+  key.reserve(2 + rows.size() * static_cast<size_t>(st.k));
+  key.push_back(static_cast<i64>(stmt));
+  key.push_back(static_cast<i64>(rows.size()));
+  for (int p : rows)
+    for (int c = 0; c < st.k; ++c) {
+      i64 sum = 0;
+      for (int q = 0; q < m.cols(); ++q) {
+        const i64 a = st.emb.a(q, c);
+        if (a != 0) sum = checked_add(sum, checked_mul(m(p, q), a));
       }
-      rc.lines = (k == 0 ? 1.0 : inner_runs) * lines_per_inner_run;
-      est.total_lines += rc.lines;
-      est.refs.push_back(std::move(rc));
+      key.push_back(sum);
+    }
+  return key;
+}
+
+// The memoized Step of statement `stmt` under `m`.
+const Step& lookup_step(CostModelTables& t, size_t stmt, const IntMat& m,
+                        const AstRecovery& rec, std::atomic<i64>& hits,
+                        std::atomic<i64>& misses) {
+  const StmtTable& st = t.stmts[stmt];
+  if (st.k == 0) return st.loopless;
+  StepKey key = step_key(stmt, st, m, rec);
+  CostModelTables::Stripe& stripe = t.memo[StepKeyHash{}(key) % kMemoStripes];
+  {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    auto it = stripe.steps.find(key);
+    if (it != stripe.steps.end()) {
+      hits.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
     }
   }
-  est.exec_threads = opts.exec_threads;
-  est.effective_lines = est.total_lines;
-  if (span.active()) {
-    span.arg("refs", static_cast<i64>(est.refs.size()));
-    span.arg("lines", static_cast<i64>(est.total_lines));
-  }
-  return est;
+  // Miss: compute unlocked; a racing thread's equal Step may win.
+  misses.fetch_add(1, std::memory_order_relaxed);
+  const int rows = static_cast<int>(key[1]);
+  IntMat ns(rows, st.k);
+  for (int r = 0; r < rows; ++r)
+    for (int c = 0; c < st.k; ++c)
+      ns(r, c) = key[2 + static_cast<size_t>(r) * st.k + c];
+  Step step = make_step(st, ns);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  return stripe.steps.try_emplace(std::move(key), std::move(step))
+      .first->second;
 }
-
-CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
-                           const ModelOptions& opts) {
-  AstRecovery rec = recover_ast(src, m);
-  return estimate_cost(src, m, rec, opts);
-}
-
-namespace {
 
 // Labels of the statements under some partitioned doall level of the
 // target AST — the statements whose work the exec pool chunks.
@@ -155,18 +183,93 @@ void collect_partitioned_stmts(const Node* n,
 
 }  // namespace
 
-CostEstimate estimate_cost(const IvLayout& src, const DependenceSet& deps,
-                           const IntMat& m, const AstRecovery& rec,
-                           const ModelOptions& opts) {
-  return estimate_cost(src, m, rec, target_dependences(src, deps, m, rec),
-                       opts);
+CostModel::CostModel(const IvLayout& src, const ModelOptions& opts)
+    : opts_(opts),
+      tables_(std::make_unique<CostModelTables>()),
+      estimates_(Stats::global().counter("model.estimates")),
+      hits_(Stats::global().counter("model.direction_memo_hits")),
+      misses_(Stats::global().counter("model.direction_memo_misses")) {
+  for (const std::string& label : src.stmt_labels()) {
+    const StatementContext sc = src.program().find_statement(label);
+    const std::vector<std::string> vars = sc.loop_vars();
+    StmtTable& st = tables_->stmts.emplace_back();
+    st.label = label;
+    st.k = static_cast<int>(vars.size());
+    st.emb = statement_embedding(src, label, opts_.pad);
+    for (const ArrayAccess& a : sc.stmt->stmt_data().accesses()) {
+      StmtTable::Access& acc = st.accesses.emplace_back();
+      acc.array = a.array;
+      acc.is_write = a.is_write;
+      for (const AffineExpr& sub : a.subscripts) {
+        IntVec& c = acc.coefs.emplace_back();
+        for (const std::string& v : vars) c.push_back(sub.coef(v));
+      }
+      st.loopless.strides.emplace_back(a.subscripts.size(), Rational(0));
+    }
+  }
 }
 
-CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
-                           const AstRecovery& rec,
-                           const DependenceSet& target_deps,
-                           const ModelOptions& opts) {
-  CostEstimate est = estimate_cost(src, m, rec, opts);
+CostModel::~CostModel() = default;
+
+CostEstimate CostModel::estimate(const IntMat& m,
+                                 const AstRecovery& rec) const {
+  ScopedSpan span("model.estimate", "model");
+  estimates_.fetch_add(1, std::memory_order_relaxed);
+  CostEstimate est;
+  const Rational line(opts_.line_elems);
+  const double trip = static_cast<double>(opts_.nominal_trip);
+
+  for (size_t s = 0; s < tables_->stmts.size(); ++s) {
+    const StmtTable& st = tables_->stmts[s];
+    const int k = st.k;
+    const Step& step = lookup_step(*tables_, s, m, rec, hits_, misses_);
+    // Executions of the statement's innermost loop over the whole nest.
+    const double inner_runs = k > 1 ? std::pow(trip, k - 1) : 1.0;
+
+    for (size_t i = 0; i < st.accesses.size(); ++i) {
+      const StmtTable::Access& a = st.accesses[i];
+      RefCost rc;
+      rc.stmt = st.label;
+      rc.array = a.array;
+      rc.is_write = a.is_write;
+      rc.stride_dims = step.strides[i];
+
+      bool outer_moves = false;
+      for (size_t d = 0; d + 1 < rc.stride_dims.size(); ++d)
+        if (!rc.stride_dims[d].is_zero()) outer_moves = true;
+      const Rational contiguous =
+          rc.stride_dims.empty() ? Rational(0) : rat_abs(rc.stride_dims.back());
+
+      double lines_per_inner_run;
+      if (k == 0 || (!outer_moves && contiguous.is_zero())) {
+        rc.reuse = ReuseClass::kTemporal;
+        lines_per_inner_run = 1.0;
+      } else if (!outer_moves && contiguous < line) {
+        rc.reuse = ReuseClass::kSpatial;
+        lines_per_inner_run =
+            std::max(1.0, trip * rat_double(contiguous) /
+                              static_cast<double>(opts_.line_elems));
+      } else {
+        rc.reuse = ReuseClass::kNone;
+        lines_per_inner_run = trip;
+      }
+      rc.lines = (k == 0 ? 1.0 : inner_runs) * lines_per_inner_run;
+      est.total_lines += rc.lines;
+      est.refs.push_back(std::move(rc));
+    }
+  }
+  est.exec_threads = opts_.exec_threads;
+  est.effective_lines = est.total_lines;
+  if (span.active()) {
+    span.arg("refs", static_cast<i64>(est.refs.size()));
+    span.arg("lines", static_cast<i64>(est.total_lines));
+  }
+  return est;
+}
+
+CostEstimate CostModel::estimate(const IntMat& m, const AstRecovery& rec,
+                                 const DependenceSet& target_deps) const {
+  CostEstimate est = estimate(m, rec);
   ParallelSchedule sched = analyze_target_parallelism(rec, target_deps);
   est.partition = sched.partition;
   if (sched.partition.empty() || est.total_lines <= 0) return est;
@@ -181,13 +284,38 @@ CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
   for (const RefCost& r : est.refs)
     if (par_stmts.count(r.stmt)) par_lines += r.lines;
   est.parallel_fraction = par_lines / est.total_lines;
-  const double t = static_cast<double>(opts.exec_threads > 0
-                                           ? opts.exec_threads
+  const double t = static_cast<double>(opts_.exec_threads > 0
+                                           ? opts_.exec_threads
                                            : 1);
   est.effective_lines =
       est.total_lines * ((1.0 - est.parallel_fraction) +
                          est.parallel_fraction / t);
   return est;
+}
+
+CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
+                           const AstRecovery& rec, const ModelOptions& opts) {
+  return CostModel(src, opts).estimate(m, rec);
+}
+
+CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
+                           const ModelOptions& opts) {
+  AstRecovery rec = recover_ast(src, m);
+  return estimate_cost(src, m, rec, opts);
+}
+
+CostEstimate estimate_cost(const IvLayout& src, const DependenceSet& deps,
+                           const IntMat& m, const AstRecovery& rec,
+                           const ModelOptions& opts) {
+  return estimate_cost(src, m, rec, target_dependences(src, deps, m, rec),
+                       opts);
+}
+
+CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
+                           const AstRecovery& rec,
+                           const DependenceSet& target_deps,
+                           const ModelOptions& opts) {
+  return CostModel(src, opts).estimate(m, rec, target_deps);
 }
 
 std::string CostEstimate::to_text() const {

@@ -30,6 +30,8 @@
 // actually touches; bench_model keeps the two in rank agreement.
 #pragma once
 
+#include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,9 +53,11 @@ struct ModelOptions {
   /// Threads assumed available to the parallel execution engine
   /// (exec/parallel.hpp). With > 1, the dependence-aware overload
   /// discounts the line count of statements under a partitioned doall
-  /// level by Amdahl's law (CostEstimate::effective_lines), so ranking
-  /// prefers candidates that expose an outer doall. 1 leaves
-  /// effective_lines == total_lines and the ordering unchanged.
+  /// level by Amdahl's law (CostEstimate::effective_lines), so
+  /// candidates that expose an outer doall compare lower under
+  /// CostEstimate's operator<. Search's top-K heap orders by
+  /// total_lines, not by this discounted score. 1 leaves
+  /// effective_lines == total_lines.
   int exec_threads = 1;
 };
 
@@ -113,12 +117,51 @@ struct CostEstimate {
   std::string to_json() const;
 };
 
+/// The cost model bound to one source layout and one ModelOptions —
+/// what search() builds once per search and every candidate's kCost
+/// stage shares. Construction tabulates, per statement, its loop
+/// variables, the subscript coefficients of each access as integer
+/// rows, and its Definition-4 embedding; an estimate then only forms
+/// each statement's N_S (Def 7) from M. The step direction `dir` of
+/// the innermost target loop — and the subscript strides it gives each
+/// reference — depend on N_S alone, so they are memoized per
+/// (statement, N_S): a search over permutations × skews revisits a few
+/// thousand distinct N_S across hundreds of thousands of estimates.
+/// The memo is lock-striped, so estimate() may run on many threads at
+/// once; it lives as long as the model. Lookups count in the
+/// `model.direction_memo_hits` / `model.direction_memo_misses` Stats
+/// counters, estimates in `model.estimates`.
+struct CostModelTables;
+
+class CostModel {
+ public:
+  explicit CostModel(const IvLayout& src, const ModelOptions& opts = {});
+  ~CostModel();
+
+  const ModelOptions& options() const { return opts_; }
+
+  /// Base estimate of candidate `m`; `rec` must be recover_ast(src, m).
+  CostEstimate estimate(const IntMat& m, const AstRecovery& rec) const;
+  /// Dependence-aware estimate from the candidate's target-space
+  /// dependences (target_dependences(src, deps, m, rec)).
+  CostEstimate estimate(const IntMat& m, const AstRecovery& rec,
+                        const DependenceSet& target_deps) const;
+
+ private:
+  ModelOptions opts_;
+  std::unique_ptr<CostModelTables> tables_;
+  std::atomic<i64>& estimates_;
+  std::atomic<i64>& hits_;
+  std::atomic<i64>& misses_;
+};
+
 /// Estimate the cost of candidate `m` against the source layout. `rec`
 /// must come from recover_ast(src, m). Pure static analysis: no code
 /// generation, no execution. Statements whose per-statement
 /// transformation is rank-deficient are completed with nullspace rows
 /// (the innermost loops augmentation would add); see DESIGN.md for the
-/// model's known inaccuracies.
+/// model's known inaccuracies. This and the overloads below are
+/// one-shot wrappers over a temporary CostModel.
 CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
                            const AstRecovery& rec,
                            const ModelOptions& opts = {});
@@ -130,9 +173,10 @@ CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
 
 /// Dependence-aware estimate: the base estimate plus the parallel-work
 /// term. The candidate's doall partition (analyze_target_parallelism)
-/// decides which statements parallelize; their line share is divided
-/// by `opts.exec_threads` in effective_lines. With exec_threads == 1
-/// this is exactly the base estimate.
+/// fills `partition` and `parallel_fraction` at any thread count; the
+/// parallel share of the lines is divided by `opts.exec_threads` in
+/// effective_lines. With exec_threads == 1 total_lines, refs and
+/// effective_lines equal the base estimate's.
 CostEstimate estimate_cost(const IvLayout& src, const DependenceSet& deps,
                            const IntMat& m, const AstRecovery& rec,
                            const ModelOptions& opts = {});

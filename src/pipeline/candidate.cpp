@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -90,6 +91,121 @@ void CandidatePipeline::run_deferred(Candidate& c) const {
   c.recovery.reset();
   c.target_deps.reset();
   c.plans = {};
+}
+
+struct InOrderFanOut::Block {
+  std::vector<Candidate> cands;
+  bool done = false;           // guarded by mu_
+  std::exception_ptr failure;  // what `work` threw on a worker, if anything
+};
+
+InOrderFanOut::InOrderFanOut(int threads, size_t block, size_t window,
+                             WorkFn work, SettleFn settle)
+    : threads_(std::max(1, threads)),
+      block_(std::max<size_t>(1, block)),
+      window_limit_(std::max<size_t>(1, window)),
+      work_(std::move(work)),
+      settle_(std::move(settle)) {}
+
+InOrderFanOut::~InOrderFanOut() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    closing_ = true;
+    queue_.clear();
+  }
+  work_cv_.notify_all();
+  for (std::thread& t : workers_) t.join();
+}
+
+void InOrderFanOut::push(Candidate&& c) {
+  open_.push_back(std::move(c));
+  ++pushed_;
+  peak_ = std::max(peak_, pushed_ - settled_);
+  if (open_.size() < next_block_) return;
+  submit();
+  settle_ready(/*wait=*/window_.size() >= window_limit_);
+}
+
+void InOrderFanOut::finish() {
+  if (!open_.empty()) submit();
+  {
+    // Nothing more will be queued: workers exit once the queue drains.
+    std::lock_guard<std::mutex> lock(mu_);
+    closing_ = true;
+  }
+  work_cv_.notify_all();
+  while (!window_.empty()) settle_ready(/*wait=*/true);
+}
+
+void InOrderFanOut::submit() {
+  auto b = std::make_unique<Block>();
+  b->cands.swap(open_);
+  next_block_ = std::clamp<size_t>(
+      static_cast<size_t>(pushed_) / (4 * static_cast<size_t>(threads_)), 1,
+      block_);
+  open_.reserve(next_block_);
+  Block* raw = b.get();
+  window_.push_back(std::move(b));
+  if (threads_ == 1) {
+    for (Candidate& c : raw->cands) work_(c);
+    raw->done = true;  // no workers: nothing else touches the flag
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(raw);
+  }
+  work_cv_.notify_one();
+  if (static_cast<int>(workers_.size()) < threads_)
+    workers_.emplace_back([this] { worker(); });
+}
+
+void InOrderFanOut::settle_ready(bool wait) {
+  std::vector<std::unique_ptr<Block>> ready;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (wait)
+      done_cv_.wait(lock, [this] { return window_.front()->done; });
+    while (!window_.empty() && window_.front()->done) {
+      ready.push_back(std::move(window_.front()));
+      window_.pop_front();
+    }
+  }
+  for (std::unique_ptr<Block>& b : ready) {
+    if (b->failure) std::rethrow_exception(b->failure);
+    for (Candidate& c : b->cands) {
+      settle_(std::move(c));
+      ++settled_;
+    }
+    b.reset();
+  }
+}
+
+void InOrderFanOut::worker() {
+  for (;;) {
+    Block* b;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [this] { return closing_ || !queue_.empty(); });
+      if (queue_.empty()) return;
+      b = queue_.front();
+      queue_.pop_front();
+    }
+    // A throwing stage must not end the process from a worker: the
+    // failure travels with the block and is rethrown when it settles.
+    std::exception_ptr failure;
+    try {
+      for (Candidate& c : b->cands) work_(c);
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      b->failure = failure;
+      b->done = true;
+    }
+    done_cv_.notify_one();
+  }
 }
 
 namespace {

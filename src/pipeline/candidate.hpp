@@ -27,11 +27,19 @@
 //    diagnostics) and the hit list — including the bounded best-K
 //    heap rank mode uses, ordered by (cost, index) so results are
 //    deterministic at any thread count.
+//  * `InOrderFanOut` schedules the deferred stages: survivors stream
+//    to worker threads in blocks while the legality walk continues,
+//    and come back to the accumulator in enumeration order.
 #pragma once
 
+#include <condition_variable>
+#include <deque>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "model/cost.hpp"
@@ -114,6 +122,76 @@ class CandidatePipeline {
   void run(Candidate& c, bool deferred) const;
 
   std::vector<Stage> stages_;
+};
+
+/// Streaming, in-order fan-out of deferred work. The calling thread
+/// pushes candidates in enumeration order; they are grouped into
+/// blocks and handed to up to `threads` worker threads (started
+/// lazily, one per submitted block until `threads` run) while the
+/// caller keeps walking. A block holds a quarter of the candidates
+/// pushed so far per thread, at least 1 and at most `block`, so a
+/// search with few survivors still spreads them over the workers.
+/// Finished blocks are settled on the calling thread, strictly in push
+/// order, as soon as every earlier block is settled too; once `window`
+/// blocks are unsettled, push() waits for the oldest one
+/// (backpressure), so at most (window + 1) × block candidates are held
+/// at once. With threads == 1 there are no workers: each
+/// block runs on the calling thread when it fills. An exception `work`
+/// throws on a worker is rethrown by push() or finish() when its block
+/// would settle. Not thread-safe itself — push(), finish() and the
+/// settle callback all run on the thread that owns the fan-out; `work`
+/// runs on any thread.
+class InOrderFanOut {
+ public:
+  using WorkFn = std::function<void(Candidate&)>;
+  using SettleFn = std::function<void(Candidate&&)>;
+
+  InOrderFanOut(int threads, size_t block, size_t window, WorkFn work,
+                SettleFn settle);
+  /// Stops and joins the workers; unsettled candidates are dropped.
+  ~InOrderFanOut();
+  InOrderFanOut(const InOrderFanOut&) = delete;
+  InOrderFanOut& operator=(const InOrderFanOut&) = delete;
+
+  void push(Candidate&& c);
+  /// Submit the partial block, then wait for and settle everything.
+  /// Ends the fan-out: the workers exit and no push() may follow.
+  void finish();
+
+  /// Candidates pushed so far.
+  i64 pushed() const { return pushed_; }
+  /// Most candidates pushed but not yet settled at any one time.
+  i64 inflight_peak() const { return peak_; }
+  /// Worker threads started (0 when threads == 1).
+  int workers() const { return static_cast<int>(workers_.size()); }
+
+ private:
+  struct Block;
+  void submit();
+  /// Settle the finished prefix of the window; with `wait`, first
+  /// block until the oldest block is finished.
+  void settle_ready(bool wait);
+  void worker();
+
+  const int threads_;
+  const size_t block_;
+  const size_t window_limit_;
+  WorkFn work_;
+  SettleFn settle_;
+
+  std::vector<Candidate> open_;  // the block being filled
+  size_t next_block_ = 1;        // its size when full
+  std::deque<std::unique_ptr<Block>> window_;  // submitted, in push order
+  i64 pushed_ = 0;
+  i64 settled_ = 0;
+  i64 peak_ = 0;
+
+  std::mutex mu_;  // guards queue_, closing_ and Block::done
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::deque<Block*> queue_;  // submitted, not yet taken by a worker
+  bool closing_ = false;
+  std::vector<std::thread> workers_;
 };
 
 /// The single merge point for decided candidates: owns the

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "dependence/direction.hpp"
 #include "pipeline/candidate.hpp"
@@ -219,10 +218,14 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   }
   // (Exact full mode has no standalone legality stage: the ILP
   // verdict is produced inside codegen by generate_code_exact.)
+  // One cost model per search: its N_S memo is shared by every
+  // candidate's kCost stage and freed when the search returns.
+  std::optional<CostModel> model;
   if (cost) {
     ModelOptions mopts = sopts.model;
     mopts.pad = opts_.codegen.pad;
     mopts.exec_threads = sopts.exec_threads;
+    model.emplace(*layout_, mopts);
     pipe.add(StageKind::kComplete, /*deferred=*/true, [recovered](Candidate& c) {
       try {
         recovered(c);
@@ -236,11 +239,11 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
       }
     });
     pipe.add(StageKind::kCost, /*deferred=*/true,
-             [this, mopts, target_deps](Candidate& c) {
+             [&model, target_deps](Candidate& c) {
                if (!c.recovery) return;
                try {
-                 c.cost.emplace(estimate_cost(*layout_, c.matrix, *c.recovery,
-                                              target_deps(c), mopts));
+                 c.cost.emplace(
+                     model->estimate(c.matrix, *c.recovery, target_deps(c)));
                } catch (const Error&) {
                  // Unrankable, not illegal: the hit survives with no
                  // estimate and sorts after every scored one.
@@ -334,10 +337,48 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   HistogramCell* cand_hist =
       full ? &Stats::global().histogram("search.candidate_ns") : nullptr;
 
-  // Survivors of the legality walk, in enumeration order, finished
-  // after the walk (the IncrementalLegality engine is stateful, so the
-  // walk itself stays sequential; the deferred stages are not).
-  std::vector<Candidate> pending;
+  // Survivors of the legality walk stream to the deferred stages while
+  // the walk continues (the IncrementalLegality engine is stateful, so
+  // the walk itself stays sequential; the deferred stages are not) and
+  // settle in enumeration order, so hits, stats and rejection
+  // provenance are identical at any thread count. Full-mode survivors
+  // each cost milliseconds and go one per block; rank-mode survivors
+  // cost tens of microseconds and go in blocks growing to 64 as the
+  // walk finds more of them. At most a few blocks per thread are
+  // unsettled at once.
+  const int nthreads = resolve_threads(opts_.threads, opts_.max_threads,
+                                       std::numeric_limits<int>::max());
+  const size_t block = pipe.has(StageKind::kCodegen) ? 1 : 64;
+  InOrderFanOut fan(
+      nthreads, block, /*window=*/4 * static_cast<size_t>(nthreads),
+      [&](Candidate& c) {
+        ScopedSpan cs("search.candidate", "search");
+        const auto c0 = std::chrono::steady_clock::now();
+        pipe.run_deferred(c);
+        if (cand_hist)
+          cand_hist->record(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - c0)
+                  .count());
+        if (cs.active()) {
+          cs.arg("index", c.index);
+          cs.arg("legal", c.result.legal);
+        }
+      },
+      [&acc](Candidate&& c) { acc.settle(std::move(c)); });
+  // The verification reference runs the source once: built before the
+  // first survivor is handed to a worker, and only if there is one.
+  auto prepare_verify = [&] {
+    if (ref || sopts.verify_params.empty()) return;
+    ExecPlan plan;
+    plan.threads = sopts.exec_threads;
+    if (sopts.exec_threads > 1)
+      plan.source_partition =
+          source_parallel_schedule(*layout_, deps_).partition;
+    ref.emplace(*program_, sopts.verify_params, sopts.verify_fill,
+                sopts.verify_seed, /*tolerance=*/1e-9, sopts.verify_engine,
+                plan);
+  };
 
   i64 index = 0;
   i64 next_report = sopts.progress ? sopts.progress_interval
@@ -376,9 +417,9 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
       c.matrix = m;
       pipe.run_leaf(c);
       if (deferred && !c.rejected) {
-        // Deferred stages pending: batch the survivor for the
-        // post-walk worker threads.
-        pending.push_back(std::move(c));
+        // Deferred stages pending: hand the survivor to the fan-out.
+        prepare_verify();
+        fan.push(std::move(c));
       } else {
         acc.settle(std::move(c));
       }
@@ -418,60 +459,15 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   };
   rec(0);
 
-  // Deferred stages (codegen + simplify + optional verification in
-  // full mode, completion + cost in rank mode) for every survivor,
-  // fanned over the session's worker threads. Results are merged back
-  // in enumeration order, so hits, stats and rejection provenance are
-  // bit-identical to the sequential path regardless of thread count.
-  if (!pending.empty()) {
+  // Drain the deferred stages still in flight.
+  if (fan.pushed() > 0) {
     ScopedSpan eval_span("search.evaluate", "search");
-    if (!sopts.verify_params.empty()) {
-      ExecPlan plan;
-      plan.threads = sopts.exec_threads;
-      if (sopts.exec_threads > 1)
-        plan.source_partition =
-            source_parallel_schedule(*layout_, deps_).partition;
-      ref.emplace(*program_, sopts.verify_params, sopts.verify_fill,
-                  sopts.verify_seed, /*tolerance=*/1e-9, sopts.verify_engine,
-                  plan);
-    }
-    auto eval_one = [&](size_t i) {
-      Candidate& c = pending[i];
-      ScopedSpan cs("search.candidate", "search");
-      const auto c0 = std::chrono::steady_clock::now();
-      pipe.run_deferred(c);
-      if (cand_hist)
-        cand_hist->record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - c0)
-                              .count());
-      if (cs.active()) {
-        cs.arg("index", c.index);
-        cs.arg("legal", c.result.legal);
-      }
-    };
-    int nthreads =
-        resolve_threads(opts_.threads, opts_.max_threads, pending.size());
-    if (nthreads == 1) {
-      for (size_t i = 0; i < pending.size(); ++i) eval_one(i);
-    } else {
-      std::atomic<size_t> next{0};
-      auto worker = [&] {
-        for (;;) {
-          size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= pending.size()) return;
-          eval_one(i);
-        }
-      };
-      std::vector<std::thread> workers;
-      workers.reserve(static_cast<size_t>(nthreads));
-      for (int t = 0; t < nthreads; ++t) workers.emplace_back(worker);
-      for (std::thread& t : workers) t.join();
-    }
+    fan.finish();
     if (eval_span.active()) {
-      eval_span.arg("candidates", static_cast<i64>(pending.size()));
-      eval_span.arg("threads", static_cast<i64>(nthreads));
+      eval_span.arg("candidates", fan.pushed());
+      eval_span.arg("threads", static_cast<i64>(fan.workers()));
     }
-    for (Candidate& c : pending) acc.settle(std::move(c));
+    Stats::global().raise("search.inflight_peak", fan.inflight_peak());
   }
 
   // Final report: done == total, so consumers can close their display.

@@ -45,6 +45,14 @@ void Stats::add(const std::string& name, i64 delta) {
   counter(name).fetch_add(delta, std::memory_order_relaxed);
 }
 
+void Stats::raise(const std::string& name, i64 value) {
+  std::atomic<i64>& c = counter(name);
+  i64 cur = c.load(std::memory_order_relaxed);
+  while (cur < value &&
+         !c.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+  }
+}
+
 i64 Stats::value(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);

@@ -106,6 +106,9 @@ class Stats {
   /// counter(name) += delta.
   void add(const std::string& name, i64 delta = 1);
 
+  /// counter(name) = max(counter(name), value): a high-water mark.
+  void raise(const std::string& name, i64 value);
+
   /// Current value of a counter (0 if never touched).
   i64 value(const std::string& name) const;
 

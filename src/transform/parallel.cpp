@@ -49,20 +49,32 @@ std::vector<IntVec> parallel_row_basis(const IvLayout& layout,
 
 namespace {
 
+// Each dependence's common loop positions in `layout`, index-aligned
+// with `deps.deps` — computed once per schedule, not per level.
+std::vector<std::vector<int>> common_loops(const IvLayout& layout,
+                                           const DependenceSet& deps) {
+  std::vector<std::vector<int>> out;
+  out.reserve(deps.deps.size());
+  for (const Dependence& d : deps.deps)
+    out.push_back(layout.common_loop_positions(d.src, d.dst));
+  return out;
+}
+
 // A loop level is doall when no dependence is *carried at* it: for
 // every dependence whose common loops include q, either an outer common
 // entry is definitely positive (carried further out) or the entry at q
-// is exactly zero with an all-zero resolvable prefix. `deps` are in
-// `layout`'s coordinates (the source nest, or a target nest with its
-// target_dependences).
-TargetLevel classify_level(const IvLayout& layout, const DependenceSet& deps,
+// is exactly zero with an all-zero resolvable prefix. `deps` are in the
+// coordinates of the layout `commons` came from (the source nest, or a
+// target nest with its target_dependences).
+TargetLevel classify_level(const DependenceSet& deps,
+                           const std::vector<std::vector<int>>& commons,
                            int q) {
   TargetLevel lvl;
   lvl.position = q;
   lvl.doall = true;
   for (size_t i = 0; i < deps.deps.size(); ++i) {
     const Dependence& d = deps.deps[i];
-    std::vector<int> common = layout.common_loop_positions(d.src, d.dst);
+    const std::vector<int>& common = commons[i];
     if (std::find(common.begin(), common.end(), q) == common.end())
       continue;  // the dependence lives elsewhere
     bool carried_outside = false;
@@ -92,6 +104,7 @@ TargetLevel classify_level(const IvLayout& layout, const DependenceSet& deps,
 struct ScheduleWalk {
   const IvLayout& tgt;
   const DependenceSet& deps;
+  const std::vector<std::vector<int>> commons;  // per dependence
   ParallelSchedule& out;
 
   // `seq_enclosing` are the sequential target loops on the path to
@@ -102,7 +115,7 @@ struct ScheduleWalk {
             std::vector<std::string>& seq_enclosing) {
     if (!n->is_loop()) return;
     int q = tgt.segment(n).loop_pos;
-    TargetLevel lvl = classify_level(tgt, deps, q);
+    TargetLevel lvl = classify_level(deps, commons, q);
     lvl.var = n->var();
     lvl.depth = depth;
     bool child_under = under_partition;
@@ -129,9 +142,10 @@ struct ScheduleWalk {
 
 std::vector<std::string> parallel_loops(const IvLayout& layout,
                                         const DependenceSet& deps) {
+  const std::vector<std::vector<int>> commons = common_loops(layout, deps);
   std::vector<std::string> out;
   for (int q : layout.all_loop_positions())
-    if (classify_level(layout, deps, q).doall)
+    if (classify_level(deps, commons, q).doall)
       out.push_back(layout.positions()[q].loop->var());
   return out;
 }
@@ -139,7 +153,7 @@ std::vector<std::string> parallel_loops(const IvLayout& layout,
 ParallelSchedule source_parallel_schedule(const IvLayout& layout,
                                           const DependenceSet& deps) {
   ParallelSchedule out;
-  ScheduleWalk w{layout, deps, out};
+  ScheduleWalk w{layout, deps, common_loops(layout, deps), out};
   std::vector<std::string> seq;
   for (const NodePtr& root : layout.program().roots())
     w.walk(root.get(), 0, false, seq);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "support/check.hpp"
 
@@ -64,21 +65,29 @@ DepEntry through(const DepVector& d, const IntVec* w, i64 c) {
 
 // Every statement's embedding and its labels at the target loop
 // positions: M_p·E_x where loop p encloses x, the pad source's label
-// M_u·E_x (or 0) where it does not.
+// M_u·E_x (or 0) where it does not. Indexed like src.stmt_labels().
 struct Labels {
-  std::map<std::string, StatementEmbedding> emb;
-  std::map<std::string, std::vector<Label>> at;  // [label][position]
+  const std::vector<std::string>* names = nullptr;
+  std::vector<StatementEmbedding> emb;
+  std::vector<std::vector<Label>> at;  // [statement][position]
+
+  int index(const std::string& x) const {
+    for (size_t i = 0; i < names->size(); ++i)
+      if ((*names)[i] == x) return static_cast<int>(i);
+    INLT_CHECK_MSG(false, "unknown statement " + x);
+    return -1;
+  }
 };
 
 Labels target_labels(const IvLayout& src, const IntMat& m,
                      const IvLayout& tgt) {
   Labels out;
+  out.names = &src.stmt_labels();
   const int n = src.size();
   for (const std::string& x : src.stmt_labels()) {
     const StatementEmbedding& e =
-        out.emb.emplace(x, statement_embedding(src, x)).first->second;
-    std::vector<Label>& at = out.at[x];
-    at.resize(static_cast<size_t>(n));
+        out.emb.emplace_back(statement_embedding(src, x));
+    std::vector<Label>& at = out.at.emplace_back(static_cast<size_t>(n));
     const IvLayout::StmtInfo& info = tgt.stmt_info(x);
     const int k = static_cast<int>(info.loop_positions.size());
     for (int p : info.loop_positions) at[p] = row_label(m.row(p), e, src);
@@ -108,38 +117,41 @@ DependenceSet target_dependences(const IvLayout& src,
     rows.push_back(std::move(r));
   }
 
-  // Per endpoint pair, the row expressing each loop position that does
-  // not enclose both (null: '*') — M_p itself first, then the rows the
-  // endpoints are padded from.
-  std::map<std::pair<std::string, std::string>,
-           std::vector<std::pair<int, const IntVec*>>>
-      repadded;
-  auto repad = [&](const std::string& s, const std::string& t)
-      -> const std::vector<std::pair<int, const IntVec*>>& {
-    auto [it, fresh] = repadded.try_emplace({s, t});
-    if (!fresh) return it->second;
-    const std::vector<int> common = tgt.common_loop_positions(s, t);
-    for (int p : tgt.all_loop_positions()) {
+  // Per endpoint pair (by statement index), the row expressing each
+  // loop position that does not enclose both (null: '*') — M_p itself
+  // first, then the rows the endpoints are padded from.
+  using Repad = std::vector<std::pair<int, const IntVec*>>;
+  const size_t nstmts = labels.emb.size();
+  const std::vector<int> loops = tgt.all_loop_positions();
+  std::vector<std::optional<Repad>> repadded(nstmts * nstmts);
+  auto repad = [&](int s, int t) -> const Repad& {
+    std::optional<Repad>& slot =
+        repadded[static_cast<size_t>(s) * nstmts + static_cast<size_t>(t)];
+    if (slot) return *slot;
+    slot.emplace();
+    const std::vector<int> common =
+        tgt.common_loop_positions((*labels.names)[s], (*labels.names)[t]);
+    for (int p : loops) {
       if (std::find(common.begin(), common.end(), p) != common.end())
         continue;
-      const Label& ls = labels.at.at(s)[p];
-      const Label& lt = labels.at.at(t)[p];
-      it->second.emplace_back(
-          p, expressing_row({&rows[p], &ls.w, &lt.w}, labels.emb.at(s), ls,
-                            labels.emb.at(t), lt));
+      const Label& ls = labels.at[s][p];
+      const Label& lt = labels.at[t][p];
+      slot->emplace_back(p, expressing_row({&rows[p], &ls.w, &lt.w},
+                                           labels.emb[s], ls, labels.emb[t],
+                                           lt));
     }
-    return it->second;
+    return *slot;
   };
 
   DependenceSet out;
   out.deps.reserve(deps.deps.size());
   for (const Dependence& d : deps.deps) {
-    Dependence t{d.src, d.dst, d.kind, d.array, transform_dep(m, d.vector)};
-    for (const auto& [p, w] : repad(d.src, d.dst))
-      t.vector[p] = through(d.vector, w,
-                            checked_sub(labels.at.at(d.dst)[p].c,
-                                        labels.at.at(d.src)[p].c));
-    out.deps.push_back(std::move(t));
+    const int s = labels.index(d.src), t = labels.index(d.dst);
+    Dependence td{d.src, d.dst, d.kind, d.array, transform_dep(m, d.vector)};
+    for (const auto& [p, w] : repad(s, t))
+      td.vector[p] = through(d.vector, w,
+                             checked_sub(labels.at[t][p].c, labels.at[s][p].c));
+    out.deps.push_back(std::move(td));
   }
   return out;
 }
@@ -210,7 +222,7 @@ std::optional<DependenceSet> generated_dependences(
     if (s < 0) return Label{IntVec(), 0, IntVec(src.size(), 0)};
     const int u = to_skel[static_cast<size_t>(gi.loop_positions[s])];
     INLT_CHECK(u >= 0);
-    return labels->at.at(x)[u];
+    return labels->at[labels->index(x)][u];
   };
 
   DependenceSet out;
@@ -229,8 +241,8 @@ std::optional<DependenceSet> generated_dependences(
       const Label lt = label_at(d.dst, q);
       g.vector[q] = through(
           d.vector,
-          expressing_row({&ls.w, &lt.w}, labels->emb.at(d.src), ls,
-                         labels->emb.at(d.dst), lt),
+          expressing_row({&ls.w, &lt.w}, labels->emb[labels->index(d.src)],
+                         ls, labels->emb[labels->index(d.dst)], lt),
           checked_sub(lt.c, ls.c));
     }
     out.deps.push_back(std::move(g));

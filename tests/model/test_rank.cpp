@@ -9,6 +9,7 @@
 #include "ir/printer.hpp"
 #include "model/cost.hpp"
 #include "pipeline/search.hpp"
+#include "support/stats.hpp"
 #include "transform/completion.hpp"
 
 namespace inlt {
@@ -192,6 +193,65 @@ TEST(RankTest, EqualCostTiesRankByAscendingIndex) {
                      best.hits[i].cost->total_lines) {
       EXPECT_LT(best.hits[i - 1].index, best.hits[i].index);
     }
+  }
+}
+
+TEST(RankTest, StreamingFanOutIsInOrderAndThreadCountInvariant) {
+  // 2,058 legal candidates stream through the deferred stages in
+  // blocks while the walk runs: more than the in-flight window at 1, 2
+  // or 4 threads, so push() has to wait for settling (backpressure).
+  // The sink must still see strictly ascending indices, and hits,
+  // stats and rejection provenance must not depend on the thread count.
+  struct Run {
+    std::vector<std::pair<i64, double>> ranked;
+    SearchStats stats;
+    RejectionBreakdown rejections;
+    i64 inflight_peak = 0;
+  };
+  std::vector<Run> runs;
+  for (int threads : {1, 2, 4}) {
+    SessionOptions opts;
+    opts.threads = threads;
+    TransformSession session(gallery::cholesky(), opts);
+    SearchOptions sopts;
+    sopts.mode = SearchMode::kLegalityOnly;
+    sopts.top_k = 8;
+    std::vector<i64> streamed;
+    sopts.sink = [&](const SearchHit& h) { streamed.push_back(h.index); };
+    Stats::global().counter("search.inflight_peak").store(0);
+    SearchResult res = session.search(SearchSpace{3, 1}, sopts);
+
+    ASSERT_EQ(static_cast<i64>(streamed.size()), res.stats.legal);
+    for (size_t i = 1; i < streamed.size(); ++i)
+      ASSERT_LT(streamed[i - 1], streamed[i]) << "threads " << threads;
+    Run r;
+    for (const SearchHit& h : res.hits)
+      r.ranked.emplace_back(h.index, h.cost->total_lines);
+    r.stats = res.stats;
+    r.rejections = res.rejections;
+    r.inflight_peak = Stats::global().value("search.inflight_peak");
+    // Bounded by the window (4 blocks of 64 per thread) plus the block
+    // being filled, and well below the number of survivors.
+    EXPECT_GT(r.inflight_peak, 0) << "threads " << threads;
+    EXPECT_LE(r.inflight_peak, (4 * threads + 1) * 64) << "threads " << threads;
+    EXPECT_LT(r.inflight_peak, res.stats.legal) << "threads " << threads;
+    runs.push_back(std::move(r));
+  }
+  EXPECT_EQ(runs[0].stats.legal, 2058);
+  for (size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].ranked, runs[0].ranked);
+    EXPECT_EQ(runs[i].stats.candidates_total, runs[0].stats.candidates_total);
+    EXPECT_EQ(runs[i].stats.evaluated, runs[0].stats.evaluated);
+    EXPECT_EQ(runs[i].stats.legal, runs[0].stats.legal);
+    EXPECT_EQ(runs[i].stats.illegal_evaluated,
+              runs[0].stats.illegal_evaluated);
+    EXPECT_EQ(runs[i].stats.pruned_candidates,
+              runs[0].stats.pruned_candidates);
+    EXPECT_EQ(runs[i].stats.pruned_subtrees, runs[0].stats.pruned_subtrees);
+    EXPECT_EQ(runs[i].rejections.by_dependence,
+              runs[0].rejections.by_dependence);
+    EXPECT_EQ(runs[i].rejections.by_row, runs[0].rejections.by_row);
+    EXPECT_EQ(runs[i].rejections.rejected, runs[0].rejections.rejected);
   }
 }
 

@@ -4,8 +4,13 @@
 // rejection provenance — with or without semantic verification.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+
 #include "ir/gallery.hpp"
 #include "ir/printer.hpp"
+#include "pipeline/candidate.hpp"
 #include "pipeline/search.hpp"
 
 namespace inlt {
@@ -160,6 +165,63 @@ TEST(SearchParallel, LegalityOnlyModeUnaffectedByThreadCount) {
   ASSERT_EQ(seq.hits.size(), par.hits.size());
   for (size_t i = 0; i < seq.hits.size(); ++i)
     EXPECT_EQ(seq.hits[i].index, par.hits[i].index);
+}
+
+// The fan-out under search(), driven directly: uneven per-candidate
+// work on three workers must still settle in push order, within the
+// window, and a stage that throws on a worker must surface on the
+// calling thread instead of ending the process.
+TEST(InOrderFanOut, SettlesInPushOrderUnderUnevenWork) {
+  std::vector<i64> settled;
+  InOrderFanOut fan(
+      /*threads=*/3, /*block=*/4, /*window=*/8,
+      [](Candidate& c) {
+        // The early blocks hold one candidate each; even ones are
+        // slow, so odd ones finish before the block ahead of them.
+        if (c.index % 2 == 0)
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        c.result.legal = c.index % 3 != 0;
+      },
+      [&](Candidate&& c) {
+        EXPECT_EQ(c.result.legal, c.index % 3 != 0);
+        settled.push_back(c.index);
+      });
+  for (i64 i = 0; i < 203; ++i) {
+    Candidate c;
+    c.index = i;
+    fan.push(std::move(c));
+  }
+  fan.finish();
+  ASSERT_EQ(settled.size(), 203u);
+  for (i64 i = 0; i < 203; ++i) EXPECT_EQ(settled[i], i);
+  EXPECT_EQ(fan.pushed(), 203);
+  EXPECT_LE(fan.inflight_peak(), (8 + 1) * 4);
+  EXPECT_GT(fan.workers(), 0);
+}
+
+TEST(InOrderFanOut, WorkerFailureIsRethrownOnTheCallingThread) {
+  for (int threads : {1, 2}) {
+    std::vector<i64> settled;
+    InOrderFanOut fan(
+        threads, /*block=*/2, /*window=*/2,
+        [](Candidate& c) {
+          if (c.index == 5) throw std::runtime_error("stage failed");
+        },
+        [&](Candidate&& c) { settled.push_back(c.index); });
+    auto run = [&] {
+      for (i64 i = 0; i < 12; ++i) {
+        Candidate c;
+        c.index = i;
+        fan.push(std::move(c));
+      }
+      fan.finish();
+    };
+    EXPECT_THROW(run(), std::runtime_error) << "threads " << threads;
+    // The first blocks hold one candidate each: the five before the
+    // failing one settled, in order; none after it.
+    ASSERT_EQ(settled.size(), 5u) << "threads " << threads;
+    for (i64 i = 0; i < 5; ++i) EXPECT_EQ(settled[i], i);
+  }
 }
 
 }  // namespace
