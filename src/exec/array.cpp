@@ -1,6 +1,7 @@
 #include "exec/array.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "support/check.hpp"
 
@@ -64,6 +65,12 @@ double DenseArray::max_abs_diff(const DenseArray& o) const {
   return m;
 }
 
+bool DenseArray::bit_equal(const DenseArray& o) const {
+  return lo_ == o.lo_ && hi_ == o.hi_ &&
+         (data_.empty() || std::memcmp(data_.data(), o.data_.data(),
+                                       data_.size() * sizeof(double)) == 0);
+}
+
 void Memory::declare(const std::string& name, std::vector<i64> lo,
                      std::vector<i64> hi) {
   arrays_[name] = DenseArray(std::move(lo), std::move(hi));
@@ -87,6 +94,15 @@ double Memory::max_abs_diff(const Memory& o) const {
   for (const auto& [name, arr] : arrays_)
     m = std::max(m, arr.max_abs_diff(o.at(name)));
   return m;
+}
+
+bool Memory::bit_equal(const Memory& o) const {
+  if (arrays_.size() != o.arrays_.size()) return false;
+  for (const auto& [name, arr] : arrays_) {
+    auto it = o.arrays_.find(name);
+    if (it == o.arrays_.end() || !arr.bit_equal(it->second)) return false;
+  }
+  return true;
 }
 
 }  // namespace inlt

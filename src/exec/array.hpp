@@ -40,6 +40,9 @@ class DenseArray {
 
   /// Elementwise maximum absolute difference; shapes must match.
   double max_abs_diff(const DenseArray& o) const;
+  /// Same index ranges and the same bits in every element (so equal
+  /// NaN payloads match, and 0.0 differs from -0.0).
+  bool bit_equal(const DenseArray& o) const;
 
   const std::vector<double>& data() const { return data_; }
 
@@ -65,6 +68,8 @@ class Memory {
 
   /// Max abs difference across all arrays (shapes must match).
   double max_abs_diff(const Memory& o) const;
+  /// The same arrays, each DenseArray::bit_equal to its counterpart.
+  bool bit_equal(const Memory& o) const;
 
  private:
   std::map<std::string, DenseArray> arrays_;

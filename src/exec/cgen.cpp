@@ -174,15 +174,21 @@ class Emitter {
 
   void emit_preamble() {
     raw(
-        "/* inltc native kernel, emitter v1 — generated; do not edit.\n"
+        "/* inltc native kernel, emitter v2 — generated; do not edit.\n"
         " * Semantics mirror exec/interp.cpp + exec/vm.cpp bit for bit;\n"
-        " * compile with -O3 -ffp-contract=off -fwrapv (exec/native.cpp). */\n"
-        "#include <math.h>\n"
-        "#include <stdint.h>\n"
-        "#include <stdio.h>\n"
+        " * compile with -O1 -ffp-contract=off -fwrapv (exec/native.cpp). */\n"
+        "#include <stddef.h>\n"
         "\n"
-        "typedef int64_t i64;\n"
-        "typedef uint64_t u64;\n"
+        "typedef long long i64;\n"
+        "typedef unsigned long long u64;\n"
+        "double sqrt(double);\n"
+        "int snprintf(char* restrict, size_t, const char* restrict, ...);\n"
+        "\n"
+        "#if defined(__GNUC__)\n"
+        "#define INLTC_COLD __attribute__((cold, noinline))\n"
+        "#else\n"
+        "#define INLTC_COLD\n"
+        "#endif\n"
         "\n"
         "static i64 inltc_fdiv(i64 a, i64 b) { /* floor division */\n"
         "  i64 q = a / b;\n"
@@ -221,6 +227,19 @@ class Emitter {
         "  return x.d;\n"
         "}\n"
         "\n"
+        "/* Failure messages, formatted off the hot path (exec/vm.cpp text). */\n"
+        "INLTC_COLD static void inltc_oob(char* err, i64 errcap, const char* arr,\n"
+        "                                 int dim, i64 idx, i64 lo, i64 hi) {\n"
+        "  if (errcap > 0)\n"
+        "    snprintf(err, (size_t)errcap,\n"
+        "             \"array index out of bounds: %s dim %d index %lld not in \"\n"
+        "             \"[%lld, %lld]\", arr, dim, idx, lo, hi);\n"
+        "}\n"
+        "INLTC_COLD static void inltc_msg(char* err, i64 errcap, const char* msg,\n"
+        "                                 const char* arg) {\n"
+        "  if (errcap > 0) snprintf(err, (size_t)errcap, \"%s%s\", msg, arg);\n"
+        "}\n"
+        "\n"
         "#define INLTC_DONE(rc_)                                          \\\n"
         "  do {                                                           \\\n"
         "    stats[0] = st_inst;                                          \\\n"
@@ -228,19 +247,21 @@ class Emitter {
         "    stats[2] = st_guard;                                         \\\n"
         "    return (rc_);                                                \\\n"
         "  } while (0)\n"
-        "#define INLTC_FAIL(rc_, ...)                                     \\\n"
+        "#define INLTC_OOB(...)                                           \\\n"
         "  do {                                                           \\\n"
-        "    if (errcap > 0) snprintf(err, (size_t)errcap, __VA_ARGS__);  \\\n"
-        "    INLTC_DONE(rc_);                                             \\\n"
+        "    inltc_oob(err, errcap, __VA_ARGS__);                         \\\n"
+        "    INLTC_DONE(2);                                               \\\n"
         "  } while (0)\n"
-        "#define INLTC_OOB(arr_, dim_, idx_, lo_, hi_)                    \\\n"
-        "  INLTC_FAIL(2,                                                  \\\n"
-        "             \"array index out of bounds: %s dim %d index %lld \"  \\\n"
-        "             \"not in [%lld, %lld]\",                              \\\n"
-        "             arr_, dim_, (long long)(idx_), (long long)(lo_),    \\\n"
-        "             (long long)(hi_))\n"
-        "#define INLTC_BUDGET() INLTC_FAIL(3, \"interpreter instance budget exceeded\")\n"
-        "#define INLTC_UNDECL(arr_) INLTC_FAIL(4, \"undeclared array %s\", arr_)\n"
+        "#define INLTC_BUDGET()                                           \\\n"
+        "  do {                                                           \\\n"
+        "    inltc_msg(err, errcap, \"interpreter instance budget exceeded\", \"\"); \\\n"
+        "    INLTC_DONE(3);                                               \\\n"
+        "  } while (0)\n"
+        "#define INLTC_UNDECL(arr_)                                       \\\n"
+        "  do {                                                           \\\n"
+        "    inltc_msg(err, errcap, \"undeclared array \", arr_);           \\\n"
+        "    INLTC_DONE(4);                                               \\\n"
+        "  } while (0)\n"
         "\n");
   }
 
@@ -342,23 +363,50 @@ class Emitter {
     throw Error("native emitter: unreachable guard kind");
   }
 
-  // Emit subscript evaluation, bounds checks and the flat-offset temp
-  // for one access; returns the offset temp's name.
+  // A new temporary's C name.
+  std::string fresh(const char* prefix) {
+    std::string out = prefix;
+    out += std::to_string(temp_++);
+    return out;
+  }
+
+  // An array's name as a C string literal, for failure messages.
+  static std::string quoted(const std::string& array) {
+    std::string out = "\"";
+    out += san(array);
+    out += '"';
+    return out;
+  }
+
+  // Emit subscript evaluation and the flat-offset temp for one access;
+  // returns the offset temp's name. A checked access first tests the
+  // array for NULL and then every subscript against its dimension —
+  // the VM's per-access slow path. An unchecked access (its checks ran
+  // at the owning loop's entry) computes the offset with no branches.
   std::string emit_access(const std::string& array,
-                          const std::vector<AffineExpr>& subs) {
+                          const std::vector<AffineExpr>& subs, bool checked) {
     const ArrayBinding& b = binding_.at(array);
-    std::string off = "o" + std::to_string(temp_++);
+    // Arrays only touched inside zero-trip or guarded-off subtrees are
+    // never declared in Memory; the host then passes NULL and an
+    // executed access must fail like the VM's.
+    if (checked)
+      line("if (!" + b.cname + ") INLTC_UNDECL(" + quoted(array) + ");");
+    std::string off = fresh("o");
     std::string sum;
     for (int d = 0; d < static_cast<int>(subs.size()); ++d) {
-      std::string idx = "x" + std::to_string(temp_++);
       std::string ds = std::to_string(d);
-      line("const i64 " + idx + " = " + affine_c(subs[d]) + ";");
-      line("if (" + idx + " < " + b.cname + "_lo" + ds + " || " + idx + " > " +
-           b.cname + "_hi" + ds + ")");
-      line("  INLTC_OOB(\"" + san(array) + "\", " + ds + ", " + idx + ", " +
-           b.cname + "_lo" + ds + ", " + b.cname + "_hi" + ds + ");");
-      std::string delta =
-          "(" + idx + " - " + b.cname + "_lo" + ds + ") * " + b.cname + "_st" + ds;
+      std::string lo = b.cname + "_lo" + ds;
+      std::string idx = affine_c(subs[d]);
+      if (checked) {
+        std::string x = fresh("x");
+        std::string hi = b.cname + "_hi" + ds;
+        line("const i64 " + x + " = " + idx + ";");
+        line("if (" + x + " < " + lo + " || " + x + " > " + hi + ")");
+        line("  INLTC_OOB(" + quoted(array) + ", " + ds + ", " + x + ", " + lo +
+             ", " + hi + ");");
+        idx = x;
+      }
+      std::string delta = "(" + idx + " - " + lo + ") * " + b.cname + "_st" + ds;
       sum = sum.empty() ? delta : sum + " + " + delta;
     }
     if (sum.empty()) sum = "0";
@@ -415,52 +463,187 @@ class Emitter {
     throw Error("native emitter: unreachable scalar op");
   }
 
-  void emit_stmt(const Statement& s) {
-    line("{ /* " + san(s.label) + " */");
-    ++indent_;
-    // Undeclared-array faults: arrays only touched inside zero-trip or
-    // guarded-off subtrees are never declared in Memory; the host then
-    // passes NULL and an executed access must fail like the VM's.
-    std::set<std::string> used{s.lhs_array};
+  // One access of a statement: the write first, then the reads in
+  // tree order — the VM's access order (compile.cpp).
+  struct AccessRef {
+    const std::string* array;
+    const std::vector<AffineExpr>* subs;
+  };
+  std::vector<AccessRef> accesses_of(const Statement& s) {
+    std::vector<AccessRef> out{{&s.lhs_array, &s.lhs_subscripts}};
     std::vector<const ScalarExpr*> refs;
     if (s.rhs) collect_refs(*s.rhs, refs);
-    for (const ScalarExpr* r : refs) used.insert(r->name);
-    for (const std::string& a : used)
-      line("if (!" + binding_.at(a).cname + ") INLTC_UNDECL(\"" + san(a) +
-           "\");");
-    // Offsets and bounds checks first — write, then reads in tree
-    // order — matching the VM's per-statement slow path.
-    std::string woff = emit_access(s.lhs_array, s.lhs_subscripts);
+    for (const ScalarExpr* r : refs) out.push_back({&r->name, &r->subscripts});
+    return out;
+  }
+
+  enum class StmtMode {
+    kChecked,     // guarded or loop-less: per-access checks, budget test
+    kHoisted,     // checks ran at loop entry; budget test per instance
+    kUnbudgeted,  // hoisted, in a leaf loop's budget-covered iterations
+  };
+
+  void emit_stmt(const Statement& s, StmtMode mode) {
+    line("{ /* " + san(s.label) + " */");
+    ++indent_;
+    // Offsets (and checks) first, in access order, then the value.
+    const bool checked = mode == StmtMode::kChecked;
+    std::string woff = emit_access(s.lhs_array, s.lhs_subscripts, checked);
+    std::vector<const ScalarExpr*> refs;
+    if (s.rhs) collect_refs(*s.rhs, refs);
     std::map<const ScalarExpr*, std::string> offs;
     for (const ScalarExpr* r : refs)
-      offs[r] = emit_access(r->name, r->subscripts);
-    if (s.rhs) {
-      line("const double val = " + scalar_c(*s.rhs, offs) + ";");
-      line(binding_.at(s.lhs_array).cname + "[" + woff + "] = val;");
-    } else {
-      line(binding_.at(s.lhs_array).cname + "[" + woff + "] = 0.0;");
+      offs[r] = emit_access(r->name, r->subscripts, checked);
+    line(binding_.at(s.lhs_array).cname + "[" + woff + "] = " +
+         (s.rhs ? scalar_c(*s.rhs, offs) : std::string("0.0")) + ";");
+    if (mode != StmtMode::kUnbudgeted) {
+      line("++st_inst;");
+      line("if (st_inst > max_instances) INLTC_BUDGET();");
     }
-    line("++st_inst;");
-    line("if (st_inst > max_instances) INLTC_BUDGET();");
+    --indent_;
+    line("}");
+  }
+
+  // The hoisted checks of a loop's fast statements, run once per
+  // non-empty entry: NULL tests, then per access and dimension the
+  // subscript's extremes over [first, last] — exact, since an affine
+  // subscript is monotonic in the loop variable. Same order and text
+  // as VmProgram::enter_loop, so both engines report the same index.
+  void emit_entry_checks(const std::string& var, const std::string& first,
+                         const std::string& last,
+                         const std::vector<const Statement*>& fast) {
+    std::set<std::string> tested;
+    for (const Statement* s : fast)
+      for (const AccessRef& a : accesses_of(*s))
+        if (tested.insert(*a.array).second)
+          line("if (!" + binding_.at(*a.array).cname + ") INLTC_UNDECL(" +
+               quoted(*a.array) + ");");
+    auto at = [&](const AffineExpr& e, const std::string& value) {
+      scope_.emplace_back(var, value);
+      std::string out = affine_c(e);
+      scope_.pop_back();
+      return out;
+    };
+    // A repeat of an emitted check (same array, dimension and
+    // subscript) cannot fail where the first passed: emitted once.
+    std::set<std::string> done;
+    for (const Statement* s : fast) {
+      for (const AccessRef& a : accesses_of(*s)) {
+        const ArrayBinding& b = binding_.at(*a.array);
+        for (int d = 0; d < static_cast<int>(a.subs->size()); ++d) {
+          const AffineExpr& e = (*a.subs)[d];
+          if (!done.insert(*a.array + " " + std::to_string(d) + " " +
+                           e.to_string())
+                   .second)
+            continue;
+          const i64 coef = e.coef(var);
+          std::string ds = std::to_string(d);
+          std::string lo = b.cname + "_lo" + ds, hi = b.cname + "_hi" + ds;
+          std::string mn = fresh("c");
+          std::string mx = mn;
+          line("{");
+          ++indent_;
+          if (coef == 0) {
+            line("const i64 " + mn + " = " + at(e, first) + ";");
+          } else {
+            mx = fresh("c");
+            line("const i64 " + mn + " = " + at(e, coef > 0 ? first : last) +
+                 ";");
+            line("const i64 " + mx + " = " + at(e, coef > 0 ? last : first) +
+                 ";");
+          }
+          std::string args = quoted(*a.array) + ", " + ds + ", ";
+          line("if (" + mn + " < " + lo + ") INLTC_OOB(" + args + mn + ", " +
+               lo + ", " + hi + ");");
+          line("if (" + mx + " > " + hi + ") INLTC_OOB(" + args + mx + ", " +
+               lo + ", " + hi + ");");
+          --indent_;
+          line("}");
+        }
+      }
+    }
+  }
+
+  // A leaf loop's k statements run n iterations. The first
+  // m = min(n, budget left / k) cannot exceed the budget and run with
+  // no budget test; if m < n, one checked tail iteration faults at
+  // exactly the instance where the VM does (write, count, fail).
+  void emit_leaf_loop(const std::string& cv, const std::string& last, i64 step,
+                      const std::vector<const Statement*>& fast) {
+    const std::string k = std::to_string(fast.size());
+    const std::string lo = cv + "_lo";
+    line("const i64 " + cv + "_n = " +
+         (step == 1 ? last + " - " + lo + " + 1"
+                    : "(" + last + " - " + lo + ") / " + i64lit(step) + " + 1") +
+         ";");
+    line("const i64 " + cv + "_room = " +
+         (k == "1" ? "max_instances - st_inst"
+                   : "(max_instances - st_inst) / " + k) +
+         ";");
+    line("const i64 " + cv + "_m = " + cv + "_n < " + cv + "_room ? " + cv +
+         "_n : " + cv + "_room;");
+    line("const i64 " + cv + "_end = " + lo + " + " + cv + "_m" +
+         (step == 1 ? "" : " * " + i64lit(step)) + ";");
+    line("for (i64 " + cv + " = " + lo + "; " + cv + " < " + cv + "_end; " +
+         cv + " += " + i64lit(step) + ") {");
+    ++indent_;
+    for (const Statement* s : fast) emit_stmt(*s, StmtMode::kUnbudgeted);
+    --indent_;
+    line("}");
+    line("st_iter += " + cv + "_m;");
+    line("st_inst += " + (k == "1" ? "" : k + " * ") + cv + "_m;");
+    line("if (" + cv + "_m < " + cv + "_n) { /* the budget runs out here */");
+    ++indent_;
+    line("const i64 " + cv + " = " + cv + "_end;");
+    line("++st_iter;");
+    for (const Statement* s : fast) emit_stmt(*s, StmtMode::kHoisted);
     --indent_;
     line("}");
   }
 
   void emit_loop(const Node& n) {
     std::string cv = "v" + std::to_string(loop_count_++) + "_" + san(n.var());
+    const i64 step = n.step();
+    // The VM's rule (compile.cpp): an unguarded statement directly
+    // inside a loop is fast — its checks are hoisted to loop entry.
+    std::vector<const Statement*> fast;
+    for (const NodePtr& c : n.children())
+      if (c->is_stmt() && c->guards().empty()) fast.push_back(&c->stmt_data());
+    const bool leaf =
+        step > 0 && !fast.empty() && fast.size() == n.children().size();
     line("{");
     ++indent_;
     line("const i64 " + cv + "_lo = " + lower_c(n.lower()) + ";");
     line("const i64 " + cv + "_hi = " + upper_c(n.upper()) + ";");
-    line("for (i64 " + cv + " = " + cv + "_lo; " + cv + " <= " + cv +
-         "_hi; " + cv + " += " + i64lit(n.step()) + ") {");
-    ++indent_;
-    line("++st_iter;");
+    std::string last = cv + "_hi";
+    if (!fast.empty()) {
+      line("if (" + cv + "_lo <= " + cv + "_hi) {");
+      ++indent_;
+      if (step != 1) {
+        last = cv + "_last";
+        line("const i64 " + last + " = " + cv + "_lo + inltc_fdiv(" + cv +
+             "_hi - " + cv + "_lo, " + i64lit(step) + ") * " + i64lit(step) +
+             ";");
+      }
+      emit_entry_checks(n.var(), cv + "_lo", last, fast);
+    }
     scope_.emplace_back(n.var(), cv);
-    for (const NodePtr& c : n.children()) emit_node(*c);
+    if (leaf) {
+      emit_leaf_loop(cv, last, step, fast);
+    } else {
+      line("for (i64 " + cv + " = " + cv + "_lo; " + cv + " <= " + cv +
+           "_hi; " + cv + " += " + i64lit(step) + ") {");
+      ++indent_;
+      line("++st_iter;");
+      for (const NodePtr& c : n.children()) emit_node(*c);
+      --indent_;
+      line("}");
+    }
     scope_.pop_back();
-    --indent_;
-    line("}");
+    if (!fast.empty()) {
+      --indent_;
+      line("}");
+    }
     --indent_;
     line("}");
   }
@@ -486,7 +669,10 @@ class Emitter {
 
   void emit_body(const Node& n) {
     if (n.is_stmt()) {
-      emit_stmt(n.stmt_data());
+      // Directly inside a loop (scope_ non-empty) and unguarded: fast.
+      emit_stmt(n.stmt_data(), n.guards().empty() && !scope_.empty()
+                                   ? StmtMode::kHoisted
+                                   : StmtMode::kChecked);
     } else {
       emit_loop(n);
     }

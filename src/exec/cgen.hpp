@@ -4,7 +4,7 @@
 // like the AST walker does — the same bounds rounding, guard order,
 // statement-instance accounting and uninterpreted-function hash — and
 // renders it as one self-contained C translation unit with raw-pointer
-// array accesses. Compiled with `-O3 -ffp-contract=off` (exec/native),
+// array accesses. Compiled with `-O1 -ffp-contract=off` (exec/native),
 // the resulting kernel produces bit-identical Memory and InterpStats
 // to the VM and the walker: every floating-point operation keeps the
 // operand pairing of the ScalarExpr tree, so under IEEE double
@@ -14,9 +14,11 @@
 // The kernel ABI is position-based so one compiled object serves every
 // parameter binding and Memory instance:
 //
-//   int64_t inltc_kernel(double** arrays, const int64_t* shapes,
-//                        const int64_t* params, int64_t max_instances,
-//                        int64_t* stats, char* err, int64_t errcap);
+//   i64 inltc_kernel(double** arrays, const i64* shapes,
+//                    const i64* params, i64 max_instances,
+//                    i64* stats, char* err, i64 errcap);
+//
+// (i64 is the kernel's `long long`, 64-bit like the host's int64_t.)
 //
 //   arrays  — base pointers, one per NativeKernelSource::arrays entry
 //             (NULL when the program never declared the array; the
@@ -27,11 +29,26 @@
 //   err     — out: failure message when the return value is nonzero
 //             (0 ok, 2 bounds, 3 instance budget, 4 undeclared array).
 //
-// Array subscripts are bounds-checked per executed access, as in the
-// VM's guarded path, so a wrong candidate still fails loudly instead
-// of scribbling memory. Integer arithmetic is NOT overflow-checked
-// (the kernel is compiled with -fwrapv); adversarial parameter values
-// belong on the checked VM.
+// Checks follow the VM's rule (exec/compile.cpp), so a wrong candidate
+// still fails loudly instead of scribbling memory, and fails at the
+// same access with the same message as on the VM:
+//
+//  * a *fast* statement — unguarded, directly inside a loop — is
+//    checked once per non-empty entry of that loop: the NULL test of
+//    each array, then per access (write, then reads) and dimension the
+//    subscript's minimum and maximum over the loop's first and last
+//    iterate. Its body computes offsets with no branches;
+//  * guarded and loop-less statements check every access as it
+//    executes;
+//  * a *leaf* loop (every child a fast statement, k of them) runs its
+//    first m = min(n, (max_instances - instances) / k) iterations with
+//    no budget test; if m < n, one checked tail iteration faults at
+//    exactly the instance where the VM does. Every other statement
+//    tests the budget per instance.
+//
+// Integer arithmetic is NOT overflow-checked (the kernel is compiled
+// with -fwrapv); adversarial parameter values belong on the checked
+// VM.
 #pragma once
 
 #include <string>

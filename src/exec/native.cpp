@@ -36,9 +36,13 @@ namespace fs = std::filesystem;
 /// Compilation flags baked into every kernel build AND into the cache
 /// key. -ffp-contract=off matches the inlt_exec build (bit-identical
 /// float semantics, no FMA contraction); -fwrapv makes the emitted
-/// unchecked int64 arithmetic defined (wrapping) instead of UB.
+/// unchecked int64 arithmetic defined (wrapping) instead of UB. -O1,
+/// not -O3: -O3 vectorizes the emitted leaf loops for 5-10% less
+/// kernel time on the perfbench run_generated orders, but makes each
+/// compile about twice as expensive, and a cold verified search is
+/// mostly compile time (DESIGN.md, "One flag set").
 static constexpr const char* kNativeFlags =
-    "-O3 -fPIC -shared -ffp-contract=off -fwrapv";
+    "-O1 -fPIC -shared -ffp-contract=off -fwrapv";
 
 using KernelFn = i64 (*)(double**, const i64*, const i64*, i64, i64*, char*,
                          i64);

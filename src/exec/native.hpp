@@ -3,7 +3,7 @@
 // The third engine behind InterpOptions::engine (after the AST walker
 // and the bytecode VM). A Program is lowered to standalone C
 // (exec/cgen.hpp), compiled out of process with the system C compiler
-// (`$INLTC_CC`, else `$CC`, else `cc`) at `-O3 -fPIC -shared
+// (`$INLTC_CC`, else `$CC`, else `cc`) at `-O1 -fPIC -shared
 // -ffp-contract=off -fwrapv`, and loaded with dlopen; the kernel then
 // runs against the same Memory the VM uses and produces bit-identical
 // array state and InterpStats.

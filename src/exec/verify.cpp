@@ -36,8 +36,7 @@ VerifyResult verify_equivalence(const Program& source,
                                 const Program& transformed,
                                 const std::map<std::string, i64>& params,
                                 FillKind fill_kind, unsigned seed,
-                                double tolerance, ExecEngine engine,
-                                const ExecPlan& plan) {
+                                ExecEngine engine, const ExecPlan& plan) {
   ScopedSpan span("exec.verify", "exec");
   Memory mem;
   declare_arrays(source, params, mem);
@@ -58,8 +57,7 @@ VerifyResult verify_equivalence(const Program& source,
   opts.partition = plan.target_partition;
   r.dst_instances = interpret(transformed, params, mem2, opts).instances;
   r.max_diff = mem.max_abs_diff(mem2);
-  r.equivalent =
-      r.max_diff <= tolerance && r.src_instances == r.dst_instances;
+  r.equivalent = mem.bit_equal(mem2) && r.src_instances == r.dst_instances;
   if (span.active()) {
     span.arg("equivalent", r.equivalent);
     span.arg("instances", r.src_instances);
@@ -70,22 +68,44 @@ VerifyResult verify_equivalence(const Program& source,
 VerifyReference::VerifyReference(const Program& source,
                                  const std::map<std::string, i64>& params,
                                  FillKind fill_kind, unsigned seed,
-                                 double tolerance, ExecEngine engine,
-                                 ExecPlan plan)
-    : params_(params),
-      tolerance_(tolerance),
-      engine_(engine),
-      plan_(std::move(plan)) {
+                                 ExecEngine engine, ExecPlan plan)
+    : params_(params), engine_(engine), plan_(std::move(plan)) {
   ScopedSpan span("exec.verify_reference", "exec");
   declare_arrays(source, params_, initial_);
   fill(initial_, fill_kind, seed);
-  final_ = initial_;
+  // The thread owns its copy of the program; it reads params_, plan_
+  // and initial_, which nothing writes after this point.
+  source_ = std::async(std::launch::async, [this, program = source] {
+              ScopedSpan run_span("exec.verify_source", "exec");
+              SourceRun run{initial_, 0};
+              run.instances =
+                  interpret(program, params_, run.final,
+                            options(plan_.source_partition))
+                      .instances;
+              return run;
+            }).share();
+}
+
+VerifyReference::VerifyReference(const Program& source,
+                                 const std::map<std::string, i64>& params,
+                                 FillKind fill_kind, unsigned seed,
+                                 double /*tolerance*/, ExecEngine engine,
+                                 ExecPlan plan)
+    : VerifyReference(source, params, fill_kind, seed, engine,
+                      std::move(plan)) {}
+
+InterpOptions VerifyReference::options(
+    const std::vector<std::string>& partition) const {
   InterpOptions opts;
   opts.engine = engine_;
   opts.num_threads = plan_.threads;
   opts.profile = plan_.vm_profile;
-  opts.partition = plan_.source_partition;
-  src_instances_ = interpret(source, params_, final_, opts).instances;
+  opts.partition = partition;
+  return opts;
+}
+
+VerifyReference::~VerifyReference() {
+  if (source_.valid()) source_.wait();
 }
 
 VerifyResult VerifyReference::check(const Program& transformed) const {
@@ -97,26 +117,24 @@ VerifyResult VerifyReference::check(
     const std::vector<std::string>& partition) const {
   ScopedTimer timer("exec.verify.check_ns");
   VerifyResult r;
-  r.src_instances = src_instances_;
+  // A candidate that touches arrays or cells the source never sized
+  // would need fresh declarations; any such access makes it
+  // non-equivalent anyway, and shows up as an execution error.
+  Memory mem = initial_;
   try {
-    Memory mem = initial_;
-    // A candidate that touches arrays or cells the source never sized
-    // would need fresh declarations; any such access makes it
-    // non-equivalent anyway, and shows up as an execution error or a
-    // shape mismatch below.
-    InterpOptions opts;
-    opts.engine = engine_;
-    opts.num_threads = plan_.threads;
-    opts.profile = plan_.vm_profile;
-    opts.partition = partition;
-    r.dst_instances = interpret(transformed, params_, mem, opts).instances;
-    r.max_diff = mem.max_abs_diff(final_);
-    r.equivalent =
-        r.max_diff <= tolerance_ && r.src_instances == r.dst_instances;
+    r.dst_instances =
+        interpret(transformed, params_, mem, options(partition)).instances;
   } catch (const Error& e) {
     r.error = e.what();
-    r.equivalent = false;
     Stats::global().add("exec.verify.errors");
+  }
+  // Outside the try: a source failure propagates to the caller.
+  const SourceRun& src = source_.get();
+  r.src_instances = src.instances;
+  if (r.error.empty()) {
+    r.max_diff = mem.max_abs_diff(src.final);
+    r.equivalent =
+        mem.bit_equal(src.final) && r.src_instances == r.dst_instances;
   }
   return r;
 }

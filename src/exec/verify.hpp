@@ -2,11 +2,15 @@
 //
 // A transformed program is equivalent to its source when, run against
 // identical initial memory, it executes the same number of statement
-// instances and leaves every array in the same state. Cholesky-style
-// bodies (sqrt, division, subtraction chains) are order-sensitive in
-// floating point only up to reassociation noise, so comparison uses a
-// small tolerance.
+// instances and leaves every array bit-identical to the source's final
+// state (identical NaN bit patterns count as equal). The comparison is
+// exact because a legal transformation only reorders statement
+// instances: each instance computes the same floating-point operations
+// on the same operand values, and every engine evaluates them with
+// the operand pairing of the expression tree and no contraction.
 #pragma once
+
+#include <future>
 
 #include "exec/interp.hpp"
 
@@ -34,6 +38,7 @@ struct ExecPlan {
 
 struct VerifyResult {
   bool equivalent = false;
+  /// Largest elementwise |difference| — reported, not the verdict.
   double max_diff = 0.0;
   i64 src_instances = 0;
   i64 dst_instances = 0;
@@ -46,13 +51,13 @@ struct VerifyResult {
 };
 
 /// Run source and transformed programs on identical inputs and compare
-/// final memory. Arrays are sized from the source program's accesses.
+/// final memory bit for bit. Arrays are sized from the source
+/// program's accesses.
 VerifyResult verify_equivalence(const Program& source,
                                 const Program& transformed,
                                 const std::map<std::string, i64>& params,
                                 FillKind fill = FillKind::kSpd,
                                 unsigned seed = 1,
-                                double tolerance = 1e-9,
                                 ExecEngine engine = ExecEngine::kVm,
                                 const ExecPlan& plan = {});
 
@@ -61,19 +66,37 @@ VerifyResult verify_equivalence(const Program& source,
 /// of candidate programs against it are independent and thread-safe
 /// (each check runs on its own copy of the initial memory), which is
 /// what lets full-mode search verify candidates on worker threads.
+///
+/// The constructor declares and fills the initial memory, then runs
+/// the source on its own thread: with the native engine, the source's
+/// compile overlaps the first candidates' compiles instead of
+/// preceding them. check() runs its candidate first and waits for the
+/// source only to compare. The source thread refers to the object, so
+/// a VerifyReference is neither copyable nor movable; its destructor
+/// waits for the source run.
 class VerifyReference {
  public:
   VerifyReference(const Program& source,
                   const std::map<std::string, i64>& params,
                   FillKind fill = FillKind::kSpd, unsigned seed = 1,
-                  double tolerance = 1e-9,
                   ExecEngine engine = ExecEngine::kVm,
                   ExecPlan plan = {});
+  /// Source-compatible form of the constructor above for callers that
+  /// still pass a tolerance (perfbench/traced.cpp). The comparison is
+  /// exact; `tolerance` is ignored.
+  VerifyReference(const Program& source,
+                  const std::map<std::string, i64>& params, FillKind fill,
+                  unsigned seed, double tolerance,
+                  ExecEngine engine = ExecEngine::kVm, ExecPlan plan = {});
+  ~VerifyReference();
+  VerifyReference(const VerifyReference&) = delete;
+  VerifyReference& operator=(const VerifyReference&) = delete;
 
   /// Verify one candidate. Execution failures (bounds, budget,
   /// overflow) are captured in VerifyResult::error, not thrown — a
-  /// wrong candidate must not abort a search over many. The candidate
-  /// executes with the plan's target partition.
+  /// wrong candidate must not abort a search over many. A failure of
+  /// the *source* run is not the candidate's: check() rethrows it.
+  /// The candidate executes with the plan's target partition.
   VerifyResult check(const Program& transformed) const;
 
   /// Same, with a per-candidate doall partition overriding the plan's
@@ -84,13 +107,21 @@ class VerifyReference {
   const std::map<std::string, i64>& params() const { return params_; }
 
  private:
+  struct SourceRun {
+    Memory final;  ///< source-final state
+    i64 instances = 0;
+  };
+
+  /// Execution options of one side under the plan.
+  InterpOptions options(const std::vector<std::string>& partition) const;
+
   std::map<std::string, i64> params_;
-  double tolerance_;
   ExecEngine engine_;
   ExecPlan plan_;
   Memory initial_;  ///< declared from the source, filled
-  Memory final_;    ///< source-final state
-  i64 src_instances_ = 0;
+  /// The source run; declared last so it is destroyed (and waited
+  /// for) before the members the source thread reads.
+  std::shared_future<SourceRun> source_;
 };
 
 }  // namespace inlt

@@ -366,8 +366,10 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
         }
       },
       [&acc](Candidate&& c) { acc.settle(std::move(c)); });
-  // The verification reference runs the source once: built before the
-  // first survivor is handed to a worker, and only if there is one.
+  // The verification reference runs the source once, on its own
+  // thread: started before the first survivor is handed to a worker,
+  // and only if there is one. A source that cannot run rethrows from
+  // every check, and the fan-out rethrows it from search().
   auto prepare_verify = [&] {
     if (ref || sopts.verify_params.empty()) return;
     ExecPlan plan;
@@ -376,8 +378,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
       plan.source_partition =
           source_parallel_schedule(*layout_, deps_).partition;
     ref.emplace(*program_, sopts.verify_params, sopts.verify_fill,
-                sopts.verify_seed, /*tolerance=*/1e-9, sopts.verify_engine,
-                plan);
+                sopts.verify_seed, sopts.verify_engine, plan);
   };
 
   i64 index = 0;

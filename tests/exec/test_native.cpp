@@ -2,7 +2,9 @@
 // gallery program, every tools/testdata/ program and the transformed
 // variants from test_vm.cpp run as compiled C kernels and as VM
 // bytecode on identical inputs; final memory must match to the last
-// bit and InterpStats must be equal. Plus the compile-cache contract:
+// bit and InterpStats must be equal. Failures must match too: the same
+// out-of-bounds message, and at every instance budget the same Memory
+// left behind. Plus the compile-cache contract:
 // cold compile / warm disk hit / in-process LRU hit, corrupted cache
 // entries recompiled (never trusted), concurrent sessions racing the
 // cache dir, $INLTC_CACHE_DIR override, and the VM fallback when no
@@ -236,10 +238,10 @@ TEST_F(NativeTest, VerifyEquivalenceThroughNativeEngine) {
   IntMat m = loop_skew(layout, "J", "I", 1);
   CodegenResult res = generate_code(layout, deps, m);
   VerifyResult nat = verify_equivalence(p, res.program, {{"N", 12}},
-                                        FillKind::kRandom, 1, 1e-9,
+                                        FillKind::kRandom, 1,
                                         ExecEngine::kNative);
   VerifyResult vm = verify_equivalence(p, res.program, {{"N", 12}},
-                                       FillKind::kRandom, 1, 1e-9,
+                                       FillKind::kRandom, 1,
                                        ExecEngine::kVm);
   EXPECT_TRUE(nat.equivalent);
   EXPECT_TRUE(vm.equivalent);
@@ -284,6 +286,134 @@ TEST_F(NativeTest, InstanceBudgetEnforced) {
     EXPECT_NE(std::string(e.what()).find("instance budget"), std::string::npos)
         << e.what();
   }
+}
+
+// ---- failure parity with the VM ----
+//
+// The emitter hoists a fast statement's checks (unguarded, directly in
+// a loop) to the loop's entry exactly where the VM does, and leaf
+// loops defer the budget test to one checked tail iteration: both
+// engines must fail at the same access, with the same message, leaving
+// the same Memory behind.
+
+/// Run `p` on both engines from the same prototype; both must throw.
+/// Returns the two messages and expects bit-identical final Memory.
+std::pair<std::string, std::string> fail_on_both(
+    const Program& p, const std::map<std::string, i64>& params,
+    const Memory& proto, i64 max_instances, const std::string& what) {
+  std::string msgs[2];
+  Memory mems[2] = {proto, proto};
+  const ExecEngine engines[2] = {ExecEngine::kNative, ExecEngine::kVm};
+  for (int e = 0; e < 2; ++e) {
+    InterpOptions opts;
+    opts.engine = engines[e];
+    opts.max_instances = max_instances;
+    try {
+      interpret(p, params, mems[e], opts);
+      ADD_FAILURE() << what << ": engine " << e << " did not throw";
+    } catch (const Error& err) {
+      msgs[e] = err.what();
+    }
+  }
+  expect_bit_identical(mems[0], mems[1], what);
+  return {msgs[0], msgs[1]};
+}
+
+TEST_F(NativeTest, OutOfBoundsMessagesMatchVmForHoistedAndGuardedStatements) {
+  // S1 is fast (its checks run at the I loop's entry): the read B(I+1)
+  // leaves [1, 5] at its last iterate, 9. S2 is guarded, so it is
+  // checked per access and faults at I = 5 with index 6.
+  Program hoisted = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = B(I + 1)
+end
+)");
+  Program guarded = parse_program(R"(
+param N
+do I = 1, N
+  if (I - 3 >= 0)
+    S2: A(I) = A(I) + B(I + 1)
+  endif
+end
+)");
+  Memory proto;
+  proto.declare("A", {1}, {8});
+  proto.declare("B", {1}, {5});
+  randomize(proto, 1);
+  const std::map<std::string, i64> params{{"N", 8}};
+  auto [nat_h, vm_h] =
+      fail_on_both(hoisted, params, proto, 50'000'000, "hoisted");
+  EXPECT_EQ(nat_h, vm_h);
+  EXPECT_EQ(nat_h, "array index out of bounds: B dim 0 index 9 not in [1, 5]");
+  auto [nat_g, vm_g] =
+      fail_on_both(guarded, params, proto, 50'000'000, "guarded");
+  EXPECT_EQ(nat_g, vm_g);
+  EXPECT_EQ(nat_g, "array index out of bounds: B dim 0 index 6 not in [1, 5]");
+}
+
+TEST_F(NativeTest, BudgetFaultsMatchVmAtEveryInstance) {
+  // Every budget from 0 to one short of the run's instance count, so
+  // the fault lands everywhere once: in S1 (in the K loop, which is
+  // not a leaf loop), and in the first, middle and last iterations of
+  // the leaf loops I (S2) and L (S3) — e.g. budget 1 faults at S2's
+  // first iterate, budget 4 at its last (N = 5). The second program's
+  // leaf loop has two statements and step 2, so the tail iteration
+  // can fault at either statement.
+  const Program two_stmt_leaf = parse_program(R"(
+param N
+do I = 1, N
+  S1: B(I) = 0.5
+  do J = 1, N, 2
+    S2: A(I, J) = A(I, J) + B(I)
+    S3: C(J) = C(J) * 2.0 + A(I, J)
+  end
+end
+)");
+  for (const Program& p : {gallery::cholesky(), two_stmt_leaf}) {
+    const std::map<std::string, i64> params{{"N", 5}};
+    Memory proto;
+    declare_arrays(p, params, proto);
+    fill_spd(proto, 2);
+    Memory full = proto;
+    InterpOptions vm_opts;
+    const i64 total = interpret(p, params, full, vm_opts).instances;
+    ASSERT_GT(total, 10);
+    for (i64 budget = 0; budget < total; ++budget)
+      fail_on_both(p, params, proto, budget,
+                   "budget " + std::to_string(budget));
+  }
+}
+
+TEST_F(NativeTest, EmittedCholeskyIsLean) {
+  // No libc header but stddef.h, and no bounds or budget test inside
+  // any leaf loop's body: those run at loop entry and in the budget
+  // tail iteration.
+  const std::string code = emit_native_c(gallery::cholesky()).code;
+  std::istringstream lines(code);
+  std::string ln;
+  while (std::getline(lines, ln)) {
+    if (ln.rfind("#include", 0) == 0) {
+      EXPECT_EQ(ln, "#include <stddef.h>");
+    }
+  }
+  int leaf_loops = 0;
+  for (size_t at = code.find("for ("); at != std::string::npos;
+       at = code.find("for (", at + 1)) {
+    const size_t open = code.find('{', at);
+    size_t close = open;
+    for (int depth = 0; close < code.size(); ++close) {
+      if (code[close] == '{') ++depth;
+      if (code[close] == '}' && --depth == 0) break;
+    }
+    const std::string body = code.substr(open, close - open);
+    if (body.find("for (") != std::string::npos) continue;  // not a leaf
+    ++leaf_loops;
+    EXPECT_EQ(body.find("INLTC_OOB"), std::string::npos) << body;
+    EXPECT_EQ(body.find("INLTC_UNDECL"), std::string::npos) << body;
+    EXPECT_EQ(body.find("max_instances"), std::string::npos) << body;
+  }
+  EXPECT_EQ(leaf_loops, 2);  // the I loop (S2) and the L loop (S3)
 }
 
 // ---- compile-cache contract ----

@@ -230,11 +230,11 @@ end
   plan.target_partition = s.partition;
   VerifyResult r =
       verify_equivalence(p, gen.program, {{"N", 20}}, FillKind::kRandom, 1,
-                         1e-9, ExecEngine::kVm, plan);
+                         ExecEngine::kVm, plan);
   EXPECT_TRUE(r.equivalent) << r.to_string();
 
-  VerifyReference ref(p, {{"N", 20}}, FillKind::kRandom, 1, 1e-9,
-                      ExecEngine::kVm, plan);
+  VerifyReference ref(p, {{"N", 20}}, FillKind::kRandom, 1, ExecEngine::kVm,
+                      plan);
   EXPECT_TRUE(ref.check(gen.program).equivalent);
   EXPECT_TRUE(ref.check(gen.program, s.partition).equivalent);
   // A genuinely different program must still fail under the plan.

@@ -461,7 +461,7 @@ int emit_and_verify(const Program& source, const Program& result,
   if (opts.verify_n > 0) {
     VerifyResult v =
         verify_equivalence(source, result, {{"N", opts.verify_n}},
-                           FillKind::kSpd, 1, 1e-9, opts.engine, plan);
+                           FillKind::kSpd, 1, opts.engine, plan);
     TraceCheckResult t =
         check_dependence_order(source, result, {{"N", opts.verify_n}});
     std::cerr << "verify(N=" << opts.verify_n << "): " << v.to_string()
