@@ -13,7 +13,10 @@
 // machine-independent facts the regression gate wants: native results
 // bit-identical to the VM on every kernel and size, zero recompiles on
 // a second (disk-cached) pass, and the geomean native-vs-VM throughput
-// ratio at the largest size. Without a compiler the native report
+// ratio at the largest size. BENCH_interp.json also records, per
+// kernel and size, the share of statement instances the VM's leaf
+// executor ran batched — deterministic, so the Cholesky share is gated.
+// Without a compiler the native report
 // records {"unavailable": true} and the gates skip. Unknown
 // --benchmark_* flags are accepted and ignored so the binary can run
 // under the same harness invocation as the google-benchmark suites.
@@ -29,6 +32,7 @@
 #include "codegen/generate.hpp"
 #include "exec/interp.hpp"
 #include "exec/native.hpp"
+#include "exec/vm.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "support/stats.hpp"
@@ -115,6 +119,18 @@ bool bit_identical(const Memory& a, const Memory& b) {
   return true;
 }
 
+// Share of one VM run's statement instances that the leaf executor
+// ran chunked (exec/vm.hpp).
+double batched_share(const Program& p, const std::map<std::string, i64>& params,
+                     const Memory& proto) {
+  Memory mem = proto;
+  VmProgram vm(p, params, mem);
+  const i64 instances = vm.run().instances;
+  return instances > 0 ? static_cast<double>(vm.batched_instances()) /
+                             static_cast<double>(instances)
+                       : 0;
+}
+
 void emit_engine(std::ostream& os, const char* name, const EngineRun& er) {
   os << "\"" << name << "\":{"
      << "\"seconds\":" << er.seconds << ",\"runs\":" << er.runs
@@ -175,6 +191,7 @@ int main(int argc, char** argv) {
     njs << "{\"name\":\"" << kernels[k].name << "\",\"sizes\":[";
     double largest_speedup = 0;
     double largest_native_vs_vm = 0;
+    double largest_share = 0;
     for (size_t s = 0; s < sizes.size(); ++s) {
       std::map<std::string, i64> params{{"N", sizes[s]}};
       Memory proto;
@@ -186,6 +203,8 @@ int main(int argc, char** argv) {
       EngineRun vm = measure(p, params, proto, ExecEngine::kVm, budget_s);
       double speedup = walker.ips() > 0 ? vm.ips() / walker.ips() : 0;
       largest_speedup = speedup;  // sizes ascend; last one wins
+      const double share = batched_share(p, params, proto);
+      largest_share = share;
 
       EngineRun native;
       double native_vs_vm = 0;
@@ -208,17 +227,18 @@ int main(int argc, char** argv) {
 
       if (have_native)
         std::printf("%-18s N=%3lld %10lld inst | walker %11.0f i/s | "
-                    "vm %11.0f i/s (%5.2fx) | native %11.0f i/s (%5.2fx vm)%s\n",
+                    "vm %11.0f i/s (%5.2fx, %3.0f%% batched) | "
+                    "native %11.0f i/s (%5.2fx vm)%s\n",
                     kernels[k].name.c_str(), static_cast<long long>(sizes[s]),
                     static_cast<long long>(vm.instances), walker.ips(),
-                    vm.ips(), speedup, native.ips(), native_vs_vm,
-                    identical ? "" : "  BIT MISMATCH");
+                    vm.ips(), speedup, 100 * share, native.ips(),
+                    native_vs_vm, identical ? "" : "  BIT MISMATCH");
       else
         std::printf("%-18s N=%3lld %10lld inst | walker %12.0f inst/s | "
-                    "vm %12.0f inst/s | %6.2fx\n",
+                    "vm %12.0f inst/s | %6.2fx | %3.0f%% batched\n",
                     kernels[k].name.c_str(), static_cast<long long>(sizes[s]),
                     static_cast<long long>(vm.instances), walker.ips(),
-                    vm.ips(), speedup);
+                    vm.ips(), speedup, 100 * share);
 
       if (s) {
         js << ",";
@@ -232,13 +252,15 @@ int main(int argc, char** argv) {
         js << ",";
         emit_engine(js, "native", native);
       }
-      js << ",\"speedup\":" << speedup << "}";
+      js << ",\"speedup\":" << speedup << ",\"batched_share\":" << share
+         << "}";
       njs << "{\"n\":" << sizes[s] << ",";
       emit_engine(njs, "native", native);
       njs << ",\"native_vs_vm\":" << native_vs_vm
           << ",\"bit_identical\":" << (identical ? "true" : "false") << "}";
     }
-    js << "],\"speedup_at_largest\":" << largest_speedup << "}";
+    js << "],\"speedup_at_largest\":" << largest_speedup
+       << ",\"batched_share_at_largest\":" << largest_share << "}";
     njs << "],\"native_vs_vm_at_largest\":" << largest_native_vs_vm << "}";
     if (have_native && largest_native_vs_vm > 0) {
       log_ratio_sum += std::log(largest_native_vs_vm);

@@ -32,6 +32,11 @@ class VmCompiler {
     vm_.last_.assign(std::max<size_t>(vm_.loops_.size(), 1), 0);
     vm_.offs_.assign(std::max<size_t>(vm_.accesses_.size(), 1), 0);
     vm_.sregs_.assign(static_cast<size_t>(std::max(vm_.max_sregs_, 1)), 0.0);
+    size_t leaf_regs = 0;
+    for (const VmProgram::LeafPlan& lp : vm_.leaf_plans_)
+      leaf_regs =
+          std::max(leaf_regs, static_cast<size_t>(lp.op_end - lp.op_begin));
+    vm_.leaf_regs_.assign(leaf_regs * VmProgram::kLeafWidth, 0.0);
   }
 
  private:
@@ -287,6 +292,7 @@ class VmCompiler {
     loop_stack_.push_back(idx);
     int body_pc = static_cast<int>(vm_.code_.size());
     int acc_before = static_cast<int>(vm_.accesses_.size());
+    int stmt_before = static_cast<int>(vm_.stmts_.size());
     for (const NodePtr& c : n.children()) compile_node(*c);
     emit_c(COp::kLoopNext, idx, body_pc);
     vm_.code_[enter_pc].jump = static_cast<int>(vm_.code_.size());
@@ -300,6 +306,131 @@ class VmCompiler {
     L.probe_collapse = collapse;
     L.probe_begin = acc_before;
     L.probe_end = static_cast<int>(vm_.accesses_.size());
+    // Children that are all unguarded statements are exactly the
+    // statements compiled since stmt_before; with every one fast (and
+    // a forward step) the loop is a leaf for the executor.
+    int stmt_end = static_cast<int>(vm_.stmts_.size());
+    bool leaf = collapse && mem_ && L.step > 0 && stmt_end > stmt_before;
+    for (int i = stmt_before; leaf && i < stmt_end; ++i)
+      leaf = vm_.stmts_[i].fast;
+    if (leaf) L.leaf = build_leaf_plan(stmt_before, stmt_end);
+  }
+
+  // Same flat offset function: equal constants and equal nonzero
+  // terms in any order.
+  static bool same_offset(const VmProgram::Access& a,
+                          const VmProgram::Access& b) {
+    if (a.array != b.array || a.offset.constant != b.offset.constant)
+      return false;
+    auto terms = [](const LinExpr& e) {
+      std::vector<std::pair<int, i64>> t;
+      for (const auto& st : e.terms)
+        if (st.second != 0) t.push_back(st);
+      std::sort(t.begin(), t.end());
+      return t;
+    };
+    return terms(a.offset) == terms(b.offset);
+  }
+
+  // The leaf executor's plan for the fast statements [sbegin, send) of
+  // one loop body (vm.hpp): SSA-renamed ops with the carried taint,
+  // and the write/access pairs the entry test checks.
+  int build_leaf_plan(int sbegin, int send) {
+    VmProgram::LeafPlan plan;
+    plan.op_begin = static_cast<int>(vm_.leaf_ops_.size());
+    plan.stmt_begin = static_cast<int>(vm_.leaf_stmts_.size());
+    std::vector<int> recurrent;  // access ids of recurrent loads
+    for (int s = sbegin; s < send; ++s) {
+      const VmProgram::StmtInfo& si = vm_.stmts_[s];
+      const VmProgram::Access& w = vm_.accesses_[si.first_access];
+      VmProgram::LeafStmt ls;
+      ls.write = si.first_access;
+      ls.op_begin = static_cast<int>(vm_.leaf_ops_.size());
+      // Original scalar register -> plan register (op index).
+      std::vector<int> ssa(static_cast<size_t>(std::max(vm_.max_sregs_, 1)), 0);
+      for (int i = si.scalar_begin; i != si.scalar_end; ++i) {
+        const VmProgram::SInst& in = vm_.scode_[i];
+        VmProgram::LeafOp op;
+        op.op = in.op;
+        op.imm = in.imm;
+        op.payload = in.payload;
+        auto reg = [&](int r) { return ssa[static_cast<size_t>(r)]; };
+        auto carried = [&](int r) {
+          return vm_.leaf_ops_[static_cast<size_t>(plan.op_begin + r)].carried;
+        };
+        switch (in.op) {
+          case SOp::kConst:
+          case SOp::kVar:
+            break;
+          case SOp::kAffine:
+            plan.has_affine = true;
+            break;
+          case SOp::kLoad: {
+            const VmProgram::Access& a =
+                vm_.accesses_[static_cast<size_t>(in.payload)];
+            op.carried = w.step_delta == 0 && same_offset(a, w);
+            if (op.carried) recurrent.push_back(static_cast<int>(in.payload));
+            break;
+          }
+          case SOp::kAdd:
+          case SOp::kSub:
+          case SOp::kMul:
+          case SOp::kDiv:
+            op.a = reg(in.a);
+            op.b = reg(in.b);
+            op.carried = carried(op.a) || carried(op.b);
+            break;
+          case SOp::kNeg:
+          case SOp::kSqrt:
+            op.a = reg(in.a);
+            op.carried = carried(op.a);
+            break;
+          case SOp::kFunc: {
+            const VmProgram::FuncSite& f =
+                vm_.func_sites_[static_cast<size_t>(in.payload)];
+            op.a = static_cast<int>(vm_.leaf_args_.size());
+            for (int j = f.args_begin; j != f.args_end; ++j) {
+              int r = reg(vm_.func_args_[j]);
+              vm_.leaf_args_.push_back(r);
+              op.carried = op.carried || carried(r);
+            }
+            op.b = static_cast<int>(vm_.leaf_args_.size());
+            break;
+          }
+        }
+        ls.carried = ls.carried || op.carried;
+        ssa[static_cast<size_t>(in.dst)] =
+            static_cast<int>(vm_.leaf_ops_.size()) - plan.op_begin;
+        vm_.leaf_ops_.push_back(op);
+      }
+      ls.op_end = static_cast<int>(vm_.leaf_ops_.size());
+      if (si.result_reg >= 0)
+        ls.result = ssa[static_cast<size_t>(si.result_reg)];
+      vm_.leaf_stmts_.push_back(ls);
+    }
+    plan.op_end = static_cast<int>(vm_.leaf_ops_.size());
+    plan.stmt_end = static_cast<int>(vm_.leaf_stmts_.size());
+
+    // Every write against every other access of its array.
+    plan.pair_begin = static_cast<int>(vm_.leaf_pairs_.size());
+    const int abegin = vm_.stmts_[sbegin].first_access;
+    const int aend = vm_.stmts_[send - 1].first_access +
+                     vm_.stmts_[send - 1].naccesses;
+    for (int s = sbegin; s < send; ++s) {
+      const VmProgram::StmtInfo& si = vm_.stmts_[s];
+      const int w = si.first_access;
+      for (int x = abegin; x < aend; ++x) {
+        if (x == w || vm_.accesses_[x].array != vm_.accesses_[w].array)
+          continue;
+        bool own = x > w && x < w + si.naccesses;
+        bool rec = own && std::find(recurrent.begin(), recurrent.end(), x) !=
+                              recurrent.end();
+        vm_.leaf_pairs_.push_back({w, x, rec});
+      }
+    }
+    plan.pair_end = static_cast<int>(vm_.leaf_pairs_.size());
+    vm_.leaf_plans_.push_back(plan);
+    return static_cast<int>(vm_.leaf_plans_.size()) - 1;
   }
 
   void compile_node(const Node& n) {

@@ -117,7 +117,9 @@ struct InterpOptions {
   /// (the partitioned driver has its own per-worker profiler —
   /// support/profile.hpp). Execution results are unchanged; the
   /// instrumented dispatch loop is compiled separately so the default
-  /// path pays nothing.
+  /// path pays nothing. Profiled runs execute every statement instance
+  /// one at a time: the VM's batched leaf-loop executor stays off, so
+  /// the histograms time the per-instance interpreter.
   bool profile = false;
 };
 

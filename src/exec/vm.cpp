@@ -10,6 +10,7 @@
 // for bit.
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -183,6 +184,225 @@ void VmProgram::exec_stmt(const StmtInfo& s, InterpStats& st,
   if (probe_) probe_lines(s);
 }
 
+// The leaf-loop executor (vm.hpp). Called right after kLoopEnter
+// entered leaf loop L at lo (offsets initialized, hoisted checks
+// passed, the first iteration counted). Runs the budget-covered
+// prefix and returns where the dispatch loop continues: L's back-edge
+// once every iteration ran, so the exit (and a partitioned loop's
+// exit barrier) happens there, or the body start for the iteration
+// that exhausts the budget, which then runs per instance.
+size_t VmProgram::run_leaf(const LoopInfo& L, size_t enter_pc, i64 lo, i64 hi,
+                           InterpStats& st, i64 max_instances) {
+  const LeafPlan& P = leaf_plans_[static_cast<size_t>(L.leaf)];
+  const size_t body_pc = enter_pc + 1;
+  const i64 k = P.stmt_end - P.stmt_begin;
+  i64 span;
+  if (__builtin_sub_overflow(hi, lo, &span)) return body_pc;
+  const i64 last = span / L.step;  // index of the final iteration
+  const i64 fit = (max_instances - st.instances) / k;
+  const i64 m = fit > last ? last + 1 : fit;  // iterations run here
+  if (m <= 0) return body_pc;
+  if (P.has_affine) {
+    // kAffine values are affine in the loop variable, and so is every
+    // partial sum eval() forms: if neither prefix endpoint overflows,
+    // no iteration between does. Otherwise let the per-instance path
+    // raise the error at its instance.
+    const i64 v0 = env_[L.slot];
+    try {
+      for (i64 v : {lo, lo + (m - 1) * L.step}) {
+        env_[L.slot] = v;
+        for (int o = P.op_begin; o != P.op_end; ++o)
+          if (leaf_ops_[o].op == SOp::kAffine)
+            eval(lins_[static_cast<size_t>(leaf_ops_[o].payload)]);
+      }
+    } catch (const OverflowError&) {
+      env_[L.slot] = v0;
+      return body_pc;
+    }
+  }
+  const int width = leaf_batchable(P, m) ? kLeafWidth : 1;
+  for (i64 i0 = 0; i0 < m; i0 += width)
+    leaf_chunk(P, L, lo, i0, static_cast<int>(std::min<i64>(width, m - i0)));
+  (width == 1 ? serial_leaf_instances_ : batched_instances_) += m * k;
+  st.instances += m * k;
+  // Leave the state of the iteration the dispatch loop resumes at: the
+  // final one (its back-edge exits) or the first unbudgeted one.
+  const i64 at = m == last + 1 ? last : m;
+  env_[L.slot] = lo + at * L.step;
+  st.loop_iterations += at;
+  for (int i = L.adv_begin; i != L.adv_end; ++i)
+    offs_[advances_[i].reg] += at * advances_[i].delta;
+  return m == last + 1 ? static_cast<size_t>(code_[enter_pc].jump) - 1
+                       : body_pc;
+}
+
+namespace {
+
+// Whether the offset progressions o_w + i*d_w and o_x + j*d_x share a
+// cell at two different iterations i != j of [0, m). Offsets are flat
+// and in bounds (enter_loop checked every iteration), so equal offsets
+// are the same cell. Exact when a delta is zero or both are equal;
+// otherwise the offset intervals must be disjoint.
+bool meet_across(i64 ow, i64 dw, i64 ox, i64 dx, i64 m) {
+  if (m < 2) return false;
+  const i64 wl = std::min(ow, ow + (m - 1) * dw);
+  const i64 wh = std::max(ow, ow + (m - 1) * dw);
+  const i64 xl = std::min(ox, ox + (m - 1) * dx);
+  const i64 xh = std::max(ox, ox + (m - 1) * dx);
+  if (wh < xl || xh < wl) return false;
+  if (dw == dx) {
+    // Same stride: the cells meet at a fixed iteration shift i - j.
+    if (dw == 0) return true;  // one cell, every iteration
+    const i64 diff = ox - ow;
+    return diff % dw == 0 && diff != 0 && std::abs(diff / dw) < m;
+  }
+  // A fixed cell meets the other progression at most once, at an
+  // in-range step; any other iteration of the fixed side differs.
+  if (dw == 0) return (ow - ox) % dx == 0;
+  if (dx == 0) return (ox - ow) % dw == 0;
+  return true;
+}
+
+}  // namespace
+
+// The entry test over the first m iterations: no write shares a cell
+// with another access of its array at two different iterations
+// (sharing one within an iteration, as the same offset function does,
+// keeps its order), except the write's own recurrent reads, which run
+// element by element.
+bool VmProgram::leaf_batchable(const LeafPlan& P, i64 m) const {
+  for (int i = P.pair_begin; i != P.pair_end; ++i) {
+    const LeafPair& pr = leaf_pairs_[i];
+    if (pr.recurrent) continue;
+    const Access& w = accesses_[pr.w];
+    const Access& x = accesses_[pr.x];
+    if (meet_across(offs_[w.reg], w.step_delta, offs_[x.reg], x.step_delta,
+                    m))
+      return false;
+  }
+  return true;
+}
+
+// Iterations [i0, i0 + c) of leaf loop L, statement by statement:
+// non-carried ops over the whole chunk, then carried ops and the
+// write element by element in iteration order.
+void VmProgram::leaf_chunk(const LeafPlan& P, const LoopInfo& L, i64 lo,
+                           i64 i0, int c) {
+  constexpr int W = kLeafWidth;
+  double* const R = leaf_regs_.data();
+  const i64 v0 = lo + i0 * L.step;  // loop variable at element 0
+  auto op_at = [&](const LeafOp& op, double* d, int e) {
+    switch (op.op) {
+      case SOp::kLoad: {
+        const Access& a = accesses_[static_cast<size_t>(op.payload)];
+        d[e] = arrays_[a.array].data[offs_[a.reg] + (i0 + e) * a.step_delta];
+        break;
+      }
+      case SOp::kAdd:
+        d[e] = R[op.a * W + e] + R[op.b * W + e];
+        break;
+      case SOp::kSub:
+        d[e] = R[op.a * W + e] - R[op.b * W + e];
+        break;
+      case SOp::kMul:
+        d[e] = R[op.a * W + e] * R[op.b * W + e];
+        break;
+      case SOp::kDiv:
+        d[e] = R[op.a * W + e] / R[op.b * W + e];
+        break;
+      case SOp::kNeg:
+        d[e] = -R[op.a * W + e];
+        break;
+      case SOp::kSqrt:
+        d[e] = std::sqrt(R[op.a * W + e]);
+        break;
+      case SOp::kFunc: {
+        std::uint64_t h =
+            func_sites_[static_cast<size_t>(op.payload)].name_hash;
+        for (int j = op.a; j != op.b; ++j)
+          h = uf_mix(h, uf_double_bits(R[leaf_args_[j] * W + e]));
+        d[e] = uf_hash_to_unit(h);
+        break;
+      }
+      case SOp::kConst:
+        d[e] = op.imm;
+        break;
+      case SOp::kVar:
+        d[e] = static_cast<double>(op.payload == L.slot ? v0 + e * L.step
+                                                         : env_[op.payload]);
+        break;
+      case SOp::kAffine:
+        env_[L.slot] = v0 + e * L.step;
+        d[e] = static_cast<double>(
+            eval(lins_[static_cast<size_t>(op.payload)]));
+        break;
+    }
+  };
+  for (int s = P.stmt_begin; s != P.stmt_end; ++s) {
+    const LeafStmt& ls = leaf_stmts_[s];
+    for (int o = ls.op_begin; o != ls.op_end; ++o) {
+      const LeafOp& op = leaf_ops_[o];
+      if (op.carried) continue;
+      double* __restrict d = R + (o - P.op_begin) * W;
+      if (op.op == SOp::kSqrt || op.op == SOp::kFunc ||
+          op.op == SOp::kVar || op.op == SOp::kAffine) {
+        for (int e = 0; e < c; ++e) op_at(op, d, e);
+        continue;
+      }
+      const double* A = R + op.a * W;
+      const double* B = R + op.b * W;
+      switch (op.op) {
+        case SOp::kLoad: {
+          const Access& a = accesses_[static_cast<size_t>(op.payload)];
+          const double* src =
+              arrays_[a.array].data + offs_[a.reg] + i0 * a.step_delta;
+          const i64 dl = a.step_delta;
+          if (dl == 1) {
+            for (int e = 0; e < c; ++e) d[e] = src[e];
+          } else {
+            for (int e = 0; e < c; ++e) d[e] = src[e * dl];
+          }
+          break;
+        }
+        case SOp::kAdd:
+          for (int e = 0; e < c; ++e) d[e] = A[e] + B[e];
+          break;
+        case SOp::kSub:
+          for (int e = 0; e < c; ++e) d[e] = A[e] - B[e];
+          break;
+        case SOp::kMul:
+          for (int e = 0; e < c; ++e) d[e] = A[e] * B[e];
+          break;
+        case SOp::kDiv:
+          for (int e = 0; e < c; ++e) d[e] = A[e] / B[e];
+          break;
+        case SOp::kNeg:
+          for (int e = 0; e < c; ++e) d[e] = -A[e];
+          break;
+        case SOp::kConst:
+          for (int e = 0; e < c; ++e) d[e] = op.imm;
+          break;
+        default:  // per element above
+          break;
+      }
+    }
+    const Access& w = accesses_[ls.write];
+    double* const wp = arrays_[w.array].data + offs_[w.reg] + i0 * w.step_delta;
+    const i64 wd = w.step_delta;
+    const double* res = ls.result >= 0 ? R + ls.result * W : nullptr;
+    if (!ls.carried) {
+      for (int e = 0; e < c; ++e) wp[e * wd] = res ? res[e] : 0.0;
+      continue;
+    }
+    for (int e = 0; e < c; ++e) {
+      for (int o = ls.op_begin; o != ls.op_end; ++o)
+        if (leaf_ops_[o].carried)
+          op_at(leaf_ops_[o], R + (o - P.op_begin) * W, e);
+      wp[e * wd] = res[e];
+    }
+  }
+}
+
 // Feed every access of one executed statement instance to the cache
 // probe: logical line = (array identity, element offset / line_elems),
 // so counts are deterministic and machine-independent.
@@ -263,7 +483,12 @@ InterpStats VmProgram::run_impl(const InterpOptions& opts) {
         hi_[in.arg] = hi;
         enter_loop(L, lo, hi);
         ++st.loop_iterations;
-        if constexpr (kProfile) ++depth;
+        if constexpr (kProfile) {
+          ++depth;
+        } else if (L.leaf >= 0 && !probe_) {
+          pc = run_leaf(L, pc, lo, hi, st, max_instances);
+          break;
+        }
         ++pc;
         break;
       }
@@ -323,10 +548,12 @@ InterpStats VmProgram::run(const InterpOptions& opts) {
     probe_shift_ = 0;
     while ((i64{1} << probe_shift_) < probe_->line_elems) ++probe_shift_;
   }
+  batched_instances_ = serial_leaf_instances_ = 0;
   InterpStats st =
       opts.profile ? run_impl<true>(opts) : run_impl<false>(opts);
   Stats::global().add("exec.vm.runs");
   Stats::global().add("exec.vm.instances", st.instances);
+  add_leaf_counters();
   return st;
 }
 
@@ -379,6 +606,7 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
                  "run_worker requires mark_partition() first");
   InterpStats st;
   probe_ = nullptr;
+  batched_instances_ = serial_leaf_instances_ = 0;
   const i64 max_instances = opts.max_instances;
   const bool main_worker = worker == 0;
   bool in_chunk = false;  // inside this worker's chunk of a marked loop
@@ -463,6 +691,12 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
                                        "workers", a);
             }
           }
+          if (L.leaf >= 0) {
+            // The loop's back-edge still runs, so the chunk's exit
+            // barrier below is reached as without the executor.
+            pc = run_leaf(L, pc, clo, chi, st, max_instances);
+            break;
+          }
           ++pc;
           break;
         }
@@ -479,7 +713,13 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
         env_[L.slot] = lo;
         hi_[in.arg] = hi;
         enter_loop(L, lo, hi);
-        if (in_chunk || main_worker) ++st.loop_iterations;
+        if (in_chunk || main_worker) {
+          ++st.loop_iterations;
+          if (L.leaf >= 0) {
+            pc = run_leaf(L, pc, lo, hi, st, max_instances);
+            break;
+          }
+        }
         ++pc;
         break;
       }
@@ -550,9 +790,15 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
         ++pc;
         break;
       case COp::kHalt:
+        add_leaf_counters();
         return st;
     }
   }
+}
+
+void VmProgram::add_leaf_counters() const {
+  Stats::global().add("exec.vm.batched_instances", batched_instances_);
+  Stats::global().add("exec.vm.serial_leaf_instances", serial_leaf_instances_);
 }
 
 void VmProgram::probe_note(ProbeState& ps, const Access& a) {

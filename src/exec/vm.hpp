@@ -29,6 +29,32 @@
 // multiplication, advance deltas) uses checked_int arithmetic, so
 // absurd parameter values fail with OverflowError instead of wrapping.
 //
+// Leaf loops — loops whose children are all unguarded, hoisted-check
+// ("fast") statements — run in a leaf-loop executor instead of the
+// per-instance dispatch loop. At compile time each leaf gets a plan:
+// the body's bytecode SSA-renamed so every op owns a chunk register of
+// kLeafWidth doubles, a "carried" taint on each op that depends on a
+// recurrent load (a read of the statement's own loop-invariant write
+// cell, as in the K-innermost A(I,J) = A(I,J) - A(I,K)*A(K,J)), and
+// the (write, other access on the same array) pairs to test at entry.
+// After enter_loop's hoisted checks, an interval test over the
+// budget-covered prefix m = min(n, room/k) (n trips, k statements,
+// room instances left in the budget) accepts every pair that is a
+// recurrent read by the write's own statement, or whose offsets never
+// meet at two different iterations: disjoint offset intervals, the
+// same offset function with a nonzero delta, or (overlapping) offset
+// progressions that miss each other's cells. Then each non-carried op
+// runs over chunks of up to kLeafWidth iterations, while carried ops
+// and the write run element by element in order; if the test fails,
+// the same executor runs at chunk width 1. Either way every cell sees
+// the same reads and writes in the same order and every element gets
+// the same IEEE op, so Memory stays bit-identical.
+// The executor leaves InterpStats, loop variables and offset
+// registers as the per-instance path would, and hands the iteration
+// where the budget runs out back to that path, so faults and their
+// text do not change. Per-instance execution remains for non-leaf
+// statements, CacheProbe runs, profiled runs and that last iteration.
+//
 // probe_ranges() is the same machinery in "probe" mode: it sizes
 // arrays for declare_arrays without touching memory, and collapses
 // leaf loops whose children are all unguarded statements into two
@@ -123,6 +149,10 @@ class VmProgram {
   std::vector<std::pair<int, std::string>> marked_loops() const;
 
   // -- introspection (tests, benchmarks) --
+  /// Statement instances of the last run() / run_worker() that the
+  /// leaf executor ran chunked (batched) or at chunk width 1 (serial).
+  i64 batched_instances() const { return batched_instances_; }
+  i64 serial_leaf_instances() const { return serial_leaf_instances_; }
   /// Accesses whose bounds checks were hoisted to loop entry.
   i64 hoisted_accesses() const { return hoisted_accesses_; }
   /// Accesses that kept exact per-execution checks.
@@ -224,6 +254,7 @@ class VmProgram {
     // endpoint evaluation per entry covers the whole iteration range.
     bool probe_collapse = false;
     int probe_begin = 0, probe_end = 0;  // collapsed accesses (accesses_)
+    int leaf = -1;  // leaf_plans_ index; -1: not a leaf loop
   };
 
   enum class COp : unsigned char {
@@ -259,6 +290,36 @@ class VmProgram {
     int args_begin = 0, args_end = 0;  // into func_args_ (register ids)
   };
 
+  // -- leaf-loop executor (see the header comment) --
+  static constexpr int kLeafWidth = 64;  // iterations per chunk
+
+  // One SSA op of a leaf plan; its chunk register is its index within
+  // the plan's ops.
+  struct LeafOp {
+    SOp op = SOp::kConst;
+    bool carried = false;  // depends on a recurrent load: element-wise
+    int a = 0, b = 0;      // operand registers; kFunc: leaf_args_ range
+    double imm = 0.0;
+    i64 payload = 0;       // as SInst::payload
+  };
+  struct LeafStmt {
+    int op_begin = 0, op_end = 0;  // into leaf_ops_
+    int result = -1;               // rhs register; -1: writes 0.0
+    int write = 0;                 // access id of the write
+    bool carried = false;          // has carried ops
+  };
+  // A write and another access of the same array in one leaf body.
+  struct LeafPair {
+    int w = 0, x = 0;        // access ids
+    bool recurrent = false;  // x: recurrent read of w's statement
+  };
+  struct LeafPlan {
+    int op_begin = 0, op_end = 0;      // into leaf_ops_
+    int stmt_begin = 0, stmt_end = 0;  // into leaf_stmts_
+    int pair_begin = 0, pair_end = 0;  // into leaf_pairs_
+    bool has_affine = false;           // some op is kAffine
+  };
+
   VmProgram() = default;
 
   /// The dispatch loop of run(), compiled twice: kProfile adds clock
@@ -277,6 +338,12 @@ class VmProgram {
   void probe_lines(const StmtInfo& s);
   void slow_access_offsets(const StmtInfo& s);
   [[noreturn]] void bounds_fail(const Access& a, int dim, i64 idx) const;
+  size_t run_leaf(const LoopInfo& L, size_t enter_pc, i64 lo, i64 hi,
+                  InterpStats& st, i64 max_instances);
+  bool leaf_batchable(const LeafPlan& P, i64 m) const;
+  void leaf_chunk(const LeafPlan& P, const LoopInfo& L, i64 lo, i64 i0,
+                  int c);
+  void add_leaf_counters() const;
 
   // -- compiled tables --
   std::vector<CInst> code_;
@@ -294,6 +361,11 @@ class VmProgram {
   std::vector<LinExpr> lins_;      // kAffine payloads
   std::vector<FuncSite> func_sites_;
   std::vector<int> func_args_;
+  std::vector<LeafPlan> leaf_plans_;
+  std::vector<LeafOp> leaf_ops_;
+  std::vector<LeafStmt> leaf_stmts_;
+  std::vector<LeafPair> leaf_pairs_;
+  std::vector<int> leaf_args_;  // kFunc operand registers
   int num_slots_ = 0;
   int max_sregs_ = 0;
   i64 hoisted_accesses_ = 0;
@@ -321,6 +393,11 @@ class VmProgram {
   std::vector<i64> last_;   // per active loop: last executed value
   std::vector<i64> offs_;   // per access: running flat offset
   std::vector<double> sregs_;
+  // Leaf chunk registers, kLeafWidth doubles per op of the largest
+  // plan. A member, so every per-worker clone has its own.
+  std::vector<double> leaf_regs_;
+  i64 batched_instances_ = 0;
+  i64 serial_leaf_instances_ = 0;
 
   // Probe-mode accumulator, parallel to arrays_.
   struct ProbeState {

@@ -4,6 +4,10 @@
 // divisibility guards, distribution) runs under both engines on
 // identical inputs across several seeds and both fill kinds; final
 // memory must match to the last bit and InterpStats must be equal.
+// The LeafExecutor tests do the same for the VM's leaf-loop executor
+// (loop orders, recurrences, operand kinds, tiles, trip counts around
+// the chunk width) and check that budget and bounds failures, the
+// cache probe and the profiler behave as on the per-instance path.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,12 +15,17 @@
 #include <sstream>
 
 #include "codegen/generate.hpp"
+#include "codegen/simplify.hpp"
 #include "dependence/analyzer.hpp"
+#include "exec/parallel.hpp"
 #include "exec/verify.hpp"
 #include "exec/vm.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
+#include "support/stats.hpp"
+#include "tile/plan.hpp"
+#include "transform/completion.hpp"
 #include "transform/transforms.hpp"
 
 namespace inlt {
@@ -361,6 +370,590 @@ end
   ASSERT_TRUE(ranges.count("A"));
   EXPECT_EQ(ranges.at("A").lo[0], 2 * 1 - 3 * 7);
   EXPECT_EQ(ranges.at("A").hi[0], 3 * 7 - 2 * 1);
+}
+
+// -- Leaf-loop executor ----------------------------------------------
+
+struct LeafCounts {
+  i64 batched = 0;
+  i64 serial = 0;
+  i64 instances = 0;
+};
+
+// Run `p` on a VmProgram and on the AST walker from the same random
+// input: Memory bit for bit, InterpStats equal. Returns how the VM's
+// leaf executor ran.
+LeafCounts leaf_differential(const Program& p,
+                             const std::map<std::string, i64>& params,
+                             const std::string& what, unsigned seed = 1) {
+  Memory proto;
+  declare_arrays(p, params, proto);
+  randomize(proto, seed);
+  Memory vm_mem = proto, walker_mem = proto;
+  VmProgram vm(p, params, vm_mem);
+  InterpStats vs = vm.run();
+  InterpOptions wopts;
+  wopts.engine = ExecEngine::kAstWalker;
+  InterpStats ws = interpret(p, params, walker_mem, wopts);
+  EXPECT_EQ(vs.instances, ws.instances) << what;
+  EXPECT_EQ(vs.loop_iterations, ws.loop_iterations) << what;
+  EXPECT_EQ(vs.guard_failures, ws.guard_failures) << what;
+  expect_bit_identical(vm_mem, walker_mem, what);
+  return {vm.batched_instances(), vm.serial_leaf_instances(), vs.instances};
+}
+
+// The six orders of the Cholesky update nest (1 <= K < L <= J <= N)
+// and of the LU update nest (1 <= K < J, L <= N), outermost first.
+// The *K orders are the K-innermost reductions.
+const std::vector<std::pair<std::string, std::string>>& update_orders() {
+  static const std::vector<std::pair<std::string, std::string>> orders = {
+      {"cholesky KJL", R"(
+param N
+do K = 1, N
+  do J = K + 1, N
+    do L = K + 1, J
+      S1: A(J, L) = A(J, L) - A(J, K) * A(L, K)
+    end
+  end
+end
+)"},
+      {"cholesky KLJ", R"(
+param N
+do K = 1, N
+  do L = K + 1, N
+    do J = L, N
+      S1: A(J, L) = A(J, L) - A(J, K) * A(L, K)
+    end
+  end
+end
+)"},
+      {"cholesky JKL", R"(
+param N
+do J = 1, N
+  do K = 1, J - 1
+    do L = K + 1, J
+      S1: A(J, L) = A(J, L) - A(J, K) * A(L, K)
+    end
+  end
+end
+)"},
+      {"cholesky JLK", R"(
+param N
+do J = 1, N
+  do L = 2, J
+    do K = 1, L - 1
+      S1: A(J, L) = A(J, L) - A(J, K) * A(L, K)
+    end
+  end
+end
+)"},
+      {"cholesky LKJ", R"(
+param N
+do L = 2, N
+  do K = 1, L - 1
+    do J = L, N
+      S1: A(J, L) = A(J, L) - A(J, K) * A(L, K)
+    end
+  end
+end
+)"},
+      {"cholesky LJK", R"(
+param N
+do L = 2, N
+  do J = L, N
+    do K = 1, L - 1
+      S1: A(J, L) = A(J, L) - A(J, K) * A(L, K)
+    end
+  end
+end
+)"},
+      {"lu KJL", R"(
+param N
+do K = 1, N
+  do J = K + 1, N
+    do L = K + 1, N
+      S1: A(J, L) = A(J, L) - A(J, K) * A(K, L)
+    end
+  end
+end
+)"},
+      {"lu KLJ", R"(
+param N
+do K = 1, N
+  do L = K + 1, N
+    do J = K + 1, N
+      S1: A(J, L) = A(J, L) - A(J, K) * A(K, L)
+    end
+  end
+end
+)"},
+      {"lu JKL", R"(
+param N
+do J = 2, N
+  do K = 1, J - 1
+    do L = K + 1, N
+      S1: A(J, L) = A(J, L) - A(J, K) * A(K, L)
+    end
+  end
+end
+)"},
+      {"lu JLK", R"(
+param N
+do J = 2, N
+  do L = 2, N
+    do K = 1, min(J - 1, L - 1)
+      S1: A(J, L) = A(J, L) - A(J, K) * A(K, L)
+    end
+  end
+end
+)"},
+      {"lu LKJ", R"(
+param N
+do L = 2, N
+  do K = 1, L - 1
+    do J = K + 1, N
+      S1: A(J, L) = A(J, L) - A(J, K) * A(K, L)
+    end
+  end
+end
+)"},
+      {"lu LJK", R"(
+param N
+do L = 2, N
+  do J = 2, N
+    do K = 1, min(J - 1, L - 1)
+      S1: A(J, L) = A(J, L) - A(J, K) * A(K, L)
+    end
+  end
+end
+)"},
+  };
+  return orders;
+}
+
+TEST(LeafExecutor, CholeskyAndLuUpdateOrdersBatchEveryInstance) {
+  // Every inner loop of the six orders touches disjoint cells, or (K
+  // innermost) reads only its own loop-invariant write cell: all of
+  // it batches, the reductions through the recurrence rule.
+  for (const auto& [name, text] : update_orders()) {
+    Program p = parse_program(text);
+    for (i64 n : {9, 70}) {
+      LeafCounts c = leaf_differential(p, {{"N", n}},
+                                       name + " N=" + std::to_string(n));
+      EXPECT_GT(c.instances, 0) << name;
+      EXPECT_EQ(c.batched, c.instances) << name << " N=" << n;
+      EXPECT_EQ(c.serial, 0) << name << " N=" << n;
+    }
+  }
+}
+
+TEST(LeafExecutor, FullKernelsAndTheirGeneratedOrders) {
+  // The imperfect kernels themselves, and the (simplified) code the
+  // pipeline generates for the four expressible Cholesky orders (§5).
+  std::vector<std::pair<std::string, Program>> progs;
+  progs.emplace_back("cholesky", gallery::cholesky());
+  progs.emplace_back("lu", gallery::lu());
+  Program chol = gallery::cholesky();
+  IvLayout layout(chol);
+  DependenceSet deps = analyze_dependences(layout);
+  for (const std::string order : {"KJL", "KLJ", "LJK", "LKJ"}) {
+    std::vector<IntVec> rows;
+    for (char c : order) {
+      IntVec r(7, 0);
+      r[layout.loop_position(std::string(1, c))] = 1;
+      rows.push_back(r);
+    }
+    CompletionResult res = complete_transformation(layout, deps, rows);
+    progs.emplace_back(
+        "cholesky " + order,
+        simplify_program(generate_code(layout, deps, res.matrix).program));
+  }
+  for (const auto& [name, p] : progs) {
+    for (i64 n : {1, 2, 9, 70}) {
+      LeafCounts c =
+          leaf_differential(p, {{"N", n}}, name + " N=" + std::to_string(n));
+      if (n == 70) {
+        EXPECT_GT(c.batched, c.instances / 2) << name;
+      }
+    }
+  }
+}
+
+TEST(LeafExecutor, CrossIterationOverlapRunsAtWidthOne) {
+  // Forward recurrence: iteration i reads what i-1 wrote.
+  Program fwd = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = A(I - 1) + B(I)
+end
+)");
+  // Backward overlap: iteration i reads the cell i+1 writes.
+  Program bwd = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = A(I + 1) * 0.5
+end
+)");
+  // Every iteration reads the fixed cell A(I, 3) that iteration 3
+  // writes: later iterations must see the new value.
+  Program fixed = parse_program(R"(
+param N
+do I = 1, 4
+  do J = 1, N
+    S1: A(I, J) = A(I, 3) * 2.0 + B(J)
+  end
+end
+)");
+  // Every iteration writes the fixed cell A(I, 3) that iteration 3
+  // reads: it must see iteration 2's write.
+  Program sink = parse_program(R"(
+param N
+do I = 1, 4
+  do J = 1, N
+    S1: A(I, 3) = A(I, J) + B(J)
+  end
+end
+)");
+  for (const auto& [name, p] :
+       {std::pair<std::string, const Program*>{"forward", &fwd},
+        {"backward", &bwd},
+        {"fixed read", &fixed},
+        {"fixed write", &sink}}) {
+    for (i64 n : {3, 63, 64, 65, 129}) {
+      LeafCounts c = leaf_differential(*p, {{"N", n}},
+                                       name + " N=" + std::to_string(n));
+      EXPECT_EQ(c.batched, 0) << name;
+      EXPECT_EQ(c.serial, c.instances) << name;
+    }
+  }
+}
+
+TEST(LeafExecutor, TwoStatementBodies) {
+  // S2 reads the cell S1 wrote in the same iteration.
+  Program write_read = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = B(I) * 2.0
+  S2: C(I) = A(I) + B(I)
+end
+)");
+  // S2 reads and rewrites S1's cell in the same iteration.
+  Program write_write = parse_program(R"(
+param N
+do I = 1, N
+  do J = 1, N
+    S1: A(I, J) = B(J, I) + 1.0
+    S2: A(I, J) = A(I, J) * A(I, J)
+  end
+end
+)");
+  for (const auto& [name, p] :
+       {std::pair<std::string, const Program*>{"write-read", &write_read},
+        {"write-write", &write_write}}) {
+    LeafCounts c = leaf_differential(*p, {{"N", 100}}, name);
+    EXPECT_EQ(c.batched, c.instances) << name;
+  }
+  // A loop-invariant cell S1 accumulates and S2 reads: S2 must see
+  // every partial sum, so the leaf runs at width 1.
+  Program cross = parse_program(R"(
+param N
+do I = 1, N
+  do J = 1, N
+    S1: T(I) = T(I) + B(I, J)
+    S2: C(I, J) = T(I) * 2.0
+  end
+end
+)");
+  LeafCounts c = leaf_differential(cross, {{"N", 70}}, "cross-statement");
+  EXPECT_EQ(c.batched, 0);
+  EXPECT_EQ(c.serial, c.instances);
+}
+
+TEST(LeafExecutor, VarAffineAndFuncOperandsInABatchedBody) {
+  Program p = parse_program(R"(
+param N
+do I = 1, N
+  do J = 1, N
+    S1: B(I, J) = A(I, J) * J + f(A(I, J), I) + M
+    S2: C(J, I) = sqrt(A(J, I)) - g(J) / (I + 1.0)
+  end
+end
+)");
+  // Turn the bare loop variable M into an affine scalar operand
+  // (kAffine), as code generation does for substituted variables.
+  Statement& s1 = p.mutable_roots()[0]
+                      ->mutable_children()[0]
+                      ->mutable_children()[0]
+                      ->mutable_stmt_data();
+  s1.rhs->substitute_var("M", AffineExpr::variable("I") * 2 +
+                                  AffineExpr::variable("J") * 3 +
+                                  AffineExpr(-5));
+  for (i64 n : {1, 63, 64, 65, 129}) {
+    LeafCounts c = leaf_differential(p, {{"N", n}}, "operands N=" +
+                                                        std::to_string(n));
+    EXPECT_EQ(c.batched, c.instances) << n;
+  }
+}
+
+TEST(LeafExecutor, TiledLeavesWithPartialLastTiles) {
+  Program hand = parse_program(R"(
+param N
+do II = 1, N, 8
+  do JJ = 1, N, 8
+    do I = II, min(II + 7, N)
+      do J = JJ, min(JJ + 7, N)
+        S1: C(I, J) = C(I, J) + A(I, J) * B(J, I)
+      end
+    end
+  end
+end
+)");
+  for (i64 n : {5, 21, 67}) {
+    LeafCounts c = leaf_differential(hand, {{"N", n}},
+                                     "hand-tiled N=" + std::to_string(n));
+    EXPECT_EQ(c.batched, c.instances) << n;
+  }
+  // The tile stage's own rewrite of LU's update band, sized so the
+  // last tiles are partial.
+  TileOptions topts;
+  topts.sizes = {5, 7};
+  topts.force = true;
+  TiledProgram tp = apply_tile(gallery::lu(), topts);
+  ASSERT_TRUE(tp.program.has_value()) << tp.plan.note;
+  for (i64 n : {9, 23, 40}) {
+    LeafCounts c = leaf_differential(*tp.program, {{"N", n}},
+                                     "tiled lu N=" + std::to_string(n));
+    EXPECT_GT(c.batched, 0) << print_program(*tp.program);
+  }
+}
+
+TEST(LeafExecutor, TripCountsAroundTheChunkWidth) {
+  Program stream = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = A(I) * B(I) + 1.0
+end
+)");
+  Program reduce = parse_program(R"(
+param N
+do I = 1, 3
+  do K = 1, N
+    S1: C(I) = C(I) + A(K) * B(K, I)
+  end
+end
+)");
+  for (i64 n : {1, 63, 64, 65, 129}) {
+    LeafCounts a =
+        leaf_differential(stream, {{"N", n}}, "stream N=" + std::to_string(n));
+    EXPECT_EQ(a.batched, n);
+    LeafCounts b =
+        leaf_differential(reduce, {{"N", n}}, "reduce N=" + std::to_string(n));
+    EXPECT_EQ(b.batched, 3 * n);
+  }
+}
+
+// Run `p` from `proto` with the given options; returns the error text
+// ("" when it completed) and leaves the final memory in `out`.
+std::string run_vm_catching(const Program& p,
+                            const std::map<std::string, i64>& params,
+                            const Memory& proto, const InterpOptions& opts,
+                            Memory& out) {
+  out = proto;
+  try {
+    VmProgram vm(p, params, out);
+    vm.run(opts);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LeafExecutor, BudgetFailuresMatchThePerInstancePath) {
+  // A budget sweep over every instance count: in the first chunk, at
+  // and around chunk boundaries, inside the K-innermost recurrence.
+  // The profiled run is the per-instance path; the walker is the
+  // reference. Each must throw the same text after the same writes.
+  std::vector<std::pair<std::string, Program>> progs;
+  progs.emplace_back("two statements", parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = B(I) + 1.0
+  S2: C(I) = A(I) * 2.0
+end
+)"));
+  progs.emplace_back("recurrence", parse_program(R"(
+param N
+do I = 1, 2
+  do K = 1, N
+    S1: C(I) = C(I) + A(K) * B(K, I)
+  end
+end
+)"));
+  progs.emplace_back("cholesky", gallery::cholesky());
+  for (const auto& [name, p] : progs) {
+    std::map<std::string, i64> params{{"N", 140}};
+    if (name == "cholesky") params["N"] = 12;
+    Memory proto;
+    declare_arrays(p, params, proto);
+    randomize(proto, 5);
+    InterpOptions full;
+    Memory done;
+    ASSERT_EQ(run_vm_catching(p, params, proto, full, done), "");
+    VmProgram probe_vm(p, params, done);
+    const i64 total = probe_vm.run().instances;
+    for (i64 budget = 0; budget <= total; ++budget) {
+      InterpOptions opts;
+      opts.max_instances = budget;
+      InterpOptions prof = opts;
+      prof.profile = true;
+      InterpOptions walk = opts;
+      walk.engine = ExecEngine::kAstWalker;
+      Memory vm_mem, prof_mem, walk_mem;
+      std::string ve = run_vm_catching(p, params, proto, opts, vm_mem);
+      std::string pe = run_vm_catching(p, params, proto, prof, prof_mem);
+      walk_mem = proto;
+      std::string we;
+      try {
+        interpret(p, params, walk_mem, walk);
+      } catch (const Error& e) {
+        we = e.what();
+      }
+      const std::string what = name + " budget " + std::to_string(budget);
+      EXPECT_EQ(ve, pe) << what;
+      EXPECT_EQ(ve.empty(), budget == total) << what;
+      EXPECT_EQ(we.empty(), budget == total) << what;
+      if (budget < total) {
+        EXPECT_NE(ve.find("interpreter instance budget exceeded"),
+                  std::string::npos)
+            << what << ": " << ve;
+      }
+      expect_bit_identical(vm_mem, prof_mem, what);
+      expect_bit_identical(vm_mem, walk_mem, what);
+    }
+  }
+}
+
+TEST(LeafExecutor, OutOfBoundsTextUnchanged) {
+  // A batched leaf writing one past its array: the hoisted check at
+  // loop entry reports the exact array, dimension and index that the
+  // per-instance path (and the native engine's emitted C) report.
+  Program p = parse_program(R"(
+param N
+do I = 1, N
+  do J = 1, N
+    S1: A(I, J + 1) = B(I, J) * 2.0
+  end
+end
+)");
+  std::map<std::string, i64> params{{"N", 70}};
+  Memory proto;
+  proto.declare("A", {1, 1}, {70, 70});
+  proto.declare("B", {1, 1}, {70, 70});
+  randomize(proto, 2);
+  Memory vm_mem, prof_mem;
+  InterpOptions prof;
+  prof.profile = true;
+  std::string ve = run_vm_catching(p, params, proto, {}, vm_mem);
+  std::string pe = run_vm_catching(p, params, proto, prof, prof_mem);
+  EXPECT_EQ(ve, "array index out of bounds: A dim 1 index 71 not in [1, 70]");
+  EXPECT_EQ(ve, pe);
+  expect_bit_identical(vm_mem, prof_mem, "out of bounds");
+}
+
+TEST(LeafExecutor, ProbeAndProfileStayPerInstance) {
+  Program p = parse_program(R"(
+param N
+do I = 1, N
+  do J = 1, N
+    S1: A(I, J) = A(I, J) + B(J, I) * C(I)
+  end
+end
+)");
+  std::map<std::string, i64> params{{"N", 40}};
+  Memory proto;
+  declare_arrays(p, params, proto);
+  randomize(proto, 3);
+
+  // Cache probe: every access of every instance is observed, in the
+  // per-instance order, so the line count is the unbatched one.
+  Memory probed = proto;
+  CacheProbe probe;
+  InterpOptions popts;
+  popts.cache_probe = &probe;
+  VmProgram pvm(p, params, probed);
+  InterpStats pst = pvm.run(popts);
+  EXPECT_EQ(pvm.batched_instances() + pvm.serial_leaf_instances(), 0);
+  EXPECT_EQ(probe.accesses, 4 * pst.instances);
+
+  // Profiled run: one vm.op.stmt_ns sample per statement instance.
+  HistogramCell& stmt_ns = Stats::global().histogram("vm.op.stmt_ns");
+  const i64 before = stmt_ns.count();
+  Memory profiled = proto;
+  InterpOptions fopts;
+  fopts.profile = true;
+  VmProgram fvm(p, params, profiled);
+  InterpStats fst = fvm.run(fopts);
+  EXPECT_EQ(fvm.batched_instances() + fvm.serial_leaf_instances(), 0);
+  EXPECT_EQ(stmt_ns.count() - before, fst.instances);
+
+  // Both match the batched run bit for bit.
+  Memory batched = proto;
+  VmProgram bvm(p, params, batched);
+  bvm.run();
+  EXPECT_EQ(bvm.batched_instances(), pst.instances);
+  expect_bit_identical(batched, probed, "probe");
+  expect_bit_identical(batched, profiled, "profile");
+}
+
+TEST(LeafExecutor, CountersAddedOncePerRun) {
+  Program p = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = B(I) + 1.0
+end
+do I = 1, N
+  S2: C(I) = C(I - 1) + 1.0
+end
+)");
+  std::map<std::string, i64> params{{"N", 100}};
+  Memory mem;
+  declare_arrays(p, params, mem);
+  StatsSnapshot s0 = Stats::global().snapshot();
+  VmProgram vm(p, params, mem);
+  vm.run();
+  StatsSnapshot d = Stats::global().snapshot() - s0;
+  EXPECT_EQ(d.counter("exec.vm.batched_instances"), 100);
+  EXPECT_EQ(d.counter("exec.vm.serial_leaf_instances"), 100);
+}
+
+TEST(LeafExecutor, PartitionedLeavesMatchSerial) {
+  // The marked loop is itself a leaf (I) or encloses one (the update
+  // nest's L): per-worker executors, scratch and exit barriers.
+  Program leaf = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = B(I) * 2.0 + C(I)
+end
+)");
+  Program nest = parse_program(update_orders()[0].second);  // cholesky KJL
+  for (const auto& [p, part] :
+       {std::pair<const Program*, std::string>{&leaf, "I"}, {&nest, "J"}}) {
+    std::map<std::string, i64> params{{"N", 150}};
+    Memory proto;
+    declare_arrays(*p, params, proto);
+    randomize(proto, 4);
+    Memory serial = proto, par = proto;
+    InterpStats ss = interpret(*p, params, serial);
+    for (int threads : {2, 4}) {
+      par = proto;
+      InterpOptions opts;
+      opts.num_threads = threads;
+      InterpStats ps = run_partitioned(*p, params, par, {part}, threads, opts);
+      EXPECT_EQ(ps.instances, ss.instances) << part;
+      EXPECT_EQ(ps.loop_iterations, ss.loop_iterations) << part;
+      expect_bit_identical(serial, par, "partitioned " + part);
+    }
+  }
 }
 
 }  // namespace
