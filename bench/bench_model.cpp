@@ -221,10 +221,14 @@ FamilyReport rank_family(const std::string& name, Program (*make)(),
   return fam;
 }
 
-// The rank pipeline over a large space: memo effectiveness and the
-// fan-out's high-water mark, from the Stats delta of one search.
+// The rank pipeline over a large space: memo effectiveness, scores vs
+// full estimates and the fan-out's high-water mark, from the Stats
+// delta of one search; plus the full estimates of the same search at
+// one thread, where the top-K bound each candidate sees (and so the
+// count) is deterministic.
 struct RankSpaceReport {
-  i64 candidates = 0, legal = 0, estimates = 0;
+  i64 candidates = 0, legal = 0, scores = 0, estimates = 0;
+  i64 estimates_threads_1 = 0;
   i64 memo_hits = 0, memo_misses = 0, inflight_peak = 0;
   double seconds = 0;
   double hit_ratio() const {
@@ -248,10 +252,19 @@ RankSpaceReport rank_space() {
   const StatsSnapshot delta = Stats::global().snapshot() - before;
   r.candidates = res.stats.candidates_total;
   r.legal = res.stats.legal;
+  r.scores = delta.counter("model.scores");
   r.estimates = delta.counter("model.estimates");
   r.memo_hits = delta.counter("model.direction_memo_hits");
   r.memo_misses = delta.counter("model.direction_memo_misses");
   r.inflight_peak = Stats::global().value("search.inflight_peak");
+
+  SessionOptions one;
+  one.threads = 1;
+  TransformSession serial(gallery::cholesky(), one);
+  const StatsSnapshot before1 = Stats::global().snapshot();
+  serial.search(SearchSpace{2, 2}, sopts);
+  r.estimates_threads_1 =
+      (Stats::global().snapshot() - before1).counter("model.estimates");
   return r;
 }
 
@@ -314,11 +327,14 @@ int main(int argc, char** argv) {
 
   const RankSpaceReport rs = rank_space();
   std::printf("rank_space       cholesky skew 2/2: %lld candidates, %lld "
-              "legal, %lld estimates | memo %lld hits / %lld misses "
-              "(ratio %.4f) | inflight peak %lld | %.3fs\n",
+              "legal, %lld scores, %lld estimates (%lld at 1 thread) | "
+              "memo %lld hits / %lld misses (ratio %.4f) | inflight peak "
+              "%lld | %.3fs\n",
               static_cast<long long>(rs.candidates),
               static_cast<long long>(rs.legal),
+              static_cast<long long>(rs.scores),
               static_cast<long long>(rs.estimates),
+              static_cast<long long>(rs.estimates_threads_1),
               static_cast<long long>(rs.memo_hits),
               static_cast<long long>(rs.memo_misses), rs.hit_ratio(),
               static_cast<long long>(rs.inflight_peak), rs.seconds);
@@ -330,7 +346,9 @@ int main(int argc, char** argv) {
     emit_family(js, fams[i]);
   }
   js << "],\"rank_space\":{\"candidates\":" << rs.candidates
-     << ",\"legal\":" << rs.legal << ",\"estimates\":" << rs.estimates
+     << ",\"legal\":" << rs.legal << ",\"scores\":" << rs.scores
+     << ",\"estimates\":" << rs.estimates
+     << ",\"estimates_threads_1\":" << rs.estimates_threads_1
      << ",\"memo_hits\":" << rs.memo_hits
      << ",\"memo_misses\":" << rs.memo_misses
      << ",\"memo_hit_ratio\":" << rs.hit_ratio()

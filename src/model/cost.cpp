@@ -50,10 +50,14 @@ struct StepKeyHash {
 };
 
 // Source iteration delta `dir` for one step of a statement's innermost
-// transformed loop, and the per-subscript stride it gives each access.
+// transformed loop, the per-subscript stride it gives each access, and
+// each access's reuse class and estimated lines (functions of the
+// strides, the loop depth and the model's options alone).
 struct Step {
   std::vector<Rational> dir;
   std::vector<std::vector<Rational>> strides;  // [access][subscript]
+  std::vector<ReuseClass> reuse;               // [access]
+  std::vector<double> lines;                   // [access]
 };
 
 // One statement's source-side facts, tabulated once per model.
@@ -84,7 +88,41 @@ struct CostModelTables {
 
 namespace {
 
-Step make_step(const StmtTable& st, const IntMat& ns) {
+// Classify each access of a statement at depth `k` by `step`'s strides
+// and charge its estimated lines over the whole nest.
+void charge(Step& step, int k, const ModelOptions& opts) {
+  const Rational line(opts.line_elems);
+  const double trip = static_cast<double>(opts.nominal_trip);
+  // Executions of the statement's innermost loop over the whole nest.
+  const double inner_runs = k > 1 ? std::pow(trip, k - 1) : 1.0;
+  for (const std::vector<Rational>& stride : step.strides) {
+    bool outer_moves = false;
+    for (size_t d = 0; d + 1 < stride.size(); ++d)
+      if (!stride[d].is_zero()) outer_moves = true;
+    const Rational contiguous =
+        stride.empty() ? Rational(0) : rat_abs(stride.back());
+
+    ReuseClass reuse;
+    double lines_per_inner_run;
+    if (k == 0 || (!outer_moves && contiguous.is_zero())) {
+      reuse = ReuseClass::kTemporal;
+      lines_per_inner_run = 1.0;
+    } else if (!outer_moves && contiguous < line) {
+      reuse = ReuseClass::kSpatial;
+      lines_per_inner_run =
+          std::max(1.0, trip * rat_double(contiguous) /
+                            static_cast<double>(opts.line_elems));
+    } else {
+      reuse = ReuseClass::kNone;
+      lines_per_inner_run = trip;
+    }
+    step.reuse.push_back(reuse);
+    step.lines.push_back((k == 0 ? 1.0 : inner_runs) * lines_per_inner_run);
+  }
+}
+
+Step make_step(const StmtTable& st, const IntMat& ns,
+               const ModelOptions& opts) {
   // Complete the independent rows of N_S to a nonsingular basis T
   // (dropped singular rows are guarded single-iteration loops;
   // appended nullspace rows are the loops augmentation would add,
@@ -113,6 +151,7 @@ Step make_step(const StmtTable& st, const IntMat& ns) {
       s.push_back(sum);
     }
   }
+  charge(out, k, opts);
   return out;
 }
 
@@ -140,8 +179,8 @@ StepKey step_key(size_t stmt, const StmtTable& st, const IntMat& m,
 
 // The memoized Step of statement `stmt` under `m`.
 const Step& lookup_step(CostModelTables& t, size_t stmt, const IntMat& m,
-                        const AstRecovery& rec, std::atomic<i64>& hits,
-                        std::atomic<i64>& misses) {
+                        const AstRecovery& rec, const ModelOptions& opts,
+                        std::atomic<i64>& hits, std::atomic<i64>& misses) {
   const StmtTable& st = t.stmts[stmt];
   if (st.k == 0) return st.loopless;
   StepKey key = step_key(stmt, st, m, rec);
@@ -161,7 +200,7 @@ const Step& lookup_step(CostModelTables& t, size_t stmt, const IntMat& m,
   for (int r = 0; r < rows; ++r)
     for (int c = 0; c < st.k; ++c)
       ns(r, c) = key[2 + static_cast<size_t>(r) * st.k + c];
-  Step step = make_step(st, ns);
+  Step step = make_step(st, ns, opts);
   std::lock_guard<std::mutex> lock(stripe.mu);
   return stripe.steps.try_emplace(std::move(key), std::move(step))
       .first->second;
@@ -187,6 +226,7 @@ CostModel::CostModel(const IvLayout& src, const ModelOptions& opts)
     : opts_(opts),
       tables_(std::make_unique<CostModelTables>()),
       estimates_(Stats::global().counter("model.estimates")),
+      scores_(Stats::global().counter("model.scores")),
       hits_(Stats::global().counter("model.direction_memo_hits")),
       misses_(Stats::global().counter("model.direction_memo_misses")) {
   for (const std::string& label : src.stmt_labels()) {
@@ -206,26 +246,32 @@ CostModel::CostModel(const IvLayout& src, const ModelOptions& opts)
       }
       st.loopless.strides.emplace_back(a.subscripts.size(), Rational(0));
     }
+    charge(st.loopless, 0, opts_);
   }
 }
 
 CostModel::~CostModel() = default;
+
+double CostModel::lines(const IntMat& m, const AstRecovery& skeleton) const {
+  scores_.fetch_add(1, std::memory_order_relaxed);
+  // estimate()'s total_lines: the same per-reference lines, summed in
+  // the same order.
+  double total = 0;
+  for (size_t s = 0; s < tables_->stmts.size(); ++s)
+    for (double l :
+         lookup_step(*tables_, s, m, skeleton, opts_, hits_, misses_).lines)
+      total += l;
+  return total;
+}
 
 CostEstimate CostModel::estimate(const IntMat& m,
                                  const AstRecovery& rec) const {
   ScopedSpan span("model.estimate", "model");
   estimates_.fetch_add(1, std::memory_order_relaxed);
   CostEstimate est;
-  const Rational line(opts_.line_elems);
-  const double trip = static_cast<double>(opts_.nominal_trip);
-
   for (size_t s = 0; s < tables_->stmts.size(); ++s) {
     const StmtTable& st = tables_->stmts[s];
-    const int k = st.k;
-    const Step& step = lookup_step(*tables_, s, m, rec, hits_, misses_);
-    // Executions of the statement's innermost loop over the whole nest.
-    const double inner_runs = k > 1 ? std::pow(trip, k - 1) : 1.0;
-
+    const Step& step = lookup_step(*tables_, s, m, rec, opts_, hits_, misses_);
     for (size_t i = 0; i < st.accesses.size(); ++i) {
       const StmtTable::Access& a = st.accesses[i];
       RefCost rc;
@@ -233,27 +279,8 @@ CostEstimate CostModel::estimate(const IntMat& m,
       rc.array = a.array;
       rc.is_write = a.is_write;
       rc.stride_dims = step.strides[i];
-
-      bool outer_moves = false;
-      for (size_t d = 0; d + 1 < rc.stride_dims.size(); ++d)
-        if (!rc.stride_dims[d].is_zero()) outer_moves = true;
-      const Rational contiguous =
-          rc.stride_dims.empty() ? Rational(0) : rat_abs(rc.stride_dims.back());
-
-      double lines_per_inner_run;
-      if (k == 0 || (!outer_moves && contiguous.is_zero())) {
-        rc.reuse = ReuseClass::kTemporal;
-        lines_per_inner_run = 1.0;
-      } else if (!outer_moves && contiguous < line) {
-        rc.reuse = ReuseClass::kSpatial;
-        lines_per_inner_run =
-            std::max(1.0, trip * rat_double(contiguous) /
-                              static_cast<double>(opts_.line_elems));
-      } else {
-        rc.reuse = ReuseClass::kNone;
-        lines_per_inner_run = trip;
-      }
-      rc.lines = (k == 0 ? 1.0 : inner_runs) * lines_per_inner_run;
+      rc.reuse = step.reuse[i];
+      rc.lines = step.lines[i];
       est.total_lines += rc.lines;
       est.refs.push_back(std::move(rc));
     }

@@ -127,10 +127,22 @@ struct CostEstimate {
 /// reference — depend on N_S alone, so they are memoized per
 /// (statement, N_S): a search over permutations × skews revisits a few
 /// thousand distinct N_S across hundreds of thousands of estimates.
-/// The memo is lock-striped, so estimate() may run on many threads at
-/// once; it lives as long as the model. Lookups count in the
-/// `model.direction_memo_hits` / `model.direction_memo_misses` Stats
-/// counters, estimates in `model.estimates`.
+/// The memo is lock-striped, so lines() and estimate() may run on many
+/// threads at once; it lives as long as the model. The memo also holds
+/// each reference's reuse class and lines, which depend only on the
+/// strides.
+///
+/// Score vs estimate: lines() is the cheap score, the estimate's
+/// total_lines and nothing else. It reads the same memoized entries
+/// and sums the same per-reference lines in the same order, so it is
+/// bit-identical to estimate().total_lines, but it builds no RefCost,
+/// partition or parallel term. Rank search scores every legal
+/// candidate and builds the full estimate only for those whose score
+/// can still enter the top K (DESIGN.md, "Rank by score").
+///
+/// Memo lookups count in the `model.direction_memo_hits` /
+/// `model.direction_memo_misses` Stats counters, scores in
+/// `model.scores` and estimates in `model.estimates`.
 struct CostModelTables;
 
 class CostModel {
@@ -140,6 +152,11 @@ class CostModel {
 
   const ModelOptions& options() const { return opts_; }
 
+  /// The score of candidate `m`: estimate(m, skeleton).total_lines,
+  /// bit for bit. `skeleton` must be recover_ast(src, m); NewAST reads
+  /// only M's edge rows, so one recovery serves every candidate that
+  /// shares them.
+  double lines(const IntMat& m, const AstRecovery& skeleton) const;
   /// Base estimate of candidate `m`; `rec` must be recover_ast(src, m).
   CostEstimate estimate(const IntMat& m, const AstRecovery& rec) const;
   /// Dependence-aware estimate from the candidate's target-space
@@ -151,6 +168,7 @@ class CostModel {
   ModelOptions opts_;
   std::unique_ptr<CostModelTables> tables_;
   std::atomic<i64>& estimates_;
+  std::atomic<i64>& scores_;
   std::atomic<i64>& hits_;
   std::atomic<i64>& misses_;
 };

@@ -14,7 +14,6 @@ namespace inlt {
 const char* stage_kind_name(StageKind k) {
   switch (k) {
     case StageKind::kLegality: return "legality";
-    case StageKind::kComplete: return "complete";
     case StageKind::kCost:     return "cost";
     case StageKind::kCodegen:  return "codegen";
     case StageKind::kTile:     return "tile";
@@ -29,7 +28,6 @@ namespace {
 const char* stage_span_name(StageKind k) {
   switch (k) {
     case StageKind::kLegality: return "search.stage.legality";
-    case StageKind::kComplete: return "search.stage.complete";
     case StageKind::kCost:     return "search.stage.cost";
     case StageKind::kCodegen:  return "search.stage.codegen";
     case StageKind::kTile:     return "search.stage.tile";
@@ -275,6 +273,8 @@ void CandidateAccumulator::settle(Candidate&& c) {
       out_.hits.back() = std::move(h);
       std::push_heap(out_.hits.begin(), out_.hits.end(), hit_better);
     }
+    if (k > 0 && static_cast<i64>(out_.hits.size()) == k)
+      bound_.store(hit_lines(out_.hits.front()));
     return;
   }
   ++out_.stats.illegal_evaluated;

@@ -11,9 +11,10 @@
 //  * `Candidate` is the first-class record a candidate accumulates as
 //    it moves through the stages: index, matrix, CandidateResult,
 //    optional cost estimate and tile plan, plus inter-stage scratch
-//    (the recovered AST and the target-space dependences).
+//    (the target-space dependences and codegen's plans). Every
+//    candidate of one search shares one recovered AST skeleton.
 //  * `CandidatePipeline` is an ordered list of named stages
-//    (Legality -> Complete -> Cost -> Codegen -> Tile -> Verify), each
+//    (Legality -> Cost -> Codegen -> Tile -> Verify), each
 //    timed as a span and a `search.stage.<name>_ns` histogram while
 //    tracing or Stats timing is on. Full mode,
 //    the legality-only filter and rank mode are *configurations* of
@@ -26,15 +27,19 @@
 //    provenance (pruned subtrees, pruned leaves, evaluated-illegal
 //    diagnostics) and the hit list — including the bounded best-K
 //    heap rank mode uses, ordered by (cost, index) so results are
-//    deterministic at any thread count.
+//    deterministic at any thread count. Once the heap is full it
+//    publishes the worst kept cost as an atomic bound, which the Cost
+//    stage reads to skip full estimates that cannot make the top K.
 //  * `InOrderFanOut` schedules the deferred stages: survivors stream
 //    to worker threads in blocks while the legality walk continues,
 //    and come back to the accumulator in enumeration order.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -51,8 +56,7 @@ namespace inlt {
 /// The named stages a candidate can pass through, in pipeline order.
 enum class StageKind {
   kLegality,  ///< legality verdict (engine, or exact ILP)
-  kComplete,  ///< recover the transformed AST skeleton (rank/cost)
-  kCost,      ///< static cache-locality estimate (model/cost.hpp)
+  kCost,      ///< static cache-locality score/estimate (model/cost.hpp)
   kCodegen,   ///< full code generation + simplify (evaluate_impl)
   kTile,      ///< tile the generated program (tile/plan.hpp)
   kVerify,    ///< semantic verification against the source program
@@ -65,13 +69,15 @@ struct Candidate {
   i64 index = -1;  ///< position in the depth-first enumeration
   IntMat matrix;
   CandidateResult result;
-  /// Cost-model estimate (kCost stage; unset if the stage is absent
-  /// or the estimate failed).
+  /// Cost-model estimate (kCost stage; unset if the stage is absent,
+  /// the estimate failed, or in rank mode the candidate's score could
+  /// not make the top K).
   std::optional<CostEstimate> cost;
   /// Inter-stage scratch, built on first use by the stage that needs
   /// it and dropped when the deferred stages finish (run_deferred), so
   /// a pending candidate holds it only while a worker runs it: the
-  /// recovered AST skeleton...
+  /// recovered AST. search() no longer fills it (its stages share one
+  /// skeleton per search); perfbench's traced re-drive still does...
   std::optional<AstRecovery> recovery;
   /// ...the target-space dependences M·D (transform/target_deps.hpp)
   /// the cost, tile and verify stages share...
@@ -109,7 +115,7 @@ class CandidatePipeline {
 
   bool has(StageKind kind) const;
   bool has_deferred() const;
-  /// "legality -> complete -> cost" — the configured stage list.
+  /// "legality -> cost" — the configured stage list.
   std::string describe() const;
 
  private:
@@ -226,6 +232,13 @@ class CandidateAccumulator {
   /// ascending index order — the (cost, index) tiebreak relies on it.
   void settle(Candidate&& c);
 
+  /// The worst kept hit's total_lines once the best-K heap is full,
+  /// infinity before. It only falls. A candidate not yet settled whose
+  /// score is not below it cannot enter the heap: its index is above
+  /// every settled one, so it loses a tie too. The one member safe to
+  /// call from any thread.
+  double bound() const { return bound_.load(); }
+
   /// Finalize (sorts the best-K heap by ascending cost, index) and
   /// move the result out.
   SearchResult take();
@@ -234,6 +247,7 @@ class CandidateAccumulator {
   void attribute(int dep, int row, i64 n);
 
   SearchResult out_;
+  std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
   const SearchOptions& sopts_;
   std::vector<int> pos_to_slot_;
   int nslots_;

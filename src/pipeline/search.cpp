@@ -176,17 +176,20 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   // each runs is decided here, once, instead of being interleaved
   // with the walk.
   std::optional<VerifyReference> ref;  // outlives the kVerify stage
+  // One AST skeleton per search. NewAST (Fig 6) reads only M's edge
+  // rows, and the walk writes only loop-slot rows of the identity, so
+  // recover_ast gives every candidate this same skeleton. The exact
+  // legality, cost, tile and verify stages read it.
+  std::optional<AstRecovery> skeleton;
+  if (cost || full || !prune)
+    skeleton.emplace(recover_ast(*layout_, IntMat::identity(layout_->size())));
   // Inter-stage scratch, built on first use by whichever deferred
-  // stage needs it: the recovered skeleton, and the target-space
-  // dependences M·D that the cost, tile and verify stages share.
-  auto recovered = [this](Candidate& c) -> const AstRecovery& {
-    if (!c.recovery) c.recovery.emplace(recover_ast(*layout_, c.matrix));
-    return *c.recovery;
-  };
-  auto target_deps = [this, recovered](Candidate& c) -> const DependenceSet& {
+  // stage needs it: the target-space dependences M·D that the cost,
+  // tile and verify stages share.
+  auto target_deps = [this, &skeleton](Candidate& c) -> const DependenceSet& {
     if (!c.target_deps)
       c.target_deps.emplace(
-          target_dependences(*layout_, deps_, c.matrix, recovered(c)));
+          target_dependences(*layout_, deps_, c.matrix, *skeleton));
     return *c.target_deps;
   };
   CandidatePipeline pipe;
@@ -207,12 +210,12 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   } else if (!full) {
     // Exact filter mode: decide legality by the ILP test at the leaf,
     // skipping plan/build/simplify.
-    pipe.add(StageKind::kLegality, /*deferred=*/false, [this](Candidate& c) {
+    pipe.add(StageKind::kLegality, /*deferred=*/false,
+             [this, &skeleton](Candidate& c) {
       ScopedProjectionCache install(&cache_);
-      AstRecovery rec = recover_ast(*layout_, c.matrix);
-      c.result.legal =
-          check_legality_exact(*layout_, c.matrix, rec, opts_.codegen.pad)
-              .legal();
+      c.result.legal = check_legality_exact(*layout_, c.matrix, *skeleton,
+                                            opts_.codegen.pad)
+                           .legal();
       c.rejected = !c.result.legal;
     });
   }
@@ -226,24 +229,22 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     mopts.pad = opts_.codegen.pad;
     mopts.exec_threads = sopts.exec_threads;
     model.emplace(*layout_, mopts);
-    pipe.add(StageKind::kComplete, /*deferred=*/true, [recovered](Candidate& c) {
-      try {
-        recovered(c);
-      } catch (const Error& e) {
-        // Engine-legal candidates are block-structured by the
-        // generator contract; a recovery failure is a structure error
-        // and rejects the candidate like evaluate() would.
-        c.result.legal = false;
-        c.rejected = true;
-        c.result.error = e.what();
-      }
-    });
+    // Rank mode scores first and builds the full estimate (M·D, the
+    // parallel schedule, per-reference costs) only for a candidate
+    // whose score is below the worst kept hit. That is exact: the
+    // bound only falls, and a candidate settles after every one
+    // already kept, so one not below the bound could neither beat the
+    // worst hit nor win a tie (DESIGN.md, "Rank by score"). A sink
+    // sees every hit, so with one set every hit gets the estimate.
+    const bool bounded = sopts.top_k > 0 && !sopts.sink;
     pipe.add(StageKind::kCost, /*deferred=*/true,
-             [&model, target_deps](Candidate& c) {
-               if (!c.recovery) return;
+             [&model, &skeleton, &acc, bounded, target_deps](Candidate& c) {
                try {
+                 if (bounded && !(model->lines(c.matrix, *skeleton) <
+                                  acc.bound()))
+                   return;
                  c.cost.emplace(
-                     model->estimate(c.matrix, *c.recovery, target_deps(c)));
+                     model->estimate(c.matrix, *skeleton, target_deps(c)));
                } catch (const Error&) {
                  // Unrankable, not illegal: the hit survives with no
                  // estimate and sorts after every scored one.
@@ -265,7 +266,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
       std::atomic<i64>* fallbacks =
           &Stats::global().counter("tile.reanalysis_fallbacks");
       pipe.add(StageKind::kTile, /*deferred=*/true,
-               [this, topts, tmopts, derive, fallbacks, recovered,
+               [this, topts, tmopts, derive, fallbacks, &skeleton,
                 target_deps](Candidate& c) {
                  if (!(c.result.legal && c.result.program)) return;
                  try {
@@ -274,7 +275,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
                    std::optional<DependenceSet> deps;
                    if (derive)
                      deps = generated_dependences(
-                         *layout_, deps_, c.matrix, recovered(c),
+                         *layout_, deps_, c.matrix, *skeleton,
                          target_deps(c), c.plans, layout);
                    TiledProgram tp;
                    if (deps) {
@@ -304,7 +305,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     if (!sopts.verify_params.empty()) {
       const int exec_threads = sopts.exec_threads;
       pipe.add(StageKind::kVerify, /*deferred=*/true,
-               [&ref, exec_threads, recovered, target_deps](Candidate& c) {
+               [&ref, exec_threads, &skeleton, target_deps](Candidate& c) {
                  if (!(c.result.legal && ref && c.result.program)) return;
                  // Candidate doall partition for the parallel engine;
                  // any analysis failure just verifies serially (the
@@ -312,7 +313,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
                  std::vector<std::string> partition;
                  if (exec_threads > 1) {
                    try {
-                     partition = analyze_target_parallelism(recovered(c),
+                     partition = analyze_target_parallelism(*skeleton,
                                                             target_deps(c))
                                      .partition;
                      // A tiled hit's program loops over tiles: remap

@@ -215,10 +215,10 @@ struct SearchOptions {
   /// the cost model's parallel-work term when `cost` is active.
   int exec_threads = 1;
   /// Run the static cost model (model/cost.hpp) on every legal
-  /// candidate: adds the Complete + Cost stages to the candidate
-  /// pipeline (deferred, on the session's worker threads) and fills
-  /// each hit's `cost`. Works in both modes; kLegalityOnly + cost is
-  /// "rank mode" — scores without generating code.
+  /// candidate: adds the Cost stage to the candidate pipeline
+  /// (deferred, on the session's worker threads) and fills each hit's
+  /// `cost`. Works in both modes; kLegalityOnly + cost is "rank mode"
+  /// — scores without generating code.
   bool cost = false;
   /// Model knobs when `cost` is active. The pad mode is taken from
   /// the session's codegen options, not from here.
@@ -227,7 +227,9 @@ struct SearchOptions {
   /// (cost.total_lines, index) — a bounded heap, so ranking a huge
   /// space is O(K) memory. Implies `cost`; 0 keeps every hit.
   /// Stats still count all legal candidates and the sink still sees
-  /// every one of them.
+  /// every one of them. Without a sink, a candidate gets the full
+  /// estimate only if its score (CostModel::lines) can still make the
+  /// top K; the kept hits are the same either way.
   i64 top_k = 0;
   /// Full mode only: tile every legal candidate's generated program.
   /// After codegen a band and sizes are planned (tile/plan.hpp) from

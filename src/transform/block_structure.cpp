@@ -20,7 +20,6 @@ namespace {
 struct RecoverState {
   const IvLayout* src;
   const IntMat* m;
-  std::map<int, int> loop_pos_map;
   int cursor = 0;
 };
 
@@ -89,9 +88,8 @@ std::vector<NodePtr> recover_children(RecoverState& st, const Node* node,
 }
 
 NodePtr recover_rec(RecoverState& st, const Node* node) {
-  // The node's label row.
-  int target_pos = st.cursor++;
-  st.loop_pos_map[target_pos] = st.src->segment(node).loop_pos;
+  // The node's label row: unconstrained, so not read.
+  ++st.cursor;
   NodePtr fresh = Node::loop(node->var(), node->lower(), node->upper(),
                              node->step());
   for (NodePtr& c : recover_children(st, node, node->children()))
@@ -106,7 +104,7 @@ AstRecovery recover_ast(const IvLayout& src, const IntMat& m) {
     throw_structure(
         "transformation matrix must be square over the instance-vector "
         "space (structural transforms use loop_distribution/loop_jamming)");
-  RecoverState st{&src, &m, {}, 0};
+  RecoverState st{&src, &m, 0};
 
   auto target = std::make_unique<Program>();
   for (const std::string& p : src.program().params()) target->add_param(p);
@@ -120,7 +118,6 @@ AstRecovery recover_ast(const IvLayout& src, const IntMat& m) {
   AstRecovery out;
   out.target = std::move(target);
   out.target_layout = std::make_unique<IvLayout>(*out.target);
-  out.loop_pos_map = std::move(st.loop_pos_map);
   return out;
 }
 

@@ -10,7 +10,6 @@
 // AST with children recursively reordered) is recovered.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "instance/layout.hpp"
@@ -26,10 +25,6 @@ struct AstRecovery {
   std::unique_ptr<Program> target;
   /// Layout of the target program (points into *target).
   std::unique_ptr<IvLayout> target_layout;
-  /// target position -> source position for loop labels: the target
-  /// loop at position p carries row p of M; this maps each target loop
-  /// position to the source segment it structurally corresponds to.
-  std::map<int, int> loop_pos_map;
 };
 
 /// Is the matrix block-structured for this source layout? Returns a
@@ -37,7 +32,8 @@ struct AstRecovery {
 std::string check_block_structure(const IvLayout& src, const IntMat& m);
 
 /// Procedure NewAST (Fig 6): recover the transformed AST. Throws
-/// TransformError if the matrix is not block-structured.
+/// TransformError if the matrix is not block-structured. Reads only
+/// M's edge rows: matrices that agree on them recover the same AST.
 AstRecovery recover_ast(const IvLayout& src, const IntMat& m);
 
 }  // namespace inlt

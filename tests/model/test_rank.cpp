@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <sstream>
 
 #include "exec/interp.hpp"
 #include "ir/gallery.hpp"
+#include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "model/cost.hpp"
 #include "pipeline/search.hpp"
@@ -71,7 +76,7 @@ TEST(RankTest, ModelTopOneMatchesProbeOnCholeskyOrders) {
 }
 
 TEST(RankTest, RankedSearchIsDeterministicAcrossThreadCounts) {
-  // The Complete + Cost stages run on worker threads; the merged
+  // The Cost stage runs on worker threads; the merged
   // ranking must not depend on how many there are.
   std::vector<std::vector<std::pair<i64, double>>> runs;
   for (int threads : {1, 2, 4}) {
@@ -252,6 +257,284 @@ TEST(RankTest, StreamingFanOutIsInOrderAndThreadCountInvariant) {
               runs[0].rejections.by_dependence);
     EXPECT_EQ(runs[i].rejections.by_row, runs[0].rejections.by_row);
     EXPECT_EQ(runs[i].rejections.rejected, runs[0].rejections.rejected);
+  }
+}
+
+// -- rank by score --------------------------------------------------
+// A top-K search scores every legal candidate and builds the full
+// estimate only for those whose score is below the worst kept hit.
+// These tests hold it to the ranking of a search that estimates every
+// candidate in full.
+
+Program load_testdata(const std::string& name) {
+  std::ifstream in(std::string(INLT_TESTDATA_DIR) + "/" + name);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return parse_program(ss.str());
+}
+
+struct RankCase {
+  std::string name;
+  Program (*make)();
+  SearchSpace space;
+};
+
+// Names the case in test listings (the default prints raw bytes).
+void PrintTo(const RankCase& rc, std::ostream* os) { *os << rc.name; }
+
+Program testdata_cholesky() { return load_testdata("cholesky.loop"); }
+Program testdata_skew() { return load_testdata("skew_example.loop"); }
+Program testdata_stencil() { return load_testdata("stencil.loop"); }
+
+// Every space the exactness tests rank. Cholesky and LU at 2/2 hold
+// 18,750 legal candidates each, in heavily tied cost groups.
+std::vector<RankCase> rank_cases() {
+  return {
+      {"cholesky_1_1", &gallery::cholesky, {1, 1}},
+      {"cholesky_2_2", &gallery::cholesky, {2, 2}},
+      {"lu_2_1", &gallery::lu, {2, 1}},
+      {"lu_2_2", &gallery::lu, {2, 2}},
+      {"augmentation_2_2", &gallery::augmentation_example, {2, 2}},
+      {"testdata_cholesky_2_1", &testdata_cholesky, {2, 1}},
+      {"testdata_skew_2_2", &testdata_skew, {2, 2}},
+      {"testdata_stencil_2_2", &testdata_stencil, {2, 2}},
+  };
+}
+
+// Missing estimates sort last, exact ties by ascending index: the
+// order the top-K heap keeps.
+double ranked_lines(const SearchHit& h) {
+  return h.cost ? h.cost->total_lines : std::numeric_limits<double>::infinity();
+}
+
+std::vector<const SearchHit*> full_ranking(const SearchResult& res) {
+  std::vector<const SearchHit*> out;
+  for (const SearchHit& h : res.hits) out.push_back(&h);
+  std::sort(out.begin(), out.end(), [](const SearchHit* a, const SearchHit* b) {
+    if (ranked_lines(*a) != ranked_lines(*b))
+      return ranked_lines(*a) < ranked_lines(*b);
+    return a->index < b->index;
+  });
+  return out;
+}
+
+void expect_same_hit(const SearchHit& got, const SearchHit& want,
+                     const std::string& at) {
+  EXPECT_EQ(got.index, want.index) << at;
+  EXPECT_EQ(got.matrix, want.matrix) << at;
+  ASSERT_EQ(got.cost.has_value(), want.cost.has_value()) << at;
+  if (want.cost) {
+    EXPECT_EQ(got.cost->to_json(), want.cost->to_json()) << at;
+  }
+}
+
+class RankByScore : public ::testing::TestWithParam<RankCase> {};
+
+TEST_P(RankByScore, TopKEqualsTheFirstKOfTheFullRanking) {
+  const RankCase& rc = GetParam();
+  for (int exec_threads : {1, 4}) {
+    SessionOptions one;
+    one.threads = 1;
+    TransformSession reference(rc.make(), one);
+    SearchOptions all;
+    all.mode = SearchMode::kLegalityOnly;
+    all.cost = true;
+    all.exec_threads = exec_threads;
+    const SearchResult full = reference.search(rc.space, all);
+    ASSERT_GT(full.hits.size(), 0u) << rc.name;
+    const std::vector<const SearchHit*> ranked = full_ranking(full);
+
+    for (int threads : {1, 2, 4}) {
+      SessionOptions so;
+      so.threads = threads;
+      TransformSession session(rc.make(), so);
+      for (i64 k : {1, 5, 25}) {
+        const std::string at = rc.name + " exec_threads " +
+                               std::to_string(exec_threads) + " threads " +
+                               std::to_string(threads) + " K " +
+                               std::to_string(k);
+        SearchOptions top;
+        top.mode = SearchMode::kLegalityOnly;
+        top.top_k = k;
+        top.exec_threads = exec_threads;
+        const SearchResult best = session.search(rc.space, top);
+        const size_t want = std::min(ranked.size(), static_cast<size_t>(k));
+        ASSERT_EQ(best.hits.size(), want) << at;
+        for (size_t i = 0; i < want; ++i)
+          expect_same_hit(best.hits[i], *ranked[i],
+                          at + " rank " + std::to_string(i + 1));
+        EXPECT_EQ(best.stats.legal, full.stats.legal) << at;
+        EXPECT_EQ(best.stats.candidates_total, full.stats.candidates_total)
+            << at;
+        EXPECT_EQ(best.rejections.by_row, full.rejections.by_row) << at;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Spaces, RankByScore,
+                         ::testing::ValuesIn(rank_cases()),
+                         [](const ::testing::TestParamInfo<RankCase>& info) {
+                           return info.param.name;
+                         });
+
+TEST(RankTest, ScoreIsBitIdenticalToTheEstimatesTotal) {
+  for (const RankCase& rc : rank_cases()) {
+    TransformSession session(rc.make());
+    const IvLayout& layout = session.layout();
+    SearchOptions all;
+    all.mode = SearchMode::kLegalityOnly;
+    all.cost = true;
+    const SearchResult res = session.search(rc.space, all);
+    const CostModel model(layout);
+    const AstRecovery skeleton =
+        recover_ast(layout, IntMat::identity(layout.size()));
+    for (const SearchHit& h : res.hits) {
+      ASSERT_TRUE(h.cost.has_value()) << rc.name << " #" << h.index;
+      const double score = model.lines(h.matrix, skeleton);
+      EXPECT_EQ(std::memcmp(&score, &h.cost->total_lines, sizeof score), 0)
+          << rc.name << " #" << h.index << ": " << score << " vs "
+          << h.cost->total_lines;
+    }
+  }
+}
+
+TEST(RankTest, BoundedSearchEstimatesFewCandidatesInFull) {
+  // Cholesky 2/2 at one thread: every legal candidate is scored, and
+  // only the few that could still enter the top 5 are estimated.
+  SessionOptions one;
+  one.threads = 1;
+  TransformSession session(gallery::cholesky(), one);
+  SearchOptions top;
+  top.mode = SearchMode::kLegalityOnly;
+  top.top_k = 5;
+  const StatsSnapshot before = Stats::global().snapshot();
+  const SearchResult res = session.search(SearchSpace{2, 2}, top);
+  const StatsSnapshot delta = Stats::global().snapshot() - before;
+  EXPECT_EQ(res.stats.legal, 18750);
+  EXPECT_EQ(delta.counter("model.scores"), res.stats.legal);
+  EXPECT_GE(delta.counter("model.estimates"), 5);
+  EXPECT_LT(delta.counter("model.estimates"), 50);
+}
+
+TEST(RankTest, SinkSeesTheFullEstimateOfEveryHit) {
+  // With a sink the bound is off: every streamed hit carries the same
+  // estimate an unbounded cost search gives it.
+  for (int threads : {1, 4}) {
+    SessionOptions so;
+    so.threads = threads;
+    TransformSession session(gallery::cholesky(), so);
+    SearchOptions all;
+    all.mode = SearchMode::kLegalityOnly;
+    all.cost = true;
+    const SearchResult full = session.search(SearchSpace{2, 1}, all);
+
+    SearchOptions top;
+    top.mode = SearchMode::kLegalityOnly;
+    top.top_k = 5;
+    std::vector<std::string> streamed;
+    top.sink = [&](const SearchHit& h) {
+      streamed.push_back(h.cost ? h.cost->to_json() : "missing");
+    };
+    const StatsSnapshot before = Stats::global().snapshot();
+    const SearchResult best = session.search(SearchSpace{2, 1}, top);
+    const StatsSnapshot delta = Stats::global().snapshot() - before;
+    ASSERT_EQ(streamed.size(), full.hits.size()) << "threads " << threads;
+    for (size_t i = 0; i < streamed.size(); ++i)
+      EXPECT_EQ(streamed[i], full.hits[i].cost->to_json())
+          << "threads " << threads << " hit " << i;
+    EXPECT_EQ(delta.counter("model.estimates"), best.stats.legal)
+        << "threads " << threads;
+    ASSERT_EQ(best.hits.size(), 5u);
+    const std::vector<const SearchHit*> ranked = full_ranking(full);
+    for (size_t i = 0; i < best.hits.size(); ++i)
+      expect_same_hit(best.hits[i], *ranked[i], "threads " +
+                                                    std::to_string(threads));
+  }
+}
+
+// A generator that also writes the edge columns of loop rows (a
+// nonzero entry there is a legal linear transformation: loop rows are
+// unconstrained by block structure).
+class EdgeColumnGenerator : public CandidateGenerator {
+ public:
+  EdgeColumnGenerator(const IvLayout& layout, SearchSpace space)
+      : inner_(layout, space) {
+    for (int p = 0; p < layout.size(); ++p)
+      if (layout.positions()[p].kind == PositionKind::kEdge)
+        edges_.push_back(p);
+  }
+  int num_slots() const override { return inner_.num_slots(); }
+  i64 num_options(int depth) const override {
+    return 2 * inner_.num_options(depth);
+  }
+  IntVec row(i64 k) const override {
+    IntVec r = inner_.row(k / 2);
+    if (k % 2 == 1)
+      for (size_t e = 0; e < edges_.size(); ++e)
+        r[edges_[e]] += static_cast<i64>(e) + 1;
+    return r;
+  }
+  void push(i64 k) override { inner_.push(k / 2); }
+  void pop() override { inner_.pop(); }
+
+ private:
+  PermutationSkewGenerator inner_;
+  std::vector<int> edges_;
+};
+
+TEST(RankTest, EveryCandidateRecoversTheSharedSkeleton) {
+  for (const RankCase& rc : rank_cases()) {
+    if (rc.space.skew_depth > 1) continue;  // the 1-deep spaces suffice
+    const Program program = rc.make();
+    const IvLayout layout(program);
+    const std::string skeleton = print_program(
+        *recover_ast(layout, IntMat::identity(layout.size())).target);
+    PermutationSkewGenerator perm(layout, rc.space);
+    EdgeColumnGenerator edges(layout, rc.space);
+    for (CandidateGenerator* gen :
+         std::vector<CandidateGenerator*>{&perm, &edges}) {
+      const std::vector<IntMat> all = materialize_candidates(layout, *gen);
+      ASSERT_GT(all.size(), 0u) << rc.name;
+      for (size_t i = 0; i < all.size(); ++i)
+        ASSERT_EQ(print_program(*recover_ast(layout, all[i]).target),
+                  skeleton)
+            << rc.name << " candidate " << i;
+    }
+  }
+}
+
+TEST(RankTest, EdgeColumnCandidatesRankLikeOneShotEstimates) {
+  // The search's shared skeleton gives every hit of the edge-column
+  // generator the estimate a per-candidate recovery gives it.
+  for (int threads : {1, 4}) {
+    SessionOptions so;
+    so.threads = threads;
+    TransformSession session(gallery::cholesky(), so);
+    const IvLayout& layout = session.layout();
+    EdgeColumnGenerator gen(layout, SearchSpace{1, 1});
+    SearchOptions all;
+    all.mode = SearchMode::kLegalityOnly;
+    all.cost = true;
+    const SearchResult full = session.search(gen, all);
+    ASSERT_GT(full.hits.size(), 0u);
+    for (const SearchHit& h : full.hits) {
+      ASSERT_TRUE(h.cost.has_value()) << "#" << h.index;
+      EXPECT_EQ(h.cost->to_json(),
+                estimate_cost(layout, session.dependences(), h.matrix,
+                              recover_ast(layout, h.matrix))
+                    .to_json())
+          << "threads " << threads << " #" << h.index;
+    }
+    SearchOptions top;
+    top.mode = SearchMode::kLegalityOnly;
+    top.top_k = 5;
+    const SearchResult best = session.search(gen, top);
+    const std::vector<const SearchHit*> ranked = full_ranking(full);
+    ASSERT_EQ(best.hits.size(), std::min<size_t>(5, ranked.size()));
+    for (size_t i = 0; i < best.hits.size(); ++i)
+      expect_same_hit(best.hits[i], *ranked[i],
+                      "threads " + std::to_string(threads));
   }
 }
 

@@ -13,7 +13,6 @@ namespace {
 
 TEST(CandidatePipeline, StageKindNames) {
   EXPECT_STREQ(stage_kind_name(StageKind::kLegality), "legality");
-  EXPECT_STREQ(stage_kind_name(StageKind::kComplete), "complete");
   EXPECT_STREQ(stage_kind_name(StageKind::kCost), "cost");
   EXPECT_STREQ(stage_kind_name(StageKind::kCodegen), "codegen");
   EXPECT_STREQ(stage_kind_name(StageKind::kTile), "tile");
@@ -25,37 +24,37 @@ TEST(CandidatePipeline, LeafAndDeferredRunInOrder) {
   std::vector<std::string> ran;
   pipe.add(StageKind::kLegality, /*deferred=*/false,
            [&](Candidate&) { ran.push_back("legality"); });
-  pipe.add(StageKind::kComplete, /*deferred=*/true,
-           [&](Candidate&) { ran.push_back("complete"); });
   pipe.add(StageKind::kCost, /*deferred=*/true,
            [&](Candidate&) { ran.push_back("cost"); });
+  pipe.add(StageKind::kCodegen, /*deferred=*/true,
+           [&](Candidate&) { ran.push_back("codegen"); });
 
   EXPECT_TRUE(pipe.has(StageKind::kLegality));
   EXPECT_TRUE(pipe.has(StageKind::kCost));
-  EXPECT_FALSE(pipe.has(StageKind::kCodegen));
+  EXPECT_FALSE(pipe.has(StageKind::kTile));
   EXPECT_TRUE(pipe.has_deferred());
-  EXPECT_EQ(pipe.describe(), "legality -> complete -> cost");
+  EXPECT_EQ(pipe.describe(), "legality -> cost -> codegen");
 
   Candidate c;
   pipe.run_leaf(c);
   EXPECT_EQ(ran, (std::vector<std::string>{"legality"}));
   pipe.run_deferred(c);
-  EXPECT_EQ(ran, (std::vector<std::string>{"legality", "complete", "cost"}));
+  EXPECT_EQ(ran, (std::vector<std::string>{"legality", "cost", "codegen"}));
 }
 
 TEST(CandidatePipeline, RejectionStopsRemainingStages) {
   CandidatePipeline pipe;
   std::vector<std::string> ran;
-  pipe.add(StageKind::kComplete, /*deferred=*/true, [&](Candidate& c) {
-    ran.push_back("complete");
+  pipe.add(StageKind::kCost, /*deferred=*/true, [&](Candidate& c) {
+    ran.push_back("cost");
     c.rejected = true;
   });
-  pipe.add(StageKind::kCost, /*deferred=*/true,
-           [&](Candidate&) { ran.push_back("cost"); });
+  pipe.add(StageKind::kCodegen, /*deferred=*/true,
+           [&](Candidate&) { ran.push_back("codegen"); });
 
   Candidate c;
   pipe.run_deferred(c);
-  EXPECT_EQ(ran, (std::vector<std::string>{"complete"}));
+  EXPECT_EQ(ran, (std::vector<std::string>{"cost"}));
   EXPECT_TRUE(c.rejected);
 
   // An already-rejected candidate runs nothing at all.
@@ -70,12 +69,12 @@ TEST(CandidatePipeline, RunDeferredDropsScratch) {
   // Pending candidates wait for a worker until search() ends; the
   // inter-stage scratch must not live that long.
   CandidatePipeline pipe;
-  pipe.add(StageKind::kComplete, /*deferred=*/true, [](Candidate& c) {
+  pipe.add(StageKind::kCost, /*deferred=*/true, [](Candidate& c) {
     c.recovery.emplace();
     c.target_deps.emplace();
     c.plans.emplace_back();
   });
-  pipe.add(StageKind::kCost, /*deferred=*/true,
+  pipe.add(StageKind::kCodegen, /*deferred=*/true,
            [](Candidate& c) { c.rejected = true; });
   Candidate c;
   pipe.run_deferred(c);

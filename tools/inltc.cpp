@@ -599,8 +599,8 @@ int main(int argc, char** argv) {
 
     if (cmd == "search" || cmd == "rank") {
       // `rank` is search configured as the rank pipeline: legality
-      // filter + Complete + Cost stages, keeping the best K hits by
-      // estimated cache lines (default 5).
+      // filter + Cost stage, keeping the best K hits by estimated
+      // cache lines (default 5).
       const bool rank = cmd == "rank";
       SearchSpace space{opts.skew_bound, opts.skew_depth};
       SearchOptions search_opts;
