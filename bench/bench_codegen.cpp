@@ -2,11 +2,15 @@
 // whole §5 pipeline as nest depth grows (skewed deep perfect nests are
 // the worst case for FM, since every level's bounds mention all outer
 // variables).
-#include <benchmark/benchmark.h>
-
+//
+// Emits BENCH_codegen.json (override with --out=PATH); see
+// bench/harness.hpp for --benchmark_min_time.
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "codegen/generate.hpp"
+#include "harness.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "transform/completion.hpp"
@@ -45,53 +49,49 @@ IntMat full_skew(const IvLayout& layout, int depth) {
   return m;
 }
 
-void BM_GenerateDeepSkew(benchmark::State& state) {
-  int depth = static_cast<int>(state.range(0));
-  Program p = make_deep_nest(depth);
-  IvLayout layout(p);
-  DependenceSet deps = analyze_dependences(layout);
-  IntMat m = full_skew(layout, depth);
-  for (auto _ : state) {
-    CodegenResult res = generate_code(layout, deps, m);
-    benchmark::DoNotOptimize(res.program.roots().size());
-  }
-  state.counters["depth"] = depth;
-}
-BENCHMARK(BM_GenerateDeepSkew)->DenseRange(2, 6)->Unit(
-    benchmark::kMillisecond);
-
-void BM_GenerateCholeskyLeftLooking(benchmark::State& state) {
-  // Full §6 pipeline cost: analysis excluded, codegen only.
-  Program p = gallery::cholesky();
-  IvLayout layout(p);
-  DependenceSet deps = analyze_dependences(layout);
-  IntMat m(7, 7);
-  // Assemble the left-looking matrix via the completion once.
-  {
-    IntVec first(7, 0);
-    first[layout.loop_position("L")] = 1;
-    m = complete_transformation(layout, deps, {first}).matrix;
-  }
-  for (auto _ : state) {
-    CodegenResult res = generate_code(layout, deps, m);
-    benchmark::DoNotOptimize(res.program.roots().size());
-  }
-}
-BENCHMARK(BM_GenerateCholeskyLeftLooking)->Unit(benchmark::kMillisecond);
-
-void BM_GenerateSkewAugmentation(benchmark::State& state) {
-  // §5.4/5.5's example end to end, including augmentation.
-  Program p = gallery::augmentation_example();
-  IvLayout layout(p);
-  DependenceSet deps = analyze_dependences(layout);
-  IntMat m = loop_skew(layout, "I", "J", -1);
-  for (auto _ : state) {
-    CodegenResult res = generate_code(layout, deps, m);
-    benchmark::DoNotOptimize(res.program.roots().size());
-  }
-}
-BENCHMARK(BM_GenerateSkewAugmentation)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const bench::Args args =
+      bench::parse_args(argc, argv, {"BENCH_codegen.json", 0.5});
+  std::vector<bench::Measurement> rows;
+  auto timed = [&](std::string name, const IvLayout& layout,
+                   const DependenceSet& deps, const IntMat& m) {
+    rows.push_back({std::move(name), bench::time_op(args.budget_s, [&] {
+                      generate_code(layout, deps, m);
+                    }), {}});
+  };
+
+  for (int depth = 2; depth <= 6; ++depth) {
+    const Program p = make_deep_nest(depth);
+    const IvLayout layout(p);
+    const DependenceSet deps = analyze_dependences(layout);
+    timed("generate_deep_skew_" + std::to_string(depth), layout, deps,
+          full_skew(layout, depth));
+    rows.back().facts = {{"depth", depth}};
+  }
+
+  {
+    // Full §6 pipeline cost: analysis excluded, codegen only, on the
+    // left-looking matrix the completion assembles from one row.
+    const Program p = gallery::cholesky();
+    const IvLayout layout(p);
+    const DependenceSet deps = analyze_dependences(layout);
+    IntVec first(layout.size(), 0);
+    first[layout.loop_position("L")] = 1;
+    timed("generate_cholesky_left_looking", layout, deps,
+          complete_transformation(layout, deps, {first}).matrix);
+  }
+
+  {
+    // §5.4/5.5's example end to end, including augmentation.
+    const Program p = gallery::augmentation_example();
+    const IvLayout layout(p);
+    const DependenceSet deps = analyze_dependences(layout);
+    timed("generate_skew_augmentation", layout, deps,
+          loop_skew(layout, "I", "J", -1));
+  }
+
+  bench::write_report("bench_codegen", rows, args.out);
+  return 0;
+}

@@ -5,13 +5,18 @@
 // Measures, on the paper's programs and a generated family of wider
 // nests: dependence analysis, the legality test, and the completion
 // procedure. Includes the padding-mode ablation from DESIGN.md
-// (diagonal vs zero padding), reporting the dependence count as a
-// counter.
-#include <benchmark/benchmark.h>
-
+// (diagonal vs zero padding), reporting the dependence count, and C9:
+// the related-work baseline (per-statement affine schedules found by
+// ILP-validated search) next to the completion procedure.
+//
+// Emits BENCH_framework.json (override with --out=PATH); see
+// bench/harness.hpp for --benchmark_min_time.
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "dependence/analyzer.hpp"
+#include "harness.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "transform/completion.hpp"
@@ -38,124 +43,85 @@ Program make_wide_nest(int statements) {
   return parse_program(os.str());
 }
 
-void BM_DependenceAnalysisCholesky(benchmark::State& state) {
-  Program p = gallery::cholesky();
-  IvLayout layout(p);
-  int ndeps = 0;
-  for (auto _ : state) {
-    DependenceSet ds = analyze_dependences(layout);
-    ndeps = static_cast<int>(ds.deps.size());
-    benchmark::DoNotOptimize(ndeps);
-  }
-  state.counters["deps"] = ndeps;
-}
-BENCHMARK(BM_DependenceAnalysisCholesky)->Unit(benchmark::kMillisecond);
+}  // namespace
 
-void BM_DependenceAnalysisWidth(benchmark::State& state) {
-  Program p = make_wide_nest(static_cast<int>(state.range(0)));
-  IvLayout layout(p);
-  int ndeps = 0;
-  for (auto _ : state) {
-    DependenceSet ds = analyze_dependences(layout);
-    ndeps = static_cast<int>(ds.deps.size());
-    benchmark::DoNotOptimize(ndeps);
-  }
-  state.counters["deps"] = ndeps;
-  state.counters["stmts"] = static_cast<double>(2 * state.range(0));
-}
-BENCHMARK(BM_DependenceAnalysisWidth)
-    ->DenseRange(1, 9, 2)
-    ->Unit(benchmark::kMillisecond);
+int main(int argc, char** argv) {
+  const bench::Args args =
+      bench::parse_args(argc, argv, {"BENCH_framework.json", 0.5});
+  std::vector<bench::Measurement> rows;
+  // Facts an op computes are attached after it ran:
+  // rows.back().facts = {...}.
+  auto timed = [&](std::string name, auto&& op) {
+    rows.push_back({std::move(name), bench::time_op(args.budget_s, op), {}});
+  };
 
-void BM_PaddingAblation(benchmark::State& state) {
-  Program p = gallery::cholesky();
-  IvLayout layout(p);
-  PadMode pad = state.range(0) == 0 ? PadMode::kDiagonal : PadMode::kZero;
-  int ndeps = 0;
-  for (auto _ : state) {
-    DependenceSet ds = analyze_dependences(layout, {pad, 8});
-    ndeps = static_cast<int>(ds.deps.size());
-    benchmark::DoNotOptimize(ndeps);
-  }
-  state.SetLabel(pad == PadMode::kDiagonal ? "diagonal" : "zero");
-  state.counters["deps"] = ndeps;
-}
-BENCHMARK(BM_PaddingAblation)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+  const Program chol = gallery::cholesky();
+  const IvLayout chol_layout(chol);
+  const DependenceSet chol_deps = analyze_dependences(chol_layout);
+  const i64 chol_ndeps = static_cast<i64>(chol_deps.deps.size());
 
-void BM_ExactLegalityCheck(benchmark::State& state) {
+  timed("dependence_analysis_cholesky",
+        [&] { analyze_dependences(chol_layout); });
+  rows.back().facts = {{"deps", chol_ndeps}};
+
+  for (int width = 1; width <= 9; width += 2) {
+    const Program p = make_wide_nest(width);
+    const IvLayout layout(p);
+    i64 ndeps = 0;
+    timed("dependence_analysis_width_" + std::to_string(width), [&] {
+      ndeps = static_cast<i64>(analyze_dependences(layout).deps.size());
+    });
+    rows.back().facts = {{"deps", ndeps}, {"stmts", 2 * width}};
+  }
+
+  for (PadMode pad : {PadMode::kDiagonal, PadMode::kZero}) {
+    i64 ndeps = 0;
+    timed(pad == PadMode::kDiagonal ? "padding_diagonal" : "padding_zero",
+          [&] {
+            ndeps = static_cast<i64>(
+                analyze_dependences(chol_layout, {pad, 8}).deps.size());
+          });
+    rows.back().facts = {{"deps", ndeps}};
+  }
+
   // The generality/cost trade-off of §1, measured: exact ILP legality
   // re-solves integer programs per access pair, the hull test is pure
   // interval arithmetic.
-  Program p = gallery::cholesky();
-  IvLayout layout(p);
-  IntMat m = IntMat::identity(layout.size());
-  AstRecovery rec = recover_ast(layout, m);
-  for (auto _ : state) {
-    ExactLegalityResult r = check_legality_exact(layout, m, rec);
-    benchmark::DoNotOptimize(r.violations.size());
-  }
-}
-BENCHMARK(BM_ExactLegalityCheck)->Unit(benchmark::kMillisecond);
+  const IntMat identity = IntMat::identity(chol_layout.size());
+  const AstRecovery rec = recover_ast(chol_layout, identity);
+  timed("exact_legality_cholesky",
+        [&] { check_legality_exact(chol_layout, identity, rec); });
+  timed("legality_cholesky",
+        [&] { check_legality(chol_layout, chol_deps, identity); });
 
-void BM_LegalityCheck(benchmark::State& state) {
-  Program p = gallery::cholesky();
-  IvLayout layout(p);
-  DependenceSet deps = analyze_dependences(layout);
-  IntMat m = IntMat::identity(layout.size());
-  for (auto _ : state) {
-    LegalityResult r = check_legality(layout, deps, m);
-    benchmark::DoNotOptimize(r.violations.size());
-  }
-}
-BENCHMARK(BM_LegalityCheck)->Unit(benchmark::kMicrosecond);
-
-void BM_CompletionCholesky(benchmark::State& state) {
   // The §6 experiment: complete the left-looking partial row.
-  Program p = gallery::cholesky();
-  IvLayout layout(p);
-  DependenceSet deps = analyze_dependences(layout);
-  IntVec first(7, 0);
-  first[layout.loop_position("L")] = 1;
-  for (auto _ : state) {
-    CompletionResult res = complete_transformation(layout, deps, {first});
-    benchmark::DoNotOptimize(res.matrix.rows());
-  }
-}
-BENCHMARK(BM_CompletionCholesky)->Unit(benchmark::kMicrosecond);
+  IntVec first(chol_layout.size(), 0);
+  first[chol_layout.loop_position("L")] = 1;
+  timed("completion_cholesky",
+        [&] { complete_transformation(chol_layout, chol_deps, {first}); });
 
-void BM_CompletionWidth(benchmark::State& state) {
-  Program p = make_wide_nest(static_cast<int>(state.range(0)));
-  IvLayout layout(p);
-  DependenceSet deps = analyze_dependences(layout);
-  for (auto _ : state) {
-    CompletionResult res = complete_transformation(layout, deps, {});
-    benchmark::DoNotOptimize(res.matrix.rows());
+  for (int width = 1; width <= 9; width += 2) {
+    const Program p = make_wide_nest(width);
+    const IvLayout layout(p);
+    const DependenceSet deps = analyze_dependences(layout);
+    timed("completion_width_" + std::to_string(width),
+          [&] { complete_transformation(layout, deps, {}); });
+    rows.back().facts = {{"stmts", 2 * width}};
   }
-  state.counters["stmts"] = static_cast<double>(2 * state.range(0));
-}
-BENCHMARK(BM_CompletionWidth)
-    ->DenseRange(1, 9, 2)
-    ->Unit(benchmark::kMillisecond);
 
-void BM_BaselineScheduleSearch(benchmark::State& state) {
-  // The related-work baseline (§1): per-statement affine schedules
-  // found by search over ILP validity queries. Compare with
-  // BM_CompletionCholesky — the gap is the paper's whole argument.
-  Program p = gallery::cholesky();
-  IvLayout layout(p);
+  // C9 baseline: compare with completion_cholesky — the gap is the
+  // paper's whole argument.
   ScheduleSearchOptions wide;
   wide.coef_max = 3;  // 1-D Cholesky schedules need slope 3 in K
   i64 queries = 0;
-  for (auto _ : state) {
+  i64 found = 0;
+  timed("baseline_schedule_search_cholesky", [&] {
     ScheduleSearchStats stats;
-    auto sched = find_schedule(layout, wide, &stats);
+    found = find_schedule(chol_layout, wide, &stats).has_value() ? 1 : 0;
     queries = stats.candidates_checked;
-    benchmark::DoNotOptimize(sched.has_value());
-  }
-  state.counters["ilp_queries"] = static_cast<double>(queries);
+  });
+  rows.back().facts = {{"ilp_queries", queries}, {"found", found}};
+
+  bench::write_report("bench_framework", rows, args.out);
+  return 0;
 }
-BENCHMARK(BM_BaselineScheduleSearch)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
-BENCHMARK_MAIN();

@@ -19,7 +19,7 @@
 // Without a compiler the native report
 // records {"unavailable": true} and the gates skip. Unknown
 // --benchmark_* flags are accepted and ignored so the binary can run
-// under the same harness invocation as the google-benchmark suites.
+// under the CI smoke invocation shared by every bench.
 #include <chrono>
 #include <cmath>
 #include <cstdio>

@@ -39,7 +39,7 @@
 //
 // Emits BENCH_model.json (override with --out=PATH). Unknown
 // --benchmark_* flags are accepted and ignored so the binary can run
-// under the same harness invocation as the google-benchmark suites.
+// under the CI smoke invocation shared by every bench.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

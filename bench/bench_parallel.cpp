@@ -17,7 +17,7 @@
 // count (nproc on the CI runners; 1 on a uniprocessor, where every
 // ratio is ~1 and only the bit-identity check has teeth). Unknown
 // --benchmark_* flags are accepted and ignored so the binary can run
-// under the same harness invocation as the google-benchmark suites.
+// under the CI smoke invocation shared by every bench.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -17,7 +17,7 @@
 //
 // Emits BENCH_search.json (override with --out=PATH). Unknown
 // --benchmark_* flags are accepted and ignored so the binary can run
-// under the same harness invocation as the google-benchmark suites;
+// under the CI smoke invocation shared by every bench;
 // --benchmark_min_time=<t>x scales the per-phase measurement budget.
 #include <chrono>
 #include <cstdio>
@@ -138,7 +138,8 @@ SweepReport run_sweep(const Sweep& sweep, double budget_s) {
 
     rep.filter = measure(budget_s, [&] {
       PermutationSkewGenerator g(session.layout(), sweep.space);
-      SearchResult res = session.search(g, {}, SearchMode::kLegalityOnly);
+      SearchResult res = session.search(
+          g, SearchOptions{.mode = SearchMode::kLegalityOnly});
       return std::pair<i64, i64>(res.stats.candidates_total,
                                  res.stats.legal);
     });
@@ -166,7 +167,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_path = arg.substr(std::strlen("--trace-out="));
     } else if (arg.rfind("--benchmark_min_time=", 0) == 0) {
-      // google-benchmark syntax: "<n>x" (iterations) or "<t>s".
+      // "<n>x" scales the default budget; "<t>" or "<t>s" is seconds.
       double v = std::atof(arg.c_str() + std::strlen("--benchmark_min_time="));
       if (v > 0) budget_s = arg.back() == 'x' ? std::min(0.3, 0.1 * v) : v;
     }

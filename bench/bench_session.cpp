@@ -15,13 +15,18 @@
 // Candidates are the legal loop orders of the §6 Cholesky (KIJL
 // permutations) and LU; per-candidate evaluation is legality + full
 // code generation.
-#include <benchmark/benchmark.h>
-
+//
+// Emits BENCH_session.json (override with --out=PATH); see
+// bench/harness.hpp for --benchmark_min_time. --trace-out=FILE enables
+// span tracing for the whole run and writes the merged Chrome trace.
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "harness.hpp"
 #include "ir/gallery.hpp"
 #include "pipeline/session.hpp"
 #include "support/stats.hpp"
@@ -45,137 +50,109 @@ std::vector<IntMat> cholesky_candidates(const IvLayout& layout) {
   return out;
 }
 
-void BM_SessionCold(benchmark::State& state) {
-  Program p = gallery::cholesky();
-  int legal = 0;
-  for (auto _ : state) {
-    TransformSession session(p);  // re-analyzes every iteration
-    std::vector<IntMat> cands = cholesky_candidates(session.layout());
-    for (const IntMat& m : cands) {
-      CandidateResult r = session.evaluate(m);
-      legal += r.legal ? 1 : 0;
-    }
-    session.projection_cache().clear();
-    benchmark::DoNotOptimize(legal);
-  }
-  state.counters["legal"] = legal == 0 ? 0 : 1;
-}
-BENCHMARK(BM_SessionCold)->Unit(benchmark::kMillisecond);
-
-void BM_SessionWarm(benchmark::State& state) {
-  Program p = gallery::cholesky();
-  TransformSession session(p);
-  std::vector<IntMat> cands = cholesky_candidates(session.layout());
-  // Prime the cache once so every timed batch is fully warm.
-  for (const IntMat& m : cands) session.evaluate(m);
-  int legal = 0;
-  StatsSnapshot before = Stats::global().snapshot();
-  for (auto _ : state) {
-    for (const IntMat& m : cands) {
-      CandidateResult r = session.evaluate(m);
-      legal += r.legal ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(legal);
-  }
-  StatsSnapshot delta = Stats::global().snapshot() - before;
-  state.counters["cache_entries"] =
-      static_cast<double>(session.projection_cache().size());
-  // Fully warm batches must not miss: every projection is a cache hit.
-  state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(delta.counter("fm.cache_hits")),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["cache_misses"] =
-      static_cast<double>(delta.counter("fm.cache_misses"));
-}
-BENCHMARK(BM_SessionWarm)->Unit(benchmark::kMillisecond);
-
-void BM_SessionWarmNoCache(benchmark::State& state) {
-  // Amortized analysis but no projection reuse: the gap to
-  // BM_SessionWarm is the cache's contribution alone.
-  Program p = gallery::cholesky();
-  TransformSession session(p);
-  std::vector<IntMat> cands = cholesky_candidates(session.layout());
-  int legal = 0;
-  for (auto _ : state) {
-    session.projection_cache().clear();
-    for (const IntMat& m : cands) {
-      CandidateResult r = session.evaluate(m);
-      legal += r.legal ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(legal);
-  }
-}
-BENCHMARK(BM_SessionWarmNoCache)->Unit(benchmark::kMillisecond);
-
-void BM_SessionEvaluateAll(benchmark::State& state) {
-  Program p = gallery::cholesky();
-  SessionOptions opts;
-  opts.threads = static_cast<int>(state.range(0));
-  TransformSession session(p, opts);
-  std::vector<IntMat> cands = cholesky_candidates(session.layout());
-  for (const IntMat& m : cands) session.evaluate(m);  // warm the cache
-  for (auto _ : state) {
-    std::vector<CandidateResult> rs = session.evaluate_all(cands);
-    benchmark::DoNotOptimize(rs.size());
-  }
-}
-BENCHMARK(BM_SessionEvaluateAll)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_SessionLuSweep(benchmark::State& state) {
-  // Same shape on LU: 24 permutations of K/I/J/L — illegal ones are
-  // rejected by the cached legality path, legal ones fully generated.
-  Program p = gallery::lu();
-  bool warm = state.range(0) != 0;
-  TransformSession session(p);
-  std::vector<std::string> vars = {"K", "I", "J", "L"};
-  std::vector<IntMat> cands;
-  std::vector<std::string> order = vars;
-  std::sort(order.begin(), order.end());
+// All 24 K/I/J/L orders of LU: illegal ones are rejected by the
+// cached legality path, legal ones fully generated.
+std::vector<IntMat> lu_candidates(const IvLayout& layout) {
+  std::vector<IntMat> out;
+  std::vector<std::string> order = {"I", "J", "K", "L"};
   do {
-    cands.push_back(loop_permutation(session.layout(), order));
+    out.push_back(loop_permutation(layout, order));
   } while (std::next_permutation(order.begin(), order.end()));
-  if (warm)
-    for (const IntMat& m : cands) session.evaluate(m);
-  int legal = 0;
-  for (auto _ : state) {
-    if (!warm) session.projection_cache().clear();
-    for (const IntMat& m : cands) legal += session.evaluate(m).legal ? 1 : 0;
-    benchmark::DoNotOptimize(legal);
-  }
-  state.SetLabel(warm ? "warm" : "analysis-only");
-  state.counters["candidates"] = static_cast<double>(cands.size());
+  return out;
 }
-BENCHMARK(BM_SessionLuSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+int evaluate_batch(TransformSession& session,
+                   const std::vector<IntMat>& cands) {
+  int legal = 0;
+  for (const IntMat& m : cands) legal += session.evaluate(m).legal ? 1 : 0;
+  return legal;
+}
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus a --trace-out=FILE flag: when given, span
-// tracing is enabled for the whole run and the merged Chrome trace is
-// written on exit (the flag is stripped before google-benchmark sees
-// the argument list).
 int main(int argc, char** argv) {
+  const bench::Args args =
+      bench::parse_args(argc, argv, {"BENCH_session.json", 0.5});
   std::string trace_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i)
     if (std::strncmp(argv[i], "--trace-out=", 12) == 0)
       trace_path = argv[i] + 12;
-    else
-      argv[kept++] = argv[i];
+  if (!trace_path.empty()) Tracer::global().enable();
+
+  std::vector<bench::Measurement> rows;
+  auto timed = [&](std::string name, auto&& op) {
+    rows.push_back({std::move(name), bench::time_op(args.budget_s, op), {}});
+  };
+  const Program chol = gallery::cholesky();
+
+  {
+    int legal = 0;
+    timed("session_cold", [&] {
+      TransformSession session(chol);  // re-analyzes every run
+      legal = evaluate_batch(session, cholesky_candidates(session.layout()));
+      session.projection_cache().clear();
+    });
+    rows.back().facts = {{"legal", legal}};
   }
-  argc = kept;
-  if (!trace_path.empty()) inlt::Tracer::global().enable();
 
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
+  {
+    TransformSession session(chol);
+    const std::vector<IntMat> cands = cholesky_candidates(session.layout());
+    // Prime the cache once so every timed batch is fully warm.
+    evaluate_batch(session, cands);
+    const StatsSnapshot before = Stats::global().snapshot();
+    timed("session_warm", [&] { evaluate_batch(session, cands); });
+    const StatsSnapshot delta = Stats::global().snapshot() - before;
+    // Fully warm batches must not miss: every projection is a cache hit.
+    rows.back().facts = {
+        {"cache_entries", static_cast<double>(session.projection_cache().size())},
+        {"cache_hits_per_run",
+         static_cast<double>(delta.counter("fm.cache_hits")) /
+             static_cast<double>(rows.back().t.runs)},
+        {"cache_misses", static_cast<double>(delta.counter("fm.cache_misses"))}};
+  }
 
+  {
+    // Amortized analysis but no projection reuse: the gap to
+    // session_warm is the cache's contribution alone.
+    TransformSession session(chol);
+    const std::vector<IntMat> cands = cholesky_candidates(session.layout());
+    timed("session_warm_no_cache", [&] {
+      session.projection_cache().clear();
+      evaluate_batch(session, cands);
+    });
+  }
+
+  for (int threads : {1, 4}) {
+    SessionOptions opts;
+    opts.threads = threads;
+    TransformSession session(chol, opts);
+    const std::vector<IntMat> cands = cholesky_candidates(session.layout());
+    evaluate_batch(session, cands);  // warm the cache
+    timed("session_evaluate_all_threads_" + std::to_string(threads),
+          [&] { session.evaluate_all(cands); });
+  }
+
+  for (bool warm : {false, true}) {
+    TransformSession session(gallery::lu());
+    const std::vector<IntMat> cands = lu_candidates(session.layout());
+    if (warm) evaluate_batch(session, cands);
+    int legal = 0;
+    timed(warm ? "session_lu_sweep_warm" : "session_lu_sweep_analysis_only",
+          [&] {
+            if (!warm) session.projection_cache().clear();
+            legal = evaluate_batch(session, cands);
+          });
+    rows.back().facts = {{"candidates", static_cast<double>(cands.size())},
+                         {"legal", legal}};
+  }
+
+  bench::write_report("bench_session", rows, args.out);
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
-    out << inlt::Tracer::global().chrome_trace_json() << "\n";
-    std::fprintf(stderr, "wrote %s (%lld trace events)\n", trace_path.c_str(),
-                 static_cast<long long>(
-                     inlt::Tracer::global().event_count()));
+    out << Tracer::global().chrome_trace_json() << "\n";
+    std::printf("wrote %s (%lld trace events)\n", trace_path.c_str(),
+                static_cast<long long>(Tracer::global().event_count()));
   }
   return 0;
 }

@@ -21,8 +21,7 @@
 // on hosts whose outer cache swallows the whole working set the
 // fetch reduction does not convert to wall clock (see EXPERIMENTS.md
 // C11). Unknown --benchmark_* flags are accepted and ignored so the
-// binary runs under the same harness invocation as the
-// google-benchmark suites.
+// binary runs under the CI smoke invocation shared by every bench.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -487,26 +487,10 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   return acc.take();
 }
 
-SearchResult TransformSession::search(
-    CandidateGenerator& gen, const std::function<void(const SearchHit&)>& sink,
-    SearchMode mode) {
-  SearchOptions sopts;
-  sopts.mode = mode;
-  sopts.sink = sink;
-  return search(gen, sopts);
-}
-
 SearchResult TransformSession::search(const SearchSpace& space,
                                       const SearchOptions& sopts) {
   PermutationSkewGenerator gen(*layout_, space);
   return search(gen, sopts);
-}
-
-SearchResult TransformSession::search(
-    const SearchSpace& space,
-    const std::function<void(const SearchHit&)>& sink, SearchMode mode) {
-  PermutationSkewGenerator gen(*layout_, space);
-  return search(gen, sink, mode);
 }
 
 }  // namespace inlt

@@ -86,23 +86,6 @@ class PermutationSkewGenerator : public CandidateGenerator {
   std::vector<std::uint8_t> used_;
 };
 
-/// Periodic search telemetry, delivered through
-/// `SearchOptions::progress` roughly every `progress_interval`
-/// candidates (and once more when the walk finishes, with
-/// done == total). Rates are measured from the start of the search.
-struct SearchProgress {
-  i64 done = 0;        ///< candidates decided so far (evaluated + pruned)
-  i64 total = 0;       ///< size of the whole candidate space
-  i64 legal = 0;       ///< legal candidates found so far
-  i64 pruned = 0;      ///< candidates pruned so far
-  double elapsed_s = 0;    ///< seconds since the search started
-  double rate = 0;         ///< candidates decided per second
-  double prune_rate = 0;   ///< pruned / done
-  double eta_s = 0;        ///< remaining / rate (0 when rate is 0)
-};
-
-using SearchProgressFn = std::function<void(const SearchProgress&)>;
-
 /// Where rejected candidates died: provenance aggregated over the
 /// whole search (SearchResult::rejections). A candidate rejected by
 /// the incremental engine is attributed to the dependence that killed
@@ -177,78 +160,6 @@ struct SearchResult {
   SearchStats stats;
   /// Where the rejected candidates died (dependence × row).
   RejectionBreakdown rejections;
-};
-
-/// Called for each legal candidate as soon as it is found.
-using SearchSink = std::function<void(const SearchHit&)>;
-
-/// Knobs for TransformSession::search. The two-argument overloads are
-/// shorthands for an options struct carrying only `sink` and `mode`.
-struct SearchOptions {
-  SearchMode mode = SearchMode::kFull;
-  /// Receives each legal candidate as soon as it is found.
-  SearchSink sink;
-  /// Periodic telemetry callback; never called when unset.
-  SearchProgressFn progress;
-  /// Candidates between progress reports (approximate: a pruned
-  /// subtree advances the count in one step). Must be positive.
-  i64 progress_interval = 1 << 16;
-  /// Full mode only: when non-empty, semantically verify every legal
-  /// candidate's generated program against the source at these
-  /// parameter bindings (exec/verify.hpp); the outcome lands in
-  /// `CandidateResult::verify` and the `verified` / `verify_failed`
-  /// stats. Verification shares the deferred evaluation stage, so it
-  /// runs on the session's worker threads.
-  std::map<std::string, i64> verify_params;
-  /// Input fill for verification runs.
-  FillKind verify_fill = FillKind::kSpd;
-  /// Seed for verification inputs.
-  unsigned verify_seed = 1;
-  /// Execution engine for verification runs.
-  ExecEngine verify_engine = ExecEngine::kVm;
-  /// Worker threads for each verification run (exec/parallel.hpp):
-  /// with > 1, the source reference and every candidate execute with
-  /// their doall levels chunked over the shared exec pool (the
-  /// candidate's partition comes from analyze_target_parallelism on
-  /// its completed matrix). Results are bit-identical to serial at any
-  /// value, so hits and stats do not depend on it. Also forwarded to
-  /// the cost model's parallel-work term when `cost` is active.
-  int exec_threads = 1;
-  /// Run the static cost model (model/cost.hpp) on every legal
-  /// candidate: adds the Cost stage to the candidate pipeline
-  /// (deferred, on the session's worker threads) and fills each hit's
-  /// `cost`. Works in both modes; kLegalityOnly + cost is "rank mode"
-  /// — scores without generating code.
-  bool cost = false;
-  /// Model knobs when `cost` is active. The pad mode is taken from
-  /// the session's codegen options, not from here.
-  ModelOptions model;
-  /// Keep only the K best hits, ordered by ascending
-  /// (cost.total_lines, index) — a bounded heap, so ranking a huge
-  /// space is O(K) memory. Implies `cost`; 0 keeps every hit.
-  /// Stats still count all legal candidates and the sink still sees
-  /// every one of them. Without a sink, a candidate gets the full
-  /// estimate only if its score (CostModel::lines) can still make the
-  /// top K; the kept hits are the same either way.
-  i64 top_k = 0;
-  /// Full mode only: tile every legal candidate's generated program.
-  /// After codegen a band and sizes are planned (tile/plan.hpp) from
-  /// the candidate's target-space dependences M·D
-  /// (transform/target_deps.hpp), not from a re-analysis of the
-  /// generated nest; only a generated program whose loop/statement tree
-  /// differs from the recovered skeleton (augmented or reconstruction
-  /// loops, a subtree removed by simplification), or a session that
-  /// pads non-diagonally, is analyzed afresh — counted in the
-  /// `tile.reanalysis_fallbacks` counter. When the plan applies, the
-  /// hit's program is replaced by the tiled rewrite — so verification
-  /// (verify_params) checks the *tiled* program against the source and
-  /// its doall partition is remapped to the tile loops
-  /// (tiled_partition). Candidates whose generated program cannot be
-  /// analyzed or tiled keep their untiled program, with the reason in
-  /// the hit's `tile->note`.
-  bool tile = false;
-  /// Band/size/auto knobs when `tile` is active.
-  TileOptions tile_opts;
 };
 
 /// Enumerate the generator's full candidate space in search order —

@@ -112,7 +112,8 @@ TEST(SearchTest, LegalityOnlyModeMatchesFullVerdicts) {
   TransformSession session(gallery::cholesky(), opts);
   SearchSpace space{/*skew_bound=*/1, /*skew_depth=*/1};
   SearchResult full = session.search(space);
-  SearchResult filter = session.search(space, {}, SearchMode::kLegalityOnly);
+  SearchResult filter = session.search(
+      space, SearchOptions{.mode = SearchMode::kLegalityOnly});
 
   EXPECT_EQ(filter.stats.candidates_total, full.stats.candidates_total);
   EXPECT_EQ(filter.stats.legal, full.stats.legal);
@@ -136,8 +137,8 @@ TEST(SearchTest, LegalityOnlyModeExact) {
   opts.threads = 1;
   TransformSession session(gallery::simplified_cholesky(), opts);
   SearchResult full = session.search(SearchSpace{});
-  SearchResult filter =
-      session.search(SearchSpace{}, {}, SearchMode::kLegalityOnly);
+  SearchResult filter = session.search(
+      SearchSpace{}, SearchOptions{.mode = SearchMode::kLegalityOnly});
   ASSERT_EQ(filter.hits.size(), full.hits.size());
   for (size_t i = 0; i < full.hits.size(); ++i) {
     EXPECT_EQ(filter.hits[i].index, full.hits[i].index);
@@ -149,7 +150,10 @@ TEST(SearchTest, SinkStreamsHitsInOrder) {
   TransformSession session(gallery::cholesky());
   std::vector<i64> streamed;
   SearchResult res = session.search(
-      SearchSpace{}, [&](const SearchHit& h) { streamed.push_back(h.index); });
+      SearchSpace{},
+      SearchOptions{.sink = [&](const SearchHit& h) {
+        streamed.push_back(h.index);
+      }});
   ASSERT_EQ(streamed.size(), res.hits.size());
   for (size_t i = 0; i < streamed.size(); ++i)
     EXPECT_EQ(streamed[i], res.hits[i].index);
@@ -266,14 +270,12 @@ TEST(SearchTest, ProgressCallbackIsMonotonicAndFinal) {
 }
 
 TEST(SearchTest, ProgressNotCalledWhenUnset) {
-  // No progress callback: nothing to report, nothing crashes — and the
-  // options overload agrees with the shorthand overload.
+  // No progress callback: nothing to report, nothing crashes — and a
+  // repeat search on the now-warm session agrees with the first.
   TransformSession session(gallery::lu());
-  SearchOptions sopts;
-  sopts.mode = SearchMode::kLegalityOnly;
+  const SearchOptions sopts{.mode = SearchMode::kLegalityOnly};
   SearchResult a = session.search(SearchSpace{}, sopts);
-  SearchResult b =
-      session.search(SearchSpace{}, {}, SearchMode::kLegalityOnly);
+  SearchResult b = session.search(SearchSpace{}, sopts);
   EXPECT_EQ(a.stats.legal, b.stats.legal);
   EXPECT_EQ(a.rejections.rejected, b.rejections.rejected);
   EXPECT_EQ(a.rejections.by_dependence, b.rejections.by_dependence);
