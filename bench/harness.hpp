@@ -4,9 +4,8 @@
 //   --out=PATH               where the JSON report goes
 //   --benchmark_min_time=T   per-measurement time budget: T seconds
 //                            ("0.5" or "0.5s"), or with an "x" suffix a
-//                            scale factor on the bench's default
-//                            ("0.01x" is the CI smoke pass: one run of
-//                            every measurement)
+//                            scale factor (at most 1) on the bench's
+//                            default; the CI smoke pass uses "0.01x"
 //
 // Other arguments are ignored.
 #pragma once
