@@ -137,8 +137,9 @@ TEST(TileStage, ExplicitSizesPropagate) {
   ASSERT_FALSE(res.hits.empty());
   for (const SearchHit& h : res.hits) {
     ASSERT_TRUE(h.tile.has_value());
-    if (h.tile->applied)
+    if (h.tile->applied) {
       EXPECT_EQ(h.tile->spec.sizes, (std::vector<i64>{8, 8, 8}));
+    }
   }
 }
 
