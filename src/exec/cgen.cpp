@@ -6,6 +6,7 @@
 // keys compiled objects by sha256(source, compiler, flags).
 #include "exec/cgen.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <map>
 #include <set>
 
+#include "exec/lower.hpp"
 #include "support/check.hpp"
 
 namespace inlt {
@@ -463,20 +465,6 @@ class Emitter {
     throw Error("native emitter: unreachable scalar op");
   }
 
-  // One access of a statement: the write first, then the reads in
-  // tree order — the VM's access order (compile.cpp).
-  struct AccessRef {
-    const std::string* array;
-    const std::vector<AffineExpr>* subs;
-  };
-  std::vector<AccessRef> accesses_of(const Statement& s) {
-    std::vector<AccessRef> out{{&s.lhs_array, &s.lhs_subscripts}};
-    std::vector<const ScalarExpr*> refs;
-    if (s.rhs) collect_refs(*s.rhs, refs);
-    for (const ScalarExpr* r : refs) out.push_back({&r->name, &r->subscripts});
-    return out;
-  }
-
   enum class StmtMode {
     kChecked,     // guarded or loop-less: per-access checks, budget test
     kHoisted,     // checks ran at loop entry; budget test per instance
@@ -504,63 +492,52 @@ class Emitter {
     line("}");
   }
 
-  // The hoisted checks of a loop's fast statements, run once per
-  // non-empty entry: NULL tests, then per access and dimension the
-  // subscript's extremes over [first, last] — exact, since an affine
-  // subscript is monotonic in the loop variable. Same order and text
-  // as VmProgram::enter_loop, so both engines report the same index.
-  void emit_entry_checks(const std::string& var, const std::string& first,
-                         const std::string& last,
-                         const std::vector<const Statement*>& fast) {
-    std::set<std::string> tested;
-    for (const Statement* s : fast)
-      for (const AccessRef& a : accesses_of(*s))
-        if (tested.insert(*a.array).second)
-          line("if (!" + binding_.at(*a.array).cname + ") INLTC_UNDECL(" +
-               quoted(*a.array) + ");");
+  // The plan's hoisted checks, run once per non-empty entry of loop
+  // `n`: the NULL tests, then per access and dimension the subscript's
+  // extremes over [first, last] — exact, since an affine subscript is
+  // monotonic in the loop variable.
+  void emit_entry_checks(const Node& n, const std::string& first,
+                         const std::string& last, const LoopPlan& plan) {
+    std::vector<std::vector<ArrayAccess>> accs(n.children().size());
+    for (int c : plan.fast) accs[c] = n.children()[c]->stmt_data().accesses();
+    for (const LoopPlan::Check& k : plan.checks) {
+      const std::string& array = accs[k.stmt][k.access].array;
+      if (k.dim < 0)
+        line("if (!" + binding_.at(array).cname + ") INLTC_UNDECL(" +
+             quoted(array) + ");");
+    }
     auto at = [&](const AffineExpr& e, const std::string& value) {
-      scope_.emplace_back(var, value);
+      scope_.emplace_back(n.var(), value);
       std::string out = affine_c(e);
       scope_.pop_back();
       return out;
     };
-    // A repeat of an emitted check (same array, dimension and
-    // subscript) cannot fail where the first passed: emitted once.
-    std::set<std::string> done;
-    for (const Statement* s : fast) {
-      for (const AccessRef& a : accesses_of(*s)) {
-        const ArrayBinding& b = binding_.at(*a.array);
-        for (int d = 0; d < static_cast<int>(a.subs->size()); ++d) {
-          const AffineExpr& e = (*a.subs)[d];
-          if (!done.insert(*a.array + " " + std::to_string(d) + " " +
-                           e.to_string())
-                   .second)
-            continue;
-          const i64 coef = e.coef(var);
-          std::string ds = std::to_string(d);
-          std::string lo = b.cname + "_lo" + ds, hi = b.cname + "_hi" + ds;
-          std::string mn = fresh("c");
-          std::string mx = mn;
-          line("{");
-          ++indent_;
-          if (coef == 0) {
-            line("const i64 " + mn + " = " + at(e, first) + ";");
-          } else {
-            mx = fresh("c");
-            line("const i64 " + mn + " = " + at(e, coef > 0 ? first : last) +
-                 ";");
-            line("const i64 " + mx + " = " + at(e, coef > 0 ? last : first) +
-                 ";");
-          }
-          std::string args = quoted(*a.array) + ", " + ds + ", ";
-          line("if (" + mn + " < " + lo + ") INLTC_OOB(" + args + mn + ", " +
-               lo + ", " + hi + ");");
-          line("if (" + mx + " > " + hi + ") INLTC_OOB(" + args + mx + ", " +
-               lo + ", " + hi + ");");
-          --indent_;
-          line("}");
-        }
+    for (const LoopPlan::Check& k : plan.checks) {
+      if (k.dim < 0) continue;
+      const ArrayAccess& a = accs[k.stmt][k.access];
+      const ArrayBinding& b = binding_.at(a.array);
+      const AffineExpr& e = a.subscripts[k.dim];
+      const i64 coef = e.coef(n.var());
+      std::string ds = std::to_string(k.dim);
+      std::string lo = b.cname + "_lo" + ds, hi = b.cname + "_hi" + ds;
+      std::string mn = fresh("c");
+      std::string mx = mn;
+      line("{");
+      ++indent_;
+      if (coef == 0) {
+        line("const i64 " + mn + " = " + at(e, first) + ";");
+      } else {
+        mx = fresh("c");
+        line("const i64 " + mn + " = " + at(e, coef > 0 ? first : last) + ";");
+        line("const i64 " + mx + " = " + at(e, coef > 0 ? last : first) + ";");
       }
+      std::string args = quoted(a.array) + ", " + ds + ", ";
+      line("if (" + mn + " < " + lo + ") INLTC_OOB(" + args + mn + ", " + lo +
+           ", " + hi + ");");
+      line("if (" + mx + " > " + hi + ") INLTC_OOB(" + args + mx + ", " + lo +
+           ", " + hi + ");");
+      --indent_;
+      line("}");
     }
   }
 
@@ -569,8 +546,8 @@ class Emitter {
   // no budget test; if m < n, one checked tail iteration faults at
   // exactly the instance where the VM does (write, count, fail).
   void emit_leaf_loop(const std::string& cv, const std::string& last, i64 step,
-                      const std::vector<const Statement*>& fast) {
-    const std::string k = std::to_string(fast.size());
+                      const std::vector<NodePtr>& body) {
+    const std::string k = std::to_string(body.size());
     const std::string lo = cv + "_lo";
     line("const i64 " + cv + "_n = " +
          (step == 1 ? last + " - " + lo + " + 1"
@@ -587,7 +564,8 @@ class Emitter {
     line("for (i64 " + cv + " = " + lo + "; " + cv + " < " + cv + "_end; " +
          cv + " += " + i64lit(step) + ") {");
     ++indent_;
-    for (const Statement* s : fast) emit_stmt(*s, StmtMode::kUnbudgeted);
+    for (const NodePtr& s : body)
+      emit_stmt(s->stmt_data(), StmtMode::kUnbudgeted);
     --indent_;
     line("}");
     line("st_iter += " + cv + "_m;");
@@ -596,7 +574,7 @@ class Emitter {
     ++indent_;
     line("const i64 " + cv + " = " + cv + "_end;");
     line("++st_iter;");
-    for (const Statement* s : fast) emit_stmt(*s, StmtMode::kHoisted);
+    for (const NodePtr& s : body) emit_stmt(s->stmt_data(), StmtMode::kHoisted);
     --indent_;
     line("}");
   }
@@ -604,19 +582,13 @@ class Emitter {
   void emit_loop(const Node& n) {
     std::string cv = "v" + std::to_string(loop_count_++) + "_" + san(n.var());
     const i64 step = n.step();
-    // The VM's rule (compile.cpp): an unguarded statement directly
-    // inside a loop is fast — its checks are hoisted to loop entry.
-    std::vector<const Statement*> fast;
-    for (const NodePtr& c : n.children())
-      if (c->is_stmt() && c->guards().empty()) fast.push_back(&c->stmt_data());
-    const bool leaf =
-        step > 0 && !fast.empty() && fast.size() == n.children().size();
+    const LoopPlan plan = plan_loop(n);
     line("{");
     ++indent_;
     line("const i64 " + cv + "_lo = " + lower_c(n.lower()) + ";");
     line("const i64 " + cv + "_hi = " + upper_c(n.upper()) + ";");
     std::string last = cv + "_hi";
-    if (!fast.empty()) {
+    if (!plan.fast.empty()) {
       line("if (" + cv + "_lo <= " + cv + "_hi) {");
       ++indent_;
       if (step != 1) {
@@ -625,22 +597,28 @@ class Emitter {
              "_hi - " + cv + "_lo, " + i64lit(step) + ") * " + i64lit(step) +
              ";");
       }
-      emit_entry_checks(n.var(), cv + "_lo", last, fast);
+      emit_entry_checks(n, cv + "_lo", last, plan);
     }
     scope_.emplace_back(n.var(), cv);
-    if (leaf) {
-      emit_leaf_loop(cv, last, step, fast);
+    if (plan.leaf) {
+      emit_leaf_loop(cv, last, step, n.children());
     } else {
       line("for (i64 " + cv + " = " + cv + "_lo; " + cv + " <= " + cv +
            "_hi; " + cv + " += " + i64lit(step) + ") {");
       ++indent_;
       line("++st_iter;");
-      for (const NodePtr& c : n.children()) emit_node(*c);
+      for (int c = 0; c < static_cast<int>(n.children().size()); ++c) {
+        const Node& child = *n.children()[c];
+        if (std::find(plan.fast.begin(), plan.fast.end(), c) != plan.fast.end())
+          emit_stmt(child.stmt_data(), StmtMode::kHoisted);
+        else
+          emit_node(child);
+      }
       --indent_;
       line("}");
     }
     scope_.pop_back();
-    if (!fast.empty()) {
+    if (!plan.fast.empty()) {
       --indent_;
       line("}");
     }
@@ -667,15 +645,13 @@ class Emitter {
     emit_body(n);
   }
 
+  // Fast statements are emitted by their loop; every statement that
+  // reaches here is guarded or loop-less.
   void emit_body(const Node& n) {
-    if (n.is_stmt()) {
-      // Directly inside a loop (scope_ non-empty) and unguarded: fast.
-      emit_stmt(n.stmt_data(), n.guards().empty() && !scope_.empty()
-                                   ? StmtMode::kHoisted
-                                   : StmtMode::kChecked);
-    } else {
+    if (n.is_stmt())
+      emit_stmt(n.stmt_data(), StmtMode::kChecked);
+    else
       emit_loop(n);
-    }
   }
 
   const Program* prog_;

@@ -29,15 +29,15 @@
 //   err     — out: failure message when the return value is nonzero
 //             (0 ok, 2 bounds, 3 instance budget, 4 undeclared array).
 //
-// Checks follow the VM's rule (exec/compile.cpp), so a wrong candidate
-// still fails loudly instead of scribbling memory, and fails at the
-// same access with the same message as on the VM:
+// Checks come from the lowering plan the VM also reads (exec/lower.hpp),
+// so a wrong candidate still fails loudly instead of scribbling memory,
+// and fails at the same access with the same message as on the VM:
 //
 //  * a *fast* statement — unguarded, directly inside a loop — is
 //    checked once per non-empty entry of that loop: the NULL test of
-//    each array, then per access (write, then reads) and dimension the
-//    subscript's minimum and maximum over the loop's first and last
-//    iterate. Its body computes offsets with no branches;
+//    each array, then the plan's distinct (array, dimension, subscript)
+//    checks, the subscript's minimum and maximum over the loop's first
+//    and last iterate. Its body computes offsets with no branches;
 //  * guarded and loop-less statements check every access as it
 //    executes;
 //  * a *leaf* loop (every child a fast statement, k of them) runs its

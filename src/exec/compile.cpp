@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "exec/lower.hpp"
 #include "exec/vm.hpp"
 #include "support/check.hpp"
 #include "support/stats.hpp"
@@ -25,11 +26,12 @@ class VmCompiler {
   void compile() {
     for (const NodePtr& root : p_.roots()) compile_node(*root);
     vm_.code_.push_back({VmProgram::COp::kHalt, 0, 0});
-    finalize_loop_actions();
+    if (mem_)
+      for (const VmProgram::StmtInfo& s : vm_.stmts_)
+        (s.fast ? vm_.hoisted_accesses_ : vm_.checked_accesses_) += s.naccesses;
     vm_.num_slots_ = next_slot_;
     vm_.env_.assign(static_cast<size_t>(std::max(next_slot_, 1)), 0);
     vm_.hi_.assign(std::max<size_t>(vm_.loops_.size(), 1), 0);
-    vm_.last_.assign(std::max<size_t>(vm_.loops_.size(), 1), 0);
     vm_.offs_.assign(std::max<size_t>(vm_.accesses_.size(), 1), 0);
     vm_.sregs_.assign(static_cast<size_t>(std::max(vm_.max_sregs_, 1)), 0.0);
     size_t leaf_regs = 0;
@@ -229,55 +231,26 @@ class VmCompiler {
     if (!mem_) {
       // Probe mode: accesses only (write first, matching the walker).
       for (const ArrayAccess& a : s.accesses()) add_access(a.array, a.subscripts);
-      st.naccesses = static_cast<int>(vm_.accesses_.size()) - st.first_access;
-      vm_.stmts_.push_back(std::move(st));
-      emit_c(COp::kStmt, static_cast<int>(vm_.stmts_.size()) - 1);
-      return;
-    }
-    add_access(s.lhs_array, s.lhs_subscripts);
-    st.scalar_begin = static_cast<int>(vm_.scode_.size());
-    if (s.rhs) st.result_reg = compile_scalar(*s.rhs, 0);
-    st.scalar_end = static_cast<int>(vm_.scode_.size());
-    st.naccesses = static_cast<int>(vm_.accesses_.size()) - st.first_access;
-    bool all_bound = true;
-    for (int i = st.first_access; i < st.first_access + st.naccesses; ++i)
-      if (vm_.arrays_[vm_.accesses_[i].array].data == nullptr)
-        all_bound = false;
-    st.fast = all_bound && n.guards().empty() && !loop_stack_.empty();
-    if (st.fast) {
-      int owner = loop_stack_.back();
-      const VmProgram::LoopInfo& L = vm_.loops_[owner];
-      for (int i = st.first_access; i < st.first_access + st.naccesses; ++i) {
-        VmProgram::Access& a = vm_.accesses_[i];
-        loop_inits_[owner].push_back({i});
-        i64 ocoef = 0;
-        for (const auto& [slot, coef] : a.offset.terms)
-          if (slot == L.slot) ocoef = coef;
-        a.step_delta = checked_mul(ocoef, L.step);
-        if (a.step_delta != 0)
-          loop_advances_[owner].push_back({a.reg, a.step_delta});
-        for (int d = 0; d < a.ndims; ++d) {
-          i64 dcoef = 0;
-          for (const auto& [slot, coef] :
-               vm_.dims_[a.first_dim + d].expr.terms)
-            if (slot == L.slot) dcoef = coef;
-          loop_checks_[owner].push_back({i, d, dcoef});
-        }
-      }
-      vm_.hoisted_accesses_ += st.naccesses;
     } else {
-      vm_.checked_accesses_ += st.naccesses;
+      add_access(s.lhs_array, s.lhs_subscripts);
+      st.scalar_begin = static_cast<int>(vm_.scode_.size());
+      if (s.rhs) st.result_reg = compile_scalar(*s.rhs, 0);
+      st.scalar_end = static_cast<int>(vm_.scode_.size());
     }
+    st.naccesses = static_cast<int>(vm_.accesses_.size()) - st.first_access;
     vm_.stmts_.push_back(std::move(st));
     emit_c(COp::kStmt, static_cast<int>(vm_.stmts_.size()) - 1);
+  }
+
+  static i64 coef_of(const LinExpr& e, int slot) {
+    for (const auto& [s, c] : e.terms)
+      if (s == slot) return c;
+    return 0;
   }
 
   void compile_loop(const Node& n) {
     int idx = static_cast<int>(vm_.loops_.size());
     vm_.loops_.emplace_back();
-    loop_inits_.emplace_back();
-    loop_checks_.emplace_back();
-    loop_advances_.emplace_back();
     {
       VmProgram::LoopInfo& L = vm_.loops_[idx];
       L.slot = next_slot_++;
@@ -289,31 +262,58 @@ class VmCompiler {
     }
     int enter_pc = emit_c(COp::kLoopEnter, idx);
     scope_.emplace_back(n.var(), vm_.loops_[idx].slot);
-    loop_stack_.push_back(idx);
     int body_pc = static_cast<int>(vm_.code_.size());
     int acc_before = static_cast<int>(vm_.accesses_.size());
-    int stmt_before = static_cast<int>(vm_.stmts_.size());
-    for (const NodePtr& c : n.children()) compile_node(*c);
+    std::vector<int> stmt_of;  // stmts_ index per statement child
+    for (const NodePtr& c : n.children()) {
+      stmt_of.push_back(static_cast<int>(vm_.stmts_.size()));
+      compile_node(*c);
+    }
     emit_c(COp::kLoopNext, idx, body_pc);
     vm_.code_[enter_pc].jump = static_cast<int>(vm_.code_.size());
-    loop_stack_.pop_back();
     scope_.pop_back();
 
-    bool collapse = true;
-    for (const NodePtr& c : n.children())
-      if (!c->is_stmt() || !c->guards().empty()) collapse = false;
+    // The loop's entry actions, appended now that its children are
+    // compiled, so each loop's ranges are contiguous.
+    const LoopPlan plan = plan_loop(n);
     VmProgram::LoopInfo& L = vm_.loops_[idx];
-    L.probe_collapse = collapse;
+    L.probe_collapse = plan.leaf;
     L.probe_begin = acc_before;
     L.probe_end = static_cast<int>(vm_.accesses_.size());
-    // Children that are all unguarded statements are exactly the
-    // statements compiled since stmt_before; with every one fast (and
-    // a forward step) the loop is a leaf for the executor.
-    int stmt_end = static_cast<int>(vm_.stmts_.size());
-    bool leaf = collapse && mem_ && L.step > 0 && stmt_end > stmt_before;
-    for (int i = stmt_before; leaf && i < stmt_end; ++i)
-      leaf = vm_.stmts_[i].fast;
-    if (leaf) L.leaf = build_leaf_plan(stmt_before, stmt_end);
+    L.init_begin = static_cast<int>(vm_.inits_.size());
+    L.adv_begin = static_cast<int>(vm_.advances_.size());
+    bool leaf = plan.leaf;
+    for (int c : plan.fast) {
+      // A statement on an array missing from Memory (or any statement
+      // in probe mode) stays slow: it faults where the walker does.
+      VmProgram::StmtInfo& st = vm_.stmts_[stmt_of[c]];
+      const int end = st.first_access + st.naccesses;
+      st.fast = true;
+      for (int i = st.first_access; i < end; ++i)
+        st.fast = st.fast && vm_.arrays_[vm_.accesses_[i].array].data;
+      leaf = leaf && st.fast;
+      for (int i = st.first_access; st.fast && i < end; ++i) {
+        VmProgram::Access& a = vm_.accesses_[i];
+        vm_.inits_.push_back({i});
+        a.step_delta = checked_mul(coef_of(a.offset, L.slot), L.step);
+        if (a.step_delta != 0) vm_.advances_.push_back({a.reg, a.step_delta});
+      }
+    }
+    L.init_end = static_cast<int>(vm_.inits_.size());
+    L.adv_end = static_cast<int>(vm_.advances_.size());
+    L.check_begin = static_cast<int>(vm_.checks_.size());
+    for (const LoopPlan::Check& k : plan.checks) {
+      // A slow statement's checks stay per access. A repeat hidden by
+      // one is never needed: that statement faults before a later one.
+      const VmProgram::StmtInfo& st = vm_.stmts_[stmt_of[k.stmt]];
+      if (k.dim < 0 || !st.fast) continue;
+      const int i = st.first_access + k.access;
+      const LinExpr& e = vm_.dims_[vm_.accesses_[i].first_dim + k.dim].expr;
+      vm_.checks_.push_back({i, k.dim, coef_of(e, L.slot)});
+    }
+    L.check_end = static_cast<int>(vm_.checks_.size());
+    // A leaf's statements are its children, compiled consecutively.
+    if (leaf) L.leaf = build_leaf_plan(stmt_of.front(), stmt_of.back() + 1);
   }
 
   // Same flat offset function: equal constants and equal nonzero
@@ -457,36 +457,39 @@ class VmCompiler {
     return static_cast<int>(vm_.code_.size()) - 1;
   }
 
-  // Per-loop action lists accumulate out of order (statements of one
-  // loop body interleave with nested loops); flatten them into the
-  // contiguous ranges LoopInfo indexes.
-  void finalize_loop_actions() {
-    for (size_t i = 0; i < vm_.loops_.size(); ++i) {
-      VmProgram::LoopInfo& L = vm_.loops_[i];
-      L.init_begin = static_cast<int>(vm_.inits_.size());
-      for (const auto& e : loop_inits_[i]) vm_.inits_.push_back(e);
-      L.init_end = static_cast<int>(vm_.inits_.size());
-      L.check_begin = static_cast<int>(vm_.checks_.size());
-      for (const auto& e : loop_checks_[i]) vm_.checks_.push_back(e);
-      L.check_end = static_cast<int>(vm_.checks_.size());
-      L.adv_begin = static_cast<int>(vm_.advances_.size());
-      for (const auto& e : loop_advances_[i]) vm_.advances_.push_back(e);
-      L.adv_end = static_cast<int>(vm_.advances_.size());
-    }
-  }
-
   const Program& p_;
   const std::map<std::string, i64>& params_;
   Memory* mem_;
   VmProgram& vm_;
   std::vector<std::pair<std::string, int>> scope_;  // (var, slot), inner last
-  std::vector<int> loop_stack_;                     // loop ids, inner last
   std::map<std::string, int> array_ids_;
   int next_slot_ = 0;
-  std::vector<std::vector<VmProgram::EntryInit>> loop_inits_;
-  std::vector<std::vector<VmProgram::EntryCheck>> loop_checks_;
-  std::vector<std::vector<VmProgram::Advance>> loop_advances_;
 };
+
+LoopPlan plan_loop(const Node& loop) {
+  LoopPlan plan;
+  const std::vector<NodePtr>& kids = loop.children();
+  std::vector<std::vector<ArrayAccess>> accs(kids.size());
+  for (int c = 0; c < static_cast<int>(kids.size()); ++c) {
+    if (!kids[c]->is_stmt() || !kids[c]->guards().empty()) continue;
+    plan.fast.push_back(c);
+    accs[c] = kids[c]->stmt_data().accesses();
+    for (int a = 0; a < static_cast<int>(accs[c].size()); ++a) {
+      const ArrayAccess& x = accs[c][a];
+      for (int d = -1; d < static_cast<int>(x.subscripts.size()); ++d) {
+        bool repeat = false;
+        for (const LoopPlan::Check& k : plan.checks) {
+          const ArrayAccess& y = accs[k.stmt][k.access];
+          repeat = repeat || (k.dim == d && y.array == x.array &&
+                              (d < 0 || y.subscripts[d] == x.subscripts[d]));
+        }
+        if (!repeat) plan.checks.push_back({c, a, d});
+      }
+    }
+  }
+  plan.leaf = !plan.fast.empty() && plan.fast.size() == kids.size();
+  return plan;
+}
 
 VmProgram::VmProgram(const Program& p, const std::map<std::string, i64>& params,
                      Memory& mem) {

@@ -131,29 +131,27 @@ void warn_native_fallback_once(const Diagnostic& d) {
 
 InterpStats interpret(const Program& p, const std::map<std::string, i64>& params,
                       Memory& mem, const InterpOptions& opts) {
-  // The VM produces no per-access events, so an installed observer
-  // forces the reference walker regardless of the requested engine.
-  // The cache probe is VM-only (it rides the resolved flat offsets),
-  // so the two are mutually exclusive.
-  INLT_CHECK_MSG(!(opts.observer && opts.cache_probe),
-                 "cache_probe requires the VM engine; observer forces the "
-                 "AST walker");
-  // The native engine covers the plain serial path; the probe rides
-  // the VM's resolved offsets and a parallel partition rides the VM's
-  // worker pool, so both divert to the VM below. Preparation failures
-  // (no compiler, compile error) warn once and fall back; runtime
-  // failures of a prepared kernel (bounds, budget) throw like any
-  // other engine's.
-  if (opts.engine == ExecEngine::kNative && !opts.observer &&
-      !opts.cache_probe && !(opts.num_threads > 1 && !opts.partition.empty())) {
+  // Only the walker materializes per-access events, and the cache
+  // probe rides the VM's resolved flat offsets: any other engine is
+  // rejected rather than silently replaced.
+  if (opts.observer && opts.engine != ExecEngine::kAstWalker)
+    throw Error("an access observer requires the AST walker engine");
+  if (opts.cache_probe && opts.engine != ExecEngine::kVm)
+    throw Error("cache_probe requires the VM engine");
+  // The native engine covers the serial path; a parallel partition
+  // rides the VM's worker pool, the one remaining substitution.
+  // Preparation failures (no compiler, compile error) warn once and
+  // fall back; runtime failures of a prepared kernel (bounds, budget)
+  // throw like any other engine's.
+  const bool partitioned = opts.num_threads > 1 && !opts.partition.empty();
+  if (opts.engine == ExecEngine::kNative && !partitioned) {
     InterpStats st;
     Diagnostic why;
     if (native_try_run(p, params, mem, opts, &st, &why)) return st;
     warn_native_fallback_once(why);
   }
-  if ((opts.engine != ExecEngine::kAstWalker || opts.cache_probe) &&
-      !opts.observer) {
-    if (opts.num_threads > 1 && !opts.partition.empty() && !opts.cache_probe)
+  if (opts.engine != ExecEngine::kAstWalker) {
+    if (partitioned && !opts.cache_probe)
       return run_partitioned(p, params, mem, opts.partition, opts.num_threads,
                              opts);
     VmProgram vm(p, params, mem);

@@ -42,8 +42,8 @@ enum class ExecEngine {
   kNative,     ///< lower to C, compile, dlopen and run (exec/native.hpp);
                ///< falls back to the VM (with a Stage::kExec warning on
                ///< stderr) when no C compiler or dlopen is available.
-               ///< Serial only: an observer forces the walker, and the
-               ///< cache probe or a parallel partition rides the VM.
+               ///< Serial only: a parallel partition rides the VM, the
+               ///< one engine substitution interpret() still makes.
 };
 
 /// Bucketed distinct-cache-line estimator — the VM's ground-truth
@@ -91,23 +91,24 @@ struct InterpOptions {
   /// Bound on executed statement instances (runaway guard).
   i64 max_instances = 50'000'000;
   /// Optional access observer (drives the dependence-order oracle in
-  /// exec/trace.hpp). Reads are reported before the write. Installing
-  /// an observer forces the AST walker: the VM does not materialize
-  /// per-access events, and the oracle needs their exact order.
+  /// exec/trace.hpp). Reads are reported before the write. AST walker
+  /// only (interpret() rejects it with any other engine): the VM and
+  /// native code do not materialize per-access events.
   std::function<void(const AccessEvent&)> observer;
-  /// Engine selection; ignored (walker used) when `observer` is set.
+  /// Engine selection.
   ExecEngine engine = ExecEngine::kVm;
   /// When set, count cache lines touched during execution. VM engine
-  /// only (interpret() rejects the combination with an observer);
-  /// results accumulate into the pointed-to probe, so one probe can
-  /// span several runs.
+  /// only (interpret() rejects it with any other engine); results
+  /// accumulate into the pointed-to probe, so one probe can span
+  /// several runs.
   CacheProbe* cache_probe = nullptr;
   /// Partitioned parallel execution (exec/parallel.hpp). When
   /// num_threads > 1 and `partition` names at least one loop of the
   /// program, the VM chunks those (doall) loops across a shared
   /// worker pool — bit-identical Memory, summed InterpStats, and the
   /// instance budget enforced per worker. Serial otherwise. VM engine
-  /// only: an observer or cache probe forces the serial path.
+  /// (kNative is substituted by the VM here); a cache probe forces
+  /// the serial path, and the walker always runs serially.
   int num_threads = 1;
   std::vector<std::string> partition;
   /// Opt-in per-opcode VM profiling: bucket the nanoseconds spent in

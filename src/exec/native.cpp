@@ -150,14 +150,7 @@ struct HandleLru {
       std::list<std::pair<std::string, std::shared_ptr<NativeKernel>>>::iterator>
       by_key;
 
-  static size_t capacity() {
-    std::string v = getenv_str("INLTC_NATIVE_LRU");
-    if (!v.empty()) {
-      long n = std::atol(v.c_str());
-      if (n >= 1) return static_cast<size_t>(n);
-    }
-    return 64;
-  }
+  static constexpr size_t kCapacity = 64;
 
   std::shared_ptr<NativeKernel> get(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu);
@@ -179,8 +172,7 @@ struct HandleLru {
     }
     order.emplace_front(key, std::move(k));
     by_key[key] = order.begin();
-    size_t cap = capacity();
-    while (order.size() > cap) {
+    while (order.size() > kCapacity) {
       by_key.erase(order.back().first);
       order.pop_back();
     }

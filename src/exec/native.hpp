@@ -19,7 +19,7 @@
 // half-written object — at worst both compile and the second rename
 // wins. A cache entry that fails to dlopen/dlsym (truncated, foreign
 // ABI) is deleted and recompiled, never trusted. Open handles live in
-// an in-process LRU (INLTC_NATIVE_LRU entries, default 64) of
+// an in-process LRU (64 entries) of
 // refcounted handles; eviction dlcloses once the last running kernel
 // is done.
 //

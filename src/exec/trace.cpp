@@ -23,6 +23,7 @@ std::map<std::string, CellTrace> trace_of(
   declare_arrays(p, params, mem);
   fill_spd(mem, 1);
   InterpOptions opts;
+  opts.engine = ExecEngine::kAstWalker;
   opts.observer = [&](const AccessEvent& ev) {
     std::string key = ev.array;
     for (i64 i : ev.index) key += "," + std::to_string(i);

@@ -12,12 +12,12 @@
 //    *incremented* on every loop advance — no per-access subscript
 //    evaluation at all on the hot path;
 //  * arrays are resolved once to raw double* with row-major strides;
-//    for unguarded statements the per-dimension bounds checks are
-//    hoisted to the owning loop's entry (both range endpoints of every
-//    affine subscript are checked once per entry — exact, because an
-//    affine function of the loop variable is monotonic), guarded
-//    statements keep exact per-access checks so wrong transformations
-//    still fail loudly;
+//    for the lowering plan's fast statements the per-dimension bounds
+//    checks are hoisted to the owning loop's entry (both range
+//    endpoints of each distinct affine subscript are checked once per
+//    entry — exact, because an affine function of the loop variable is
+//    monotonic); the others keep exact per-access checks, so wrong
+//    transformations still fail loudly;
 //  * statement bodies become linear register bytecode; the
 //    uninterpreted-function hash (exec/ufhash.hpp) is inlined;
 //  * control flow is a flat instruction array driven by a program
@@ -29,9 +29,9 @@
 // multiplication, advance deltas) uses checked_int arithmetic, so
 // absurd parameter values fail with OverflowError instead of wrapping.
 //
-// Leaf loops — loops whose children are all unguarded, hoisted-check
-// ("fast") statements — run in a leaf-loop executor instead of the
-// per-instance dispatch loop. At compile time each leaf gets a plan:
+// Leaf loops of the lowering plan (exec/lower.hpp) whose arrays are
+// all bound run in a leaf-loop executor instead of the per-instance
+// dispatch loop. At compile time each leaf gets a plan:
 // the body's bytecode SSA-renamed so every op owns a chunk register of
 // kLeafWidth doubles, a "carried" taint on each op that depends on a
 // recurrent load (a read of the statement's own loop-invariant write
@@ -56,10 +56,10 @@
 // statements, CacheProbe runs, profiled runs and that last iteration.
 //
 // probe_ranges() is the same machinery in "probe" mode: it sizes
-// arrays for declare_arrays without touching memory, and collapses
-// leaf loops whose children are all unguarded statements into two
-// endpoint evaluations per entry — declare_arrays drops from the full
-// iteration count to the iteration count of the outer nest.
+// arrays for declare_arrays without touching memory, and collapses the
+// plan's leaf loops into two endpoint evaluations per entry —
+// declare_arrays drops from the full iteration count to the iteration
+// count of the outer nest.
 #pragma once
 
 #include <atomic>
@@ -86,8 +86,8 @@ class VmProgram {
             Memory& mem);
 
   /// Execute. Only `max_instances` is consulted from `opts` — callers
-  /// with an observer must use the AST walker (interpret() dispatches
-  /// automatically).
+  /// with an observer must use the AST walker (interpret() rejects
+  /// one with any other engine).
   InterpStats run(const InterpOptions& opts = {});
 
   /// Re-point array references at another Memory with identical
@@ -223,9 +223,9 @@ class VmProgram {
     int first_access = 0, naccesses = 0;  // accesses_; [0] is the write
     int scalar_begin = 0, scalar_end = 0;  // into scode_
     int result_reg = -1;                   // -1: statement has no rhs
-    // Fast statements (unguarded, directly inside a loop) rely on
-    // loop-entry offset initialization, advance deltas and hoisted
-    // checks; slow statements recompute and check every access.
+    // Fast statements (the lowering plan's, with every array bound)
+    // rely on loop-entry offset initialization, advance deltas and
+    // hoisted checks; slow statements recompute and check every access.
     bool fast = false;
   };
 
@@ -250,8 +250,8 @@ class VmProgram {
     int init_begin = 0, init_end = 0;    // into inits_
     int check_begin = 0, check_end = 0;  // into checks_
     int adv_begin = 0, adv_end = 0;      // into advances_
-    // Probe mode: all children are unguarded statements, so one
-    // endpoint evaluation per entry covers the whole iteration range.
+    // Probe mode: a leaf of the lowering plan, so one endpoint
+    // evaluation per entry covers the whole iteration range.
     bool probe_collapse = false;
     int probe_begin = 0, probe_end = 0;  // collapsed accesses (accesses_)
     int leaf = -1;  // leaf_plans_ index; -1: not a leaf loop
@@ -390,7 +390,6 @@ class VmProgram {
   bool chunk_traced_ = false;
   std::vector<i64> env_;    // loop variable values, by slot
   std::vector<i64> hi_;     // per active loop: current upper bound
-  std::vector<i64> last_;   // per active loop: last executed value
   std::vector<i64> offs_;   // per access: running flat offset
   std::vector<double> sregs_;
   // Leaf chunk registers, kLeafWidth doubles per op of the largest

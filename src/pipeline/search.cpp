@@ -347,8 +347,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   // cost tens of microseconds and go in blocks growing to 64 as the
   // walk finds more of them. At most a few blocks per thread are
   // unsettled at once.
-  const int nthreads = resolve_threads(opts_.threads, opts_.max_threads,
-                                       std::numeric_limits<int>::max());
+  const int nthreads = resolve_threads(opts_.threads, std::numeric_limits<int>::max());
   const size_t block = pipe.has(StageKind::kCodegen) ? 1 : 64;
   InOrderFanOut fan(
       nthreads, block, /*window=*/4 * static_cast<size_t>(nthreads),

@@ -10,15 +10,13 @@
 
 namespace inlt {
 
-int resolve_threads(int requested, int ceiling, size_t work_items) {
+int resolve_threads(int requested, size_t work_items) {
   int n = requested;
   if (n <= 0) {
-    // Default to the machine's parallelism; `max_threads` is the
-    // session's opt-in ceiling (0 = none). An explicit request is
+    // Default to the machine's parallelism; an explicit request is
     // honored as-is.
     unsigned hw = std::thread::hardware_concurrency();
     n = hw == 0 ? 1 : static_cast<int>(hw);
-    if (ceiling > 0) n = std::min(n, ceiling);
   }
   return std::max(1, std::min(n, static_cast<int>(work_items)));
 }
@@ -102,7 +100,7 @@ std::vector<CandidateResult> TransformSession::evaluate_all(
   std::vector<CandidateResult> out(candidates.size());
   if (candidates.empty()) return out;
   int nthreads =
-      resolve_threads(opts_.threads, opts_.max_threads, candidates.size());
+      resolve_threads(opts_.threads, candidates.size());
   if (nthreads == 1) {
     for (size_t i = 0; i < candidates.size(); ++i)
       out[i] = evaluate_impl(candidates[i]);

@@ -58,10 +58,6 @@ struct SessionOptions {
   /// Worker threads for evaluate_all; 0 = use hardware concurrency,
   /// 1 = sequential, n > 1 = exactly n workers.
   int threads = 0;
-  /// Ceiling applied when `threads` is resolved from hardware
-  /// concurrency (0 = no ceiling). Explicit `threads` requests are
-  /// never capped.
-  int max_threads = 0;
 };
 
 /// How much work search() invests per surviving candidate.
@@ -188,11 +184,11 @@ struct CandidateResult {
   std::optional<VerifyResult> verify;
 };
 
-/// Resolve a worker-thread request against hardware concurrency, an
-/// optional ceiling and the number of work items (the semantics of
-/// SessionOptions::threads / max_threads). Shared by evaluate_all and
-/// the deferred evaluation stage of full-mode search().
-int resolve_threads(int requested, int ceiling, size_t work_items);
+/// Resolve a worker-thread request against hardware concurrency and
+/// the number of work items (the semantics of SessionOptions::threads).
+/// Shared by evaluate_all and the deferred evaluation stage of
+/// full-mode search().
+int resolve_threads(int requested, size_t work_items);
 
 class TransformSession {
  public:

@@ -29,9 +29,13 @@
 #include "exec/cgen.hpp"
 #include "exec/native.hpp"
 #include "exec/verify.hpp"
+#include "exec/vm.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
+#include "pipeline/search.hpp"
+#include "support/sha256.hpp"
 #include "support/stats.hpp"
+#include "tile/plan.hpp"
 #include "transform/transforms.hpp"
 
 namespace inlt {
@@ -352,6 +356,64 @@ end
   EXPECT_EQ(nat_g, "array index out of bounds: B dim 0 index 6 not in [1, 5]");
 }
 
+TEST_F(NativeTest, RepeatedChecksAreDroppedWithoutMovingFaults) {
+  // A(I, J) appears twice and the subscript I three times, so the J
+  // loop's entry runs each distinct (array, dimension, subscript) check
+  // once. A repeat cannot fail where its first copy passed: each shape
+  // of A below cuts the first or the last iterate of one loop, and
+  // both engines fault with the text they always gave, leaving the
+  // rows before the faulting entry done and nothing else.
+  Program p = parse_program(R"(
+param N
+do I = 1, N
+  do J = 1, N
+    S1: A(I, J) = A(I, J) * 2.0 + A(I, J - 1)
+  end
+end
+)");
+  Program rows = parse_program(R"(
+param N
+param M
+do I = 1, M
+  do J = 1, N
+    S1: A(I, J) = A(I, J) * 2.0 + A(I, J - 1)
+  end
+end
+)");
+  struct Shape {
+    std::vector<i64> lo, hi;
+    i64 done_rows;
+    std::string text;
+  };
+  const std::string oob = "array index out of bounds: A dim ";
+  const Shape shapes[] = {
+      {{1, 1}, {6, 6}, 0, oob + "1 index 0 not in [1, 6]"},  // J - 1, first
+      {{1, 0}, {6, 5}, 0, oob + "1 index 6 not in [0, 5]"},  // J, last
+      {{2, 0}, {6, 6}, 0, oob + "0 index 1 not in [2, 6]"},  // I, first
+      {{1, 0}, {5, 6}, 5, oob + "0 index 6 not in [1, 5]"},  // I, last
+  };
+  const std::map<std::string, i64> params{{"N", 6}};
+  for (const Shape& s : shapes) {
+    Memory proto;
+    proto.declare("A", s.lo, s.hi);
+    randomize(proto, 1);
+    auto [nat, vm] = fail_on_both(p, params, proto, 50'000'000, s.text);
+    EXPECT_EQ(nat, s.text);
+    EXPECT_EQ(vm, s.text);
+    Memory vm_mem = proto;
+    EXPECT_THROW(interpret(p, params, vm_mem), Error);
+    Memory done = proto;
+    InterpOptions walker;
+    walker.engine = ExecEngine::kAstWalker;
+    interpret(rows, {{"N", 6}, {"M", s.done_rows}}, done, walker);
+    expect_bit_identical(vm_mem, done, s.text);
+    // Checks are dropped, not accesses: all three stay hoisted.
+    VmProgram compiled(p, params, vm_mem);
+    EXPECT_EQ(compiled.hoisted_accesses(), 3);
+    EXPECT_EQ(compiled.checked_accesses(), 0);
+  }
+}
+
 TEST_F(NativeTest, BudgetFaultsMatchVmAtEveryInstance) {
   // Every budget from 0 to one short of the run's instance count, so
   // the fault lands everywhere once: in S1 (in the K loop, which is
@@ -590,6 +652,72 @@ TEST_F(NativeTest, EmittedSourceIsDeterministic) {
   EXPECT_NE(s1.code.find("inltc_uf_unit"), std::string::npos);
   EXPECT_NE(s1.code.find("double* restrict"), std::string::npos);
   EXPECT_NE(s1.code.find("-ffp-contract=off"), std::string::npos);
+}
+
+// The emitted text is the compile cache's key: any change recompiles
+// every kernel. These sha256 hashes pin the text for a fixed corpus of
+// source, searched, skewed, tiled and scaled programs. Programs that
+// call f() are left out: their std::hash literal depends on the
+// standard library. On a mismatch the text is written to a temp file
+// for diffing.
+TEST(NativeEmitter, TextUnchangedOnCorpus) {
+  std::vector<std::pair<std::string, Program>> corpus;
+  corpus.emplace_back("cholesky.loop", load_testdata("cholesky.loop"));
+  TransformSession session(load_testdata("cholesky.loop"));
+  for (SearchHit& h : session.search(SearchSpace{}).hits)
+    corpus.emplace_back("cholesky.loop hit " + std::to_string(h.index),
+                        std::move(*h.result.program));
+  corpus.emplace_back("cholesky_ijk.loop", load_testdata("cholesky_ijk.loop"));
+  {
+    Program p = load_testdata("stencil.loop");
+    IvLayout layout(p);
+    DependenceSet deps = analyze_dependences(layout);
+    corpus.emplace_back(
+        "stencil.loop skew I J 1",
+        generate_code(layout, deps, loop_skew(layout, "I", "J", 1)).program);
+  }
+  TileOptions topts;
+  topts.sizes = {5, 7};
+  topts.force = true;
+  TiledProgram tp = apply_tile(gallery::lu(), topts);
+  ASSERT_TRUE(tp.program.has_value()) << tp.plan.note;
+  corpus.emplace_back("tiled lu", std::move(*tp.program));
+  {
+    Program p = gallery::fig3_perfect_nest();
+    IvLayout layout(p);
+    DependenceSet deps = analyze_dependences(layout);
+    IntMat m = mat_mul(loop_skew(layout, "I", "J", 1),
+                       loop_scaling(layout, "J", 2));
+    corpus.emplace_back("scaled fig3", generate_code(layout, deps, m).program);
+  }
+  const std::vector<std::string> expected = {
+      "0bade81182d3e82031a2bf76228155094e6bd31ca91a764747512b3775a69072",
+      "0bade81182d3e82031a2bf76228155094e6bd31ca91a764747512b3775a69072",
+      "921fa51eeb2a3d18386facd8bacae0e47a550a995e3ef17d0bbe5f61fdc75412",
+      "ab11450f8d1cda393f28ce992144f16163234ac024155cab8eef8ab2661b0603",
+      "a6b6f44c10d9073828ca0206b07c43e62cc2df9f78c488eb52c048092826e9e8",
+      "69a41b55a3988a0b775035497073ad4eece9819fe5c14f0eaac9474f2de24c36",
+      "2f7ed7584446a774b94ab89b834330f675584a13b92bfd0f360ac3c23ef07613",
+      "27158cd650901c9be9d6f4d10fcca5a7059211963ebb73f8f664866c5ce5b84a",
+      "be16cd3edb6987768ec9d59cc1e4375f7bc1b707000c463822e03fc3809db558",
+      "4f5d6f306f10465ac2a12f0925174f167c1fa611c448508273261d554b3b028c",
+      "1fc93c3ee90239895f3fbe5dc418535ed1f375a58740ddb93f0a1acb36541071",
+  };
+  EXPECT_EQ(corpus.size(), expected.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const auto& [name, program] = corpus[i];
+    const std::string code = emit_native_c(program).code;
+    if (name == "scaled fig3") {
+      EXPECT_NE(code.find("inltc_fmod("), std::string::npos)
+          << "no divisibility guard";
+    }
+    if (i < expected.size() && sha256_hex(code) == expected[i]) continue;
+    std::string file = "inltc_emitted_" + std::to_string(i) + ".c";
+    fs::path out = fs::temp_directory_path() / file;
+    std::ofstream(out) << code;
+    ADD_FAILURE() << name << ": emitted C changed (sha256 " << sha256_hex(code)
+                  << "); text written to " << out.string();
+  }
 }
 
 }  // namespace

@@ -268,17 +268,43 @@ TEST(Vm, InstanceBudgetEnforcedIdentically) {
   }
 }
 
-TEST(Vm, ObserverForcesWalkerFallback) {
+TEST(Vm, ObserverNeedsWalkerEngine) {
   Program p = gallery::simplified_cholesky();
   Memory mem;
   declare_arrays(p, {{"N", 4}}, mem);
   fill_spd(mem, 1);
   int events = 0;
   InterpOptions opts;
-  opts.engine = ExecEngine::kVm;  // observer must override this
   opts.observer = [&](const AccessEvent&) { ++events; };
-  interpret(p, {{"N", 4}}, mem, opts);
-  EXPECT_GT(events, 0);
+  // Off the walker, the observer is rejected before anything runs.
+  for (ExecEngine engine : {ExecEngine::kVm, ExecEngine::kNative}) {
+    opts.engine = engine;
+    Memory untouched = mem;
+    EXPECT_THROW(interpret(p, {{"N", 4}}, untouched, opts), Error);
+    EXPECT_EQ(events, 0);
+    expect_bit_identical(untouched, mem, "rejected observer run");
+  }
+  // On the walker it sees every access: one write per instance plus
+  // the reads.
+  opts.engine = ExecEngine::kAstWalker;
+  InterpStats st = interpret(p, {{"N", 4}}, mem, opts);
+  EXPECT_GT(st.instances, 0);
+  EXPECT_GT(events, st.instances);
+}
+
+TEST(Vm, CacheProbeNeedsVmEngine) {
+  Program p = gallery::simplified_cholesky();
+  Memory mem;
+  declare_arrays(p, {{"N", 4}}, mem);
+  fill_spd(mem, 1);
+  CacheProbe probe;
+  InterpOptions opts;
+  opts.cache_probe = &probe;
+  for (ExecEngine engine : {ExecEngine::kAstWalker, ExecEngine::kNative}) {
+    opts.engine = engine;
+    EXPECT_THROW(interpret(p, {{"N", 4}}, mem, opts), Error);
+  }
+  EXPECT_EQ(probe.accesses, 0);
 }
 
 TEST(Vm, RebindRunsAgainstFreshMemory) {
