@@ -78,13 +78,13 @@ void Memory::declare(const std::string& name, std::vector<i64> lo,
 
 DenseArray& Memory::at(const std::string& name) {
   auto it = arrays_.find(name);
-  INLT_CHECK_MSG(it != arrays_.end(), "undeclared array " + name);
+  if (it == arrays_.end()) throw Error("undeclared array " + name);
   return it->second;
 }
 
 const DenseArray& Memory::at(const std::string& name) const {
   auto it = arrays_.find(name);
-  INLT_CHECK_MSG(it != arrays_.end(), "undeclared array " + name);
+  if (it == arrays_.end()) throw Error("undeclared array " + name);
   return it->second;
 }
 

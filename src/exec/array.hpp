@@ -59,6 +59,7 @@ class Memory {
  public:
   void declare(const std::string& name, std::vector<i64> lo,
                std::vector<i64> hi);
+  /// Throws Error("undeclared array NAME") when `name` is missing.
   DenseArray& at(const std::string& name);
   const DenseArray& at(const std::string& name) const;
   bool has(const std::string& name) const { return arrays_.count(name) > 0; }

@@ -18,6 +18,7 @@
 
 #include "exec/lower.hpp"
 #include "support/check.hpp"
+#include "support/stats.hpp"
 
 namespace inlt {
 
@@ -579,6 +580,142 @@ class Emitter {
     line("}");
   }
 
+  // The jam loop `n`'s groups of 8 consecutive columns (J values). A
+  // group runs jammed — L outer over the group's leaf range, and per L
+  // the columns whose leaf range holds it — only when, over the group's
+  // (J, L) box, every access is in bounds, every listed pair is apart
+  // and the instance budget covers 8 full columns. The first group that
+  // fails leaves `cv` at its first column for the plain loop that
+  // follows, which faults where the VM does.
+  void emit_jam_groups(const Node& n, const std::string& cv,
+                       const JamPlan& jam) {
+    Stats::global().add("exec.native.jammed_nests");
+    const Node& leaf = *jam.leaf;
+    const std::string k = std::to_string(leaf.children().size());
+    const std::string c = cv + "_c", j = cv + "_j", trips = cv + "_n",
+                      box_lo = cv + "_bl", box_hi = cv + "_bh",
+                      all_lo = cv + "_al", all_hi = cv + "_ah",
+                      first = cv + "_c0", end = cv + "_c1";
+    std::vector<std::string> chain;
+    for (const Node* o : jam.chain)
+      chain.push_back("v" + std::to_string(loop_count_++) + "_" +
+                      san(o->var()));
+    const std::string lv =
+        "v" + std::to_string(loop_count_++) + "_" + san(leaf.var());
+    // `f` rendered with J at `jv` and L at `lval`.
+    auto at = [&](const std::function<std::string()>& f,
+                  const std::string& jv, const std::string& lval) {
+      scope_.emplace_back(n.var(), jv);
+      scope_.emplace_back(leaf.var(), lval);
+      std::string out = f();
+      scope_.resize(scope_.size() - 2);
+      return out;
+    };
+    const std::string last_col = "(" + cv + " + 7LL)";
+    auto lower = [&] { return lower_c(jam.lower); };
+    auto upper = [&] { return upper_c(jam.upper); };
+
+    line("for (; " + cv + "_hi - " + cv + " >= 7; " + cv +
+         " += 8) { /* 8 adjacent columns */");
+    ++indent_;
+    // The leaf bounds are monotonic in J: the group's leaf range (the
+    // box) and the range all 8 columns share come from its ends.
+    line("const i64 " + cv + "_l0 = " + at(lower, cv, lv) + ", " + cv +
+         "_l7 = " + at(lower, last_col, lv) + ";");
+    line("const i64 " + cv + "_h0 = " + at(upper, cv, lv) + ", " + cv +
+         "_h7 = " + at(upper, last_col, lv) + ";");
+    line("const i64 " + box_lo + " = inltc_imin(" + cv + "_l0, " + cv +
+         "_l7), " + box_hi + " = inltc_imax(" + cv + "_h0, " + cv + "_h7);");
+    line("const i64 " + all_lo + " = inltc_imax(" + cv + "_l0, " + cv +
+         "_l7), " + all_hi + " = inltc_imin(" + cv + "_h0, " + cv + "_h7);");
+    // Subscript `d` of access `r` at its minimum or maximum over the
+    // box, which an affine function takes at a corner.
+    auto corner = [&](JamPlan::Ref r, int d, bool high) {
+      const AffineExpr& e = jam.accesses[r.stmt][r.access].subscripts[d];
+      const bool up_j = (e.coef(n.var()) > 0) == high;
+      const bool up_l = (e.coef(leaf.var()) > 0) == high;
+      return at([&] { return affine_c(e); }, up_j ? last_col : cv,
+                up_l ? box_hi : box_lo);
+    };
+    // The checks, as one branch-free conjunction: the leaf's hoisted
+    // checks over the box (which covers every column's entry), the
+    // pairs, and the budget.
+    line("if (!(1");
+    indent_ += 2;
+    for (const LoopPlan::Check& ck : plan_loop(leaf).checks) {
+      const JamPlan::Ref r{ck.stmt, ck.access};
+      const std::string a =
+          binding_.at(jam.accesses[ck.stmt][ck.access].array).cname;
+      const std::string ds = std::to_string(ck.dim);
+      line(ck.dim < 0 ? "& (" + a + " != 0)"
+                      : "& (" + corner(r, ck.dim, false) + " >= " + a +
+                            "_lo" + ds + ") & (" + corner(r, ck.dim, true) +
+                            " <= " + a + "_hi" + ds + ")");
+    }
+    for (const JamPlan::Pair& p : jam.pairs) {
+      std::string apart;
+      for (int d : p.dims)
+        apart += std::string(apart.empty() ? "" : " | ") + "(" +
+                 corner(p.write, d, true) + " < " +
+                 corner(p.other, d, false) + ") | (" +
+                 corner(p.other, d, true) + " < " +
+                 corner(p.write, d, false) + ")";
+      line("& (" + apart + ")");
+    }
+    line("& (8 * (" + box_hi + " - " + box_lo + " + 1) <= " +
+         (k == "1" ? "max_instances - st_inst"
+                   : "(max_instances - st_inst) / " + k) +
+         ")))");
+    indent_ -= 2;
+    line("  break;");
+    line("i64 " + trips + " = 0;");
+    scope_.emplace_back(leaf.var(), lv);
+    line("for (i64 " + lv + " = " + box_lo + "; " + lv + " <= " + box_hi +
+         "; ++" + lv + ") {");
+    ++indent_;
+    // The columns whose leaf range holds `lv` are consecutive.
+    line("int " + first + " = 0, " + end + " = 8;");
+    line("if (" + lv + " < " + all_lo + " || " + lv + " > " + all_hi +
+         ") { /* not every column */");
+    ++indent_;
+    line(first + " = 8;");
+    line(end + " = 0;");
+    line("for (int " + c + " = 0; " + c + " < 8; ++" + c + ")");
+    const std::string jc = "(" + cv + " + " + c + ")";
+    line("  if (" + at(lower, jc, lv) + " <= " + lv + " && " + lv +
+         " <= " + at(upper, jc, lv) + ") {");
+    line("    if (" + first + " == 8) " + first + " = " + c + ";");
+    line("    " + end + " = " + c + " + 1;");
+    line("  }");
+    --indent_;
+    line("}");
+    line("if (" + first + " < " + end + ") " + trips + " += " + end + " - " +
+         first + ";");
+    line("for (int " + c + " = " + first + "; " + c + " < " + end + "; ++" +
+         c + ") {");
+    ++indent_;
+    line("const i64 " + j + " = " + cv + " + " + c + ";");
+    scope_.emplace_back(n.var(), j);
+    for (size_t i = 0; i < chain.size(); ++i) {
+      line("const i64 " + chain[i] + " = " + lower_c(jam.chain[i]->lower()) +
+           ";");
+      scope_.emplace_back(jam.chain[i]->var(), chain[i]);
+    }
+    for (const NodePtr& s : leaf.children())
+      emit_stmt(s->stmt_data(), StmtMode::kUnbudgeted);
+    scope_.resize(scope_.size() - 1 - chain.size());
+    --indent_;
+    line("}");
+    --indent_;
+    line("}");
+    scope_.pop_back();
+    line("st_iter += " + std::to_string(8 * (1 + chain.size())) + " + " +
+         trips + ";");
+    line("st_inst += " + (k == "1" ? "" : k + " * ") + trips + ";");
+    --indent_;
+    line("}");
+  }
+
   void emit_loop(const Node& n) {
     std::string cv = "v" + std::to_string(loop_count_++) + "_" + san(n.var());
     const i64 step = n.step();
@@ -603,8 +740,15 @@ class Emitter {
     if (plan.leaf) {
       emit_leaf_loop(cv, last, step, n.children());
     } else {
-      line("for (i64 " + cv + " = " + cv + "_lo; " + cv + " <= " + cv +
-           "_hi; " + cv + " += " + i64lit(step) + ") {");
+      const JamPlan jam = plan_jam(n);
+      std::string init = "i64 " + cv + " = " + cv + "_lo";
+      if (jam.leaf) {
+        line(init + ";");
+        init.clear();
+        emit_jam_groups(n, cv, jam);
+      }
+      line("for (" + init + "; " + cv + " <= " + cv + "_hi; " + cv +
+           " += " + i64lit(step) + ") {");
       ++indent_;
       line("++st_iter;");
       for (int c = 0; c < static_cast<int>(n.children().size()); ++c) {

@@ -44,7 +44,12 @@
 //    first m = min(n, (max_instances - instances) / k) iterations with
 //    no budget test; if m < n, one checked tail iteration faults at
 //    exactly the instance where the VM does. Every other statement
-//    tests the budget per instance.
+//    tests the budget per instance;
+//  * a *jammed* column walk (JamPlan, exec/lower.hpp) runs 8
+//    consecutive J values per sweep of its leaf only when the group's
+//    pair, entry and budget checks all pass, and otherwise runs the
+//    plain loop from the group's first column, so faults stay where
+//    the VM has them (DESIGN.md "Jammed column walks").
 //
 // Integer arithmetic is NOT overflow-checked (the kernel is compiled
 // with -fwrapv); adversarial parameter values belong on the checked

@@ -466,31 +466,6 @@ class VmCompiler {
   int next_slot_ = 0;
 };
 
-LoopPlan plan_loop(const Node& loop) {
-  LoopPlan plan;
-  const std::vector<NodePtr>& kids = loop.children();
-  std::vector<std::vector<ArrayAccess>> accs(kids.size());
-  for (int c = 0; c < static_cast<int>(kids.size()); ++c) {
-    if (!kids[c]->is_stmt() || !kids[c]->guards().empty()) continue;
-    plan.fast.push_back(c);
-    accs[c] = kids[c]->stmt_data().accesses();
-    for (int a = 0; a < static_cast<int>(accs[c].size()); ++a) {
-      const ArrayAccess& x = accs[c][a];
-      for (int d = -1; d < static_cast<int>(x.subscripts.size()); ++d) {
-        bool repeat = false;
-        for (const LoopPlan::Check& k : plan.checks) {
-          const ArrayAccess& y = accs[k.stmt][k.access];
-          repeat = repeat || (k.dim == d && y.array == x.array &&
-                              (d < 0 || y.subscripts[d] == x.subscripts[d]));
-        }
-        if (!repeat) plan.checks.push_back({c, a, d});
-      }
-    }
-  }
-  plan.leaf = !plan.fast.empty() && plan.fast.size() == kids.size();
-  return plan;
-}
-
 VmProgram::VmProgram(const Program& p, const std::map<std::string, i64>& params,
                      Memory& mem) {
   ScopedSpan span("vm.compile", "exec");

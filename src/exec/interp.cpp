@@ -102,8 +102,8 @@ struct Runner {
       }
       mem.at(s.lhs_array).set(idx, v);
       ++stats.instances;
-      INLT_CHECK_MSG(stats.instances <= opts.max_instances,
-                     "interpreter instance budget exceeded");
+      if (stats.instances > opts.max_instances)
+        throw Error("interpreter instance budget exceeded");
       return;
     }
     i64 lo = n.lower().eval_lower(env);

@@ -1,6 +1,7 @@
 // The per-loop lowering plan that both the VM compiler and the C
 // emitter (exec/cgen.cpp) read, so the two engines make the same
-// decisions and fault at the same access. Defined in exec/compile.cpp.
+// decisions and fault at the same access, plus the emitter's
+// unroll-and-jam plan. Defined in exec/lower.cpp.
 #pragma once
 
 #include <vector>
@@ -29,5 +30,41 @@ struct LoopPlan {
 
 /// The plan of loop node `loop`, from the Program alone.
 LoopPlan plan_loop(const Node& loop);
+
+/// How the C emitter unrolls and jams a column-walking nest (DESIGN.md
+/// "Jammed column walks"): `loop` (J) has unit step, does not run
+/// exactly once, and has, directly or through `chain`, one leaf loop L
+/// of unit step with one-term bounds. Each loop of `chain` is
+/// unguarded, has one child and runs exactly once (its bounds are one
+/// and the same expression). Some leaf write has J with coefficient 1
+/// in its last subscript and no L there, so 8 consecutive J values
+/// touch 8 adjacent doubles.
+struct JamPlan {
+  const Node* leaf = nullptr;  ///< null: `loop` does not jam
+  std::vector<const Node*> chain;  ///< the one-trip loops, outer first
+  /// Each leaf statement's accesses (Statement::accesses() order) in J,
+  /// L and the names outside `loop`: a chain variable is replaced by
+  /// its value.
+  std::vector<std::vector<ArrayAccess>> accesses;
+  /// The leaf's bounds, one term each, in the same names: monotonic in
+  /// J, so over 8 columns they are extreme at the first and the last.
+  Bound lower, upper;
+  struct Ref {
+    int stmt = 0, access = 0;
+  };
+  /// A write and another access of its array that a runtime test must
+  /// prove apart: in one of `dims` their value ranges over the group's
+  /// (J, L) box are disjoint (in any other dimension they always
+  /// meet). Every pair left out has identical subscripts, injective in
+  /// (J, L).
+  struct Pair {
+    Ref write, other;
+    std::vector<int> dims;
+  };
+  std::vector<Pair> pairs;
+};
+
+/// The jam plan of loop node `loop`, from the Program alone.
+JamPlan plan_jam(const Node& loop);
 
 }  // namespace inlt

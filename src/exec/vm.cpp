@@ -112,7 +112,7 @@ void VmProgram::slow_access_offsets(const StmtInfo& s) {
   for (int i = s.first_access; i != s.first_access + s.naccesses; ++i) {
     const Access& a = accesses_[i];
     const ArrayInfo& arr = arrays_[a.array];
-    INLT_CHECK_MSG(arr.data != nullptr, "undeclared array " + arr.name);
+    if (arr.data == nullptr) throw Error("undeclared array " + arr.name);
     i64 off = 0;
     for (int d = 0; d < a.ndims; ++d) {
       i64 idx = eval(dims_[a.first_dim + d].expr);
@@ -179,8 +179,8 @@ void VmProgram::exec_stmt(const StmtInfo& s, InterpStats& st,
   const Access& w = accesses_[s.first_access];
   arrays_[w.array].data[offs_[w.reg]] = v;
   ++st.instances;
-  INLT_CHECK_MSG(st.instances <= max_instances,
-                 "interpreter instance budget exceeded");
+  if (st.instances > max_instances)
+    throw Error("interpreter instance budget exceeded");
   if (probe_) probe_lines(s);
 }
 

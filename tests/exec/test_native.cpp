@@ -4,11 +4,11 @@
 // bytecode on identical inputs; final memory must match to the last
 // bit and InterpStats must be equal. Failures must match too: the same
 // out-of-bounds message, and at every instance budget the same Memory
-// left behind. Plus the compile-cache contract:
-// cold compile / warm disk hit / in-process LRU hit, corrupted cache
-// entries recompiled (never trusted), concurrent sessions racing the
-// cache dir, $INLTC_CACHE_DIR override, and the VM fallback when no
-// compiler is reachable.
+// left behind, jammed column walks included. Plus the compile-cache
+// contract: cold compile / warm disk hit / in-process LRU hit,
+// corrupted cache entries recompiled (never trusted), concurrent
+// sessions racing the cache dir, $INLTC_CACHE_DIR override, and the VM
+// fallback when no compiler is reachable.
 //
 // Every test runs against its own throwaway cache directory, so a
 // developer's real ~/.cache/inltc is never touched. Tests skip (not
@@ -447,6 +447,217 @@ end
   }
 }
 
+TEST_F(NativeTest, UndeclaredArrayFailsWithOneTextOnEveryEngine) {
+  // Only A is declared. The walker and the VM write A(1) and fail at
+  // S2's first access to B; native runs the I loop's hoisted NULL
+  // tests first and fails at loop entry, leaving A untouched.
+  Program p = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = 1.0
+  S2: B(I) = A(I)
+end
+)");
+  Memory proto;
+  proto.declare("A", {1}, {4});
+  const ExecEngine engines[] = {ExecEngine::kAstWalker, ExecEngine::kVm,
+                                ExecEngine::kNative};
+  for (ExecEngine engine : engines) {
+    Memory mem = proto;
+    InterpOptions opts;
+    opts.engine = engine;
+    try {
+      interpret(p, {{"N", 4}}, mem, opts);
+      ADD_FAILURE() << "engine " << static_cast<int>(engine)
+                    << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "undeclared array B");
+    }
+    const double a1 = mem.at("A").get({1});
+    EXPECT_EQ(a1, engine == ExecEngine::kNative ? 0.0 : 1.0);
+  }
+}
+
+// ---- jammed column walks ----
+//
+// A unit-step loop J over one unit-step leaf loop L (possibly through
+// one-trip loops) whose write walks J along its last subscript runs in
+// groups of 8 columns, L outer; a group that fails its bounds, pair or
+// budget checks runs the plain loop instead. Results, InterpStats,
+// failure texts and the Memory a failure leaves are the VM's.
+
+/// Emitting `p` counts this many jammed nests.
+i64 jammed_nests(const Program& p) {
+  const i64 before = Stats::global().value("exec.native.jammed_nests");
+  emit_native_c(p);
+  return Stats::global().value("exec.native.jammed_nests") - before;
+}
+
+/// The skew-bound-0 orders of `p`, named by search hit index.
+std::vector<std::pair<i64, Program>> orders_of(const Program& p) {
+  std::vector<std::pair<i64, Program>> out;
+  TransformSession session(p);
+  for (SearchHit& h : session.search(SearchSpace{}).hits)
+    out.emplace_back(h.index, std::move(*h.result.program));
+  return out;
+}
+
+TEST_F(NativeTest, ColumnWalkingOrdersJamAndMatchVm) {
+  const std::pair<std::string, Program> inputs[] = {
+      {"cholesky", load_testdata("cholesky.loop")}, {"lu", gallery::lu()}};
+  int jammed = 0;
+  for (const auto& [name, source] : inputs) {
+    const auto orders = orders_of(source);
+    ASSERT_EQ(orders.size(), 6u) << name;
+    for (const auto& [index, program] : orders) {
+      const std::string what = name + " #" + std::to_string(index);
+      const bool walks_columns = index == 2 || index == 3 || index == 5;
+      EXPECT_EQ(jammed_nests(program), walks_columns ? 1 : 0) << what;
+      jammed += walks_columns;
+      std::vector<i64> sizes{31, 64, 67};
+      for (i64 n = 1; n <= 17; ++n) sizes.push_back(n);
+      for (i64 n : sizes)
+        expect_native_matches_vm(program, {{"N", n}}, FillKind::kSpd, 1,
+                                 what + " N=" + std::to_string(n));
+    }
+  }
+  EXPECT_EQ(jammed, 6);
+}
+
+TEST_F(NativeTest, TriangularColumnsMatchVm) {
+  // Leaf bounds that move with J leave rows not every column runs:
+  // above the shared range (L = 1, J), below it (L = J, N), and on
+  // both sides of a range no two columns share (L = J, J + 3). The
+  // last nest reaches its leaf through a one-trip loop whose value
+  // moves with J.
+  const Program p = parse_program(R"(
+param N
+do J = 1, N
+  do L = 1, J
+    S1: A(L, J) = A(L, J) * 0.5 + 1.0
+  end
+end
+do J = 1, N
+  do L = J, N
+    S2: A(L, J) = A(L, J) - B(L, J) * 0.25
+  end
+end
+do J = 1, N
+  do L = J, J + 3
+    S3: B(L, J) = B(L, J) + A(L - J + 1, J)
+  end
+end
+do J = 1, N
+  do M = J + 1, J + 1
+    do L = M, N + 1
+      S4: B(L, M) = B(L, M) * 0.5 + A(L - 1, J)
+    end
+  end
+end
+)");
+  EXPECT_EQ(jammed_nests(p), 4);
+  for (i64 n : {7, 8, 9, 16, 23})
+    differential(p, "triangular", {{"N", n}});
+}
+
+TEST_F(NativeTest, JammedNestFaultsMatchVm) {
+  // Every budget over LU #2 (J outer, L inner), Cholesky #3 (a
+  // one-trip loop between J and L, a triangular leaf) and a
+  // two-statement leaf at N = 12, where the first few K iterations (or
+  // the one J loop) each run one group of 8.
+  const Program lu2 = orders_of(gallery::lu())[2].second;
+  const Program chol3 = orders_of(load_testdata("cholesky.loop"))[3].second;
+  const Program two_stmt = parse_program(R"(
+param N
+do J = 1, N
+  do L = J, N
+    S1: A(L, J) = A(L, J) * 0.5 + 1.0
+    S2: B(L, J) = A(L, J) + B(L, J)
+  end
+end
+)");
+  for (const Program& p : {lu2, chol3, two_stmt}) {
+    ASSERT_EQ(jammed_nests(p), 1);
+    const std::map<std::string, i64> params{{"N", 12}};
+    Memory proto;
+    declare_arrays(p, params, proto);
+    fill_spd(proto, 2);
+    Memory full = proto;
+    const i64 total = interpret(p, params, full).instances;
+    for (i64 budget = 0; budget < total; ++budget) {
+      auto [nat, vm] = fail_on_both(p, params, proto, budget,
+                                    "budget " + std::to_string(budget));
+      EXPECT_EQ(nat, vm);
+    }
+  }
+  // B(L, J - 1) leaves dimension 1 at the first J, or at the last J
+  // (inside the second group at N = 17, in the plain remainder loop
+  // at N = 20).
+  const Program walk = parse_program(R"(
+param N
+do J = 2, N
+  do L = 1, N
+    S1: A(L, J) = A(L, J) + B(L, J - 1) * 0.5
+  end
+end
+)");
+  ASSERT_EQ(jammed_nests(walk), 1);
+  for (i64 n : {17, 20}) {
+    struct Shape {
+      i64 lo, hi;
+      std::string text;
+    };
+    const std::string oob = "array index out of bounds: B dim 1 index ";
+    const Shape shapes[] = {
+        {2, n, oob + "1 not in [2, " + std::to_string(n) + "]"},
+        {1, n - 2,
+         oob + std::to_string(n - 1) + " not in [1, " + std::to_string(n - 2) +
+             "]"},
+    };
+    for (const Shape& s : shapes) {
+      Memory proto;
+      proto.declare("A", {1, 1}, {n, n});
+      proto.declare("B", {1, s.lo}, {n, s.hi});
+      randomize(proto, 3);
+      auto [nat, vm] = fail_on_both(walk, {{"N", n}}, proto, 50'000'000,
+                                    s.text + " N=" + std::to_string(n));
+      EXPECT_EQ(nat, s.text);
+      EXPECT_EQ(vm, s.text);
+    }
+  }
+}
+
+TEST_F(NativeTest, DependentColumnsDoNotJam) {
+  // A recurrence carried by J: the read is the write moved one column,
+  // so no group can prove the pair apart and the nest is not jammed.
+  const Program carried = parse_program(R"(
+param N
+do J = 2, N
+  do L = 1, N
+    S1: A(L, J) = A(L, J - 1) * 0.5 + A(L, J)
+  end
+end
+)");
+  EXPECT_EQ(jammed_nests(carried), 0);
+  differential(carried, "J-carried recurrence", {{"N", 20}});
+  // Jammed, but at M = 1 column J reads the next row of column J - 1,
+  // which the jammed order would not have written yet: the pair's
+  // ranges overlap, so every group runs the plain loop. At M = 8 the
+  // ranges are apart and the groups run jammed.
+  const Program shifted = parse_program(R"(
+param N
+param M
+do J = 1, N
+  do L = 1, N
+    S1: A(L, J) = A(L + 1, J - M) * 0.5 + A(L, J)
+  end
+end
+)");
+  EXPECT_EQ(jammed_nests(shifted), 1);
+  for (i64 m : {1, 8})
+    differential(shifted, "M=" + std::to_string(m), {{"N", 20}, {"M", m}});
+}
+
 TEST_F(NativeTest, EmittedCholeskyIsLean) {
   // No libc header but stddef.h, and no bounds or budget test inside
   // any leaf loop's body: those run at loop entry and in the budget
@@ -694,10 +905,10 @@ TEST(NativeEmitter, TextUnchangedOnCorpus) {
       "0bade81182d3e82031a2bf76228155094e6bd31ca91a764747512b3775a69072",
       "0bade81182d3e82031a2bf76228155094e6bd31ca91a764747512b3775a69072",
       "921fa51eeb2a3d18386facd8bacae0e47a550a995e3ef17d0bbe5f61fdc75412",
-      "ab11450f8d1cda393f28ce992144f16163234ac024155cab8eef8ab2661b0603",
-      "a6b6f44c10d9073828ca0206b07c43e62cc2df9f78c488eb52c048092826e9e8",
+      "55705f1d48daa40e8f890b58bf7809c9abeff34226038ef01fa5f801aef00965",
+      "ed7e0d5f761e2b2b507f579c1fd4aea81fbe2e82e72f55f11f36ab12ac9777c6",
       "69a41b55a3988a0b775035497073ad4eece9819fe5c14f0eaac9474f2de24c36",
-      "2f7ed7584446a774b94ab89b834330f675584a13b92bfd0f360ac3c23ef07613",
+      "b1211d5d8386536fe1da43951e1317d646c9dcca7e3a13e998141710636e2a7d",
       "27158cd650901c9be9d6f4d10fcca5a7059211963ebb73f8f664866c5ce5b84a",
       "be16cd3edb6987768ec9d59cc1e4375f7bc1b707000c463822e03fc3809db558",
       "4f5d6f306f10465ac2a12f0925174f167c1fa611c448508273261d554b3b028c",
