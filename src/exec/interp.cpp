@@ -13,6 +13,7 @@
 #include "exec/ufhash.hpp"
 #include "exec/vm.hpp"
 #include "support/check.hpp"
+#include "support/stats.hpp"
 
 namespace inlt {
 
@@ -117,17 +118,25 @@ struct Runner {
   }
 };
 
+// The distinct native fallback reasons seen by this process.
+std::mutex fallback_mu;
+std::set<std::string> fallback_seen;
+
 // A native-engine fallback is worth a warning, but not once per
 // verification run of a 10^4-candidate search: each distinct reason is
 // reported to stderr exactly once per process.
 void warn_native_fallback_once(const Diagnostic& d) {
-  static std::mutex mu;
-  static std::set<std::string> seen;
-  std::lock_guard<std::mutex> lock(mu);
-  if (seen.insert(d.message).second) std::cerr << d.render() << "\n";
+  std::lock_guard<std::mutex> lock(fallback_mu);
+  if (fallback_seen.insert(d.message).second)
+    std::cerr << d.render() << "\n";
 }
 
 }  // namespace
+
+std::vector<std::string> native_fallback_reasons() {
+  std::lock_guard<std::mutex> lock(fallback_mu);
+  return {fallback_seen.begin(), fallback_seen.end()};
+}
 
 InterpStats interpret(const Program& p, const std::map<std::string, i64>& params,
                       Memory& mem, const InterpOptions& opts) {
@@ -151,12 +160,16 @@ InterpStats interpret(const Program& p, const std::map<std::string, i64>& params
     warn_native_fallback_once(why);
   }
   if (opts.engine != ExecEngine::kAstWalker) {
-    if (partitioned && !opts.cache_probe)
+    if (partitioned && !opts.cache_probe) {
+      if (opts.engine == ExecEngine::kNative)
+        Stats::global().add("exec.native.partition_substitutions");
       return run_partitioned(p, params, mem, opts.partition, opts.num_threads,
                              opts);
+    }
     VmProgram vm(p, params, mem);
     return vm.run(opts);
   }
+  Stats::global().add("exec.walker.runs");
   Runner r{opts, mem, {}};
   Env env = params;
   for (const NodePtr& root : p.roots()) r.run(*root, env);

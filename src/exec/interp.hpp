@@ -43,7 +43,8 @@ enum class ExecEngine {
                ///< falls back to the VM (with a Stage::kExec warning on
                ///< stderr) when no C compiler or dlopen is available.
                ///< Serial only: a parallel partition rides the VM, the
-               ///< one engine substitution interpret() still makes.
+               ///< one engine substitution interpret() still makes
+               ///< (counted in `exec.native.partition_substitutions`).
 };
 
 /// Bucketed distinct-cache-line estimator — the VM's ground-truth
@@ -144,6 +145,12 @@ void declare_arrays(const Program& p, const std::map<std::string, i64>& params,
 /// Fill every declared array with deterministic pseudo-random values
 /// (seeded), e.g. as common input for source/target comparison.
 void randomize(Memory& mem, unsigned seed);
+
+/// The distinct reasons (sorted) for which kNative runs in this process
+/// fell back to the VM: the messages of the Stage::kExec warnings
+/// interpret() prints once each. Counts live in the Stats counter
+/// `exec.native.fallbacks`.
+std::vector<std::string> native_fallback_reasons();
 
 /// Fill arrays so matrices are symmetric positive definite when square
 /// — diagonally dominant values — letting Cholesky-like codes run

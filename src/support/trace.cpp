@@ -182,37 +182,6 @@ std::map<std::string, std::map<std::string, Agg>> aggregate(
 
 }  // namespace
 
-std::string Tracer::summary_text() const {
-  auto by_cat = aggregate(events());
-  std::ostringstream os;
-  os << std::left << std::setw(32) << "span" << std::right << std::setw(10)
-     << "count" << std::setw(14) << "total ms" << std::setw(12) << "mean us"
-     << "\n";
-  for (const auto& [cat, names] : by_cat) {
-    Agg roll;
-    for (const auto& [name, a] : names) {
-      roll.count += a.count;
-      roll.total_ns += a.total_ns;
-    }
-    os << std::left << std::setw(32) << cat << std::right << std::setw(10)
-       << roll.count << std::setw(14) << std::fixed << std::setprecision(3)
-       << static_cast<double>(roll.total_ns) / 1e6 << std::setw(12)
-       << std::setprecision(1)
-       << (roll.count ? static_cast<double>(roll.total_ns) / 1e3 / roll.count
-                      : 0.0)
-       << "\n";
-    for (const auto& [name, a] : names) {
-      os << std::left << std::setw(32) << ("  " + name) << std::right
-         << std::setw(10) << a.count << std::setw(14) << std::fixed
-         << std::setprecision(3) << static_cast<double>(a.total_ns) / 1e6
-         << std::setw(12) << std::setprecision(1)
-         << (a.count ? static_cast<double>(a.total_ns) / 1e3 / a.count : 0.0)
-         << "\n";
-    }
-  }
-  return os.str();
-}
-
 std::string Tracer::summary_json() const {
   auto by_cat = aggregate(events());
   std::ostringstream os;

@@ -4,7 +4,7 @@
 // a static name, a category, and optional key/value args. Spans are
 // buffered per thread and exported as Chrome trace-event JSON — one
 // complete "X" event per span — loadable in chrome://tracing and
-// Perfetto, plus an aggregated per-category summary (text or JSON) for
+// Perfetto, plus an aggregated per-category JSON summary for
 // quick "where did the time go" answers without a viewer.
 //
 // Overhead contract: tracing is disabled by default, and a disabled
@@ -86,11 +86,8 @@ class Tracer {
   /// "X" events; ts/dur in microseconds).
   std::string chrome_trace_json() const;
 
-  /// Aggregated per-category (and per-name) table: span counts, total
-  /// and mean wall time.
-  std::string summary_text() const;
-
-  /// Same aggregation as JSON:
+  /// Spans aggregated per category and per name — counts and total
+  /// wall time:
   /// {"categories":{cat:{"count":..,"total_ns":..,"names":{...}}}}.
   std::string summary_json() const;
 

@@ -85,7 +85,7 @@ IntMat loop_reversal(const IvLayout& layout, const std::string& var) {
 
 IntMat loop_scaling(const IvLayout& layout, const std::string& var,
                     i64 factor) {
-  INLT_CHECK_MSG(factor >= 1, "scale factor must be >= 1");
+  if (factor < 1) throw Error("scale factor must be >= 1");
   IntMat m = IntMat::identity(layout.size());
   int p = layout.loop_position(var);
   m(p, p) = factor;
@@ -110,12 +110,12 @@ IntMat statement_reorder(const IvLayout& layout,
   const std::vector<NodePtr>& children =
       parent ? parent->children() : p.roots();
   int m = static_cast<int>(children.size());
-  INLT_CHECK_MSG(static_cast<int>(perm.size()) == m,
-                 "permutation arity mismatch");
+  if (static_cast<int>(perm.size()) != m)
+    throw Error("permutation arity mismatch");
   std::vector<int> inv(m, -1);  // inv[new] = old
   for (int o = 0; o < m; ++o) {
-    INLT_CHECK_MSG(perm[o] >= 0 && perm[o] < m && inv[perm[o]] < 0,
-                   "perm is not a permutation");
+    if (perm[o] < 0 || perm[o] >= m || inv[perm[o]] >= 0)
+      throw Error("perm is not a permutation");
     inv[perm[o]] = o;
   }
 

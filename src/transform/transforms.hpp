@@ -27,7 +27,8 @@ IntMat loop_permutation(const IvLayout& layout,
 /// Reversal: identity with -1 at the loop's diagonal entry.
 IntMat loop_reversal(const IvLayout& layout, const std::string& var);
 
-/// Scaling: identity with `factor` (>= 1) at the loop's diagonal entry.
+/// Scaling: identity with `factor` at the loop's diagonal entry. Throws
+/// Error unless factor >= 1.
 IntMat loop_scaling(const IvLayout& layout, const std::string& var,
                     i64 factor);
 
@@ -39,7 +40,8 @@ IntMat loop_skew(const IvLayout& layout, const std::string& target,
 /// Statement reordering (§4.2): permute the children of `parent_var`'s
 /// loop (or of the program root when parent_var is empty). `perm[old]`
 /// = new child index. The matrix swaps edge positions and moves the
-/// child subtree blocks accordingly (Fig 5's block structure).
+/// child subtree blocks accordingly (Fig 5's block structure). Throws
+/// Error unless `perm` is a permutation of the children.
 IntMat statement_reorder(const IvLayout& layout,
                          const std::string& parent_var,
                          const std::vector<int>& perm);

@@ -5,9 +5,11 @@
 #   ARGS       ;-separated argument list for inltc
 #   GOLDEN     path to the expected-stdout file
 #   EXPECT_RC  required exit code
+#   ERR_REGEX  optional regex stderr must match
 #
-# stderr is intentionally not compared: it carries matrices, verify
-# summaries and --stats dumps whose timing values are not stable.
+# stderr is not compared byte for byte: it carries matrices, verify
+# summaries and --stats dumps whose timing values are not stable. It
+# must never report a failed internal check: bad input is a diagnostic.
 foreach(v INLTC ARGS GOLDEN EXPECT_RC)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "run_golden.cmake: missing -D${v}")
@@ -24,6 +26,14 @@ execute_process(
 if(NOT rc EQUAL ${EXPECT_RC})
   message(FATAL_ERROR
     "inltc ${ARGS}: exit ${rc}, expected ${EXPECT_RC}\nstderr:\n${err}")
+endif()
+
+if(err MATCHES "internal check failed")
+  message(FATAL_ERROR "inltc ${ARGS}: internal check on stderr:\n${err}")
+endif()
+if(DEFINED ERR_REGEX AND NOT err MATCHES "${ERR_REGEX}")
+  message(FATAL_ERROR
+    "inltc ${ARGS}: stderr does not match '${ERR_REGEX}'\nstderr:\n${err}")
 endif()
 
 file(READ ${GOLDEN} want)

@@ -8,7 +8,7 @@
 // contract: cold compile / warm disk hit / in-process LRU hit,
 // corrupted cache entries recompiled (never trusted), concurrent
 // sessions racing the cache dir, $INLTC_CACHE_DIR override, and the VM
-// fallback when no compiler is reachable.
+// fallback when no compiler is reachable or the cache dir is unwritable.
 //
 // Every test runs against its own throwaway cache directory, so a
 // developer's real ~/.cache/inltc is never touched. Tests skip (not
@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -841,6 +842,42 @@ TEST_F(NativeTest, FallsBackToVmWithoutCompiler) {
   EXPECT_EQ(st.instances, vm_st.instances);
   expect_bit_identical(native_mem, vm_mem, "fallback");
   ::unsetenv("INLTC_CC");
+}
+
+TEST_F(NativeTest, UnwritableCacheDirFallsBackToVmOnce) {
+  // A cache path beneath a regular file can be neither created nor
+  // written, whoever runs the test (root included): the engine must
+  // record one fallback with its reason and leave the VM's result.
+  const std::string blocker = dir_ + "/not-a-dir";
+  { std::ofstream(blocker) << "regular file"; }
+  ::setenv("INLTC_CACHE_DIR", (blocker + "/cache").c_str(), 1);
+  Program p = gallery::simplified_cholesky();
+  std::map<std::string, i64> params{{"N", 7}};
+  Memory proto;
+  declare_arrays(p, params, proto);
+  fill_spd(proto, 2);
+
+  const std::vector<std::string> reasons0 = native_fallback_reasons();
+  StatsSnapshot s0 = Stats::global().snapshot();
+  Memory native_mem = proto, vm_mem = proto;
+  InterpOptions opts;
+  opts.engine = ExecEngine::kNative;
+  InterpStats st = interpret(p, params, native_mem, opts);
+  StatsSnapshot d = Stats::global().snapshot() - s0;
+  EXPECT_EQ(d.counter("exec.native.fallbacks"), 1);
+  EXPECT_EQ(d.counter("exec.native.runs"), 0);
+
+  std::vector<std::string> added;
+  for (const std::string& r : native_fallback_reasons())
+    if (std::find(reasons0.begin(), reasons0.end(), r) == reasons0.end())
+      added.push_back(r);
+  ASSERT_EQ(added.size(), 1u);
+  EXPECT_NE(added[0].find("cannot write"), std::string::npos) << added[0];
+
+  opts.engine = ExecEngine::kVm;
+  InterpStats vm_st = interpret(p, params, vm_mem, opts);
+  EXPECT_EQ(st.instances, vm_st.instances);
+  expect_bit_identical(native_mem, vm_mem, "unwritable cache dir");
 }
 
 TEST_F(NativeTest, CacheKeyIsStableAndSourceSensitive) {

@@ -21,6 +21,7 @@
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "support/check.hpp"
+#include "support/stats.hpp"
 #include "transform/parallel.hpp"
 #include "transform/transforms.hpp"
 
@@ -123,6 +124,33 @@ TEST(ParallelExec, RandomFillAndOddSizes) {
   for (const Kernel& k : kernels())
     for (i64 n : {1, 3, 7, 13})
       expect_parallel_matches_serial(k, {{"N", n}}, FillKind::kRandom, 5, 8);
+}
+
+TEST(ParallelExec, NativeEngineWithPartitionRunsOnTheVmPool) {
+  // kNative is serial: a partitioned run rides the VM's worker pool,
+  // and interpret() counts each such substitution.
+  const Kernel k = kernels().front();
+  const std::map<std::string, i64> params{{"N", 13}};
+  Memory proto;
+  declare_arrays(k.program, params, proto);
+  fill_spd(proto, 1);
+
+  Memory serial_mem = proto;
+  InterpStats serial = interpret(k.program, params, serial_mem, {});
+
+  Memory par_mem = proto;
+  InterpOptions opts;
+  opts.engine = ExecEngine::kNative;
+  opts.num_threads = 2;
+  opts.partition = k.partition;
+  StatsSnapshot s0 = Stats::global().snapshot();
+  InterpStats par = interpret(k.program, params, par_mem, opts);
+  StatsSnapshot d = Stats::global().snapshot() - s0;
+  EXPECT_EQ(d.counter("exec.native.partition_substitutions"), 1);
+  EXPECT_EQ(d.counter("exec.native.runs"), 0);
+  EXPECT_EQ(d.counter("exec.par.runs"), 1);
+  EXPECT_EQ(par.instances, serial.instances);
+  expect_bit_identical(par_mem, serial_mem, k.name + " native partitioned");
 }
 
 TEST(ParallelExec, ZeroTripPartitionedLoop) {

@@ -46,10 +46,10 @@
 //        --exact      use the exact ILP legality pipeline
 //        --pad-zero   zero padding instead of diagonal (ablation)
 //        --stats      dump pipeline counters and timers to stderr
-//        --stats-json print the Stats snapshot (counters, timers,
-//                     histograms — including per-worker sums) as JSON
-//                     on stdout, matching the --diag-json convention
-//        --diag-json  print structured diagnostics as JSON on stdout
+//        --report-json F  write the run report to F: one JSON object,
+//                     one member per line — command, exit code, engine
+//                     (requested, runs, fallbacks), Stats, spans, the
+//                     execution profile, the profile result, diagnostics
 //        --profile    enable the runtime execution profiler
 //                     (support/profile.hpp) for every partitioned run
 //                     of the command; the merged report prints to
@@ -57,7 +57,6 @@
 //        --vm-profile per-opcode VM profiling for serial --verify runs
 //                     (vm.op.* / vm.stmt.depth* histograms; see --stats)
 //        profile: --n N (problem size, default 64) | --repeat R
-//                 --profile-json (report as JSON on stdout)
 //        --threads N  search/evaluate worker threads (positive; default
 //                     is the hardware count)
 //        --exec-threads N  execution-engine worker threads (positive;
@@ -67,8 +66,8 @@
 //                     serial; rank/search scoring discounts the parallel
 //                     share of each candidate by this thread count
 //        --trace-out F  write a Chrome trace-event JSON of the run to F
-//                       (load in Perfetto / chrome://tracing)
-//        --trace-summary  per-category span table on stderr
+//                       (load in Perfetto / chrome://tracing); the run
+//                       report then also carries the span summary
 //        --progress   periodic search progress on stderr
 //        --search     alias for the search command
 //        search/rank: --skew-bound B | --skew-depth D | --full
@@ -98,9 +97,11 @@
 // exit 1 for runtime failures.
 //
 // <file> may be '-' for stdin.
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "exec/trace.hpp"
@@ -144,15 +145,14 @@ commands:
 ops: interchange A B | skew T S k | reverse V | scale V k
      reorder PARENT i0 i1 ... | align STMT LOOP k
 flags: --verify N | --engine {vm,ast,native} | --raw | --exact | --pad-zero
-       --stats | --stats-json | --diag-json | --threads N | --exec-threads N
-       --search | --trace-out F | --trace-summary | --progress
-       --profile | --vm-profile
+       --stats | --report-json F | --threads N | --exec-threads N
+       --search | --trace-out F | --progress | --profile | --vm-profile
 search/rank flags: --skew-bound B | --skew-depth D | --full | --cost | --top K
   (--full --verify N also semantically verifies every legal candidate)
 tile flags: --tile-sizes B1,B2,.. | --tile-auto | --tile-band K
             --tile-loops A,B,.. | --report
   (--tile on search --full / rank tiles or annotates every hit)
-profile flags: --n N | --repeat R | --profile-json | --engine E
+profile flags: --n N | --repeat R | --engine E
   (--engine {vm,ast,native} profiles that serial engine instead of the
    partitioned run; native reports compile and run time separately)
 )";
@@ -190,7 +190,7 @@ struct Options {
   bool raw = false;
   bool exact = false;
   bool stats = false;
-  bool diag_json = false;
+  std::string report_json;  // --report-json: run report destination
   PadMode pad = PadMode::kDiagonal;
   int threads = 0;        // SessionOptions::threads (0 = hardware)
   int exec_threads = 1;   // execution-engine workers (1 = serial)
@@ -201,13 +201,10 @@ struct Options {
   bool cost = false;      // search: score each hit with the cost model
   i64 top_k = 0;          // search/rank: keep the K best hits by cost
   std::string trace_out;  // Chrome trace-event JSON destination
-  bool trace_summary = false;  // per-category span table on stderr
   bool progress = false;  // search: periodic progress on stderr
-  bool stats_json = false;   // Stats snapshot as JSON on stdout
   bool profile = false;      // runtime profiler on partitioned runs
   bool vm_profile = false;   // per-opcode VM profiling (serial runs)
   bool engine_set = false;   // --engine given (profile: serial engine mode)
-  bool profile_json = false;  // profile command: JSON report on stdout
   i64 n = 64;                // profile command: problem size (binds N)
   i64 repeat = 1;            // profile command: profiled run count
   bool tile = false;              // search/rank: tile/annotate every hit
@@ -226,14 +223,22 @@ ExecEngine parse_engine(const std::string& name) {
   cli_error("unknown engine '" + name + "' (expected vm, ast or native)", 2);
 }
 
+const char* engine_name(ExecEngine e) {
+  return e == ExecEngine::kVm          ? "vm"
+         : e == ExecEngine::kAstWalker ? "ast"
+                                       : "native";
+}
+
 // The one validated thread knob: every thread count in the driver —
 // search workers (--threads) and the exec pool (--exec-threads) —
 // parses through here, and zero or negative counts are rejected with a
 // Stage::kCli diagnostic instead of silently meaning something.
 int flag_threads(const std::string& flag, const std::string& value);
 
-// The value of flag `flag`, parsed as a (possibly negative) integer.
-i64 flag_int(const std::string& flag, const std::string& value) {
+// `value` parsed as a (possibly negative) 64-bit integer; anything
+// else, out-of-range values included, is a Stage::kCli error saying
+// that `what` (a flag or an op) expects an integer.
+i64 parse_int(const std::string& what, const std::string& value) {
   size_t pos = 0;
   i64 v = 0;
   try {
@@ -242,8 +247,13 @@ i64 flag_int(const std::string& flag, const std::string& value) {
     pos = 0;
   }
   if (pos != value.size() || value.empty())
-    cli_error("flag " + flag + " expects an integer, got '" + value + "'", 2);
+    cli_error(what + " expects an integer, got '" + value + "'", 2);
   return v;
+}
+
+// The value of flag `flag`, parsed as a (possibly negative) integer.
+i64 flag_int(const std::string& flag, const std::string& value) {
+  return parse_int("flag " + flag, value);
 }
 
 int flag_threads(const std::string& flag, const std::string& value) {
@@ -308,8 +318,8 @@ Options parse_flags(int argc, char** argv, int first) {
       o.pad = PadMode::kZero;
     } else if (a == "--stats") {
       o.stats = true;
-    } else if (a == "--diag-json") {
-      o.diag_json = true;
+    } else if (a == "--report-json") {
+      o.report_json = value(i, a);
     } else if (a == "--threads") {
       o.threads = flag_threads(a, value(i, a));
     } else if (a == "--exec-threads") {
@@ -318,8 +328,13 @@ Options parse_flags(int argc, char** argv, int first) {
       o.search_flag = true;
     } else if (a == "--skew-bound") {
       o.skew_bound = flag_int(a, value(i, a));
+      if (o.skew_bound < 0)
+        cli_error("flag --skew-bound expects a non-negative bound", 2);
     } else if (a == "--skew-depth") {
-      o.skew_depth = static_cast<int>(flag_int(a, value(i, a)));
+      const i64 depth = flag_int(a, value(i, a));
+      if (depth < 0 || depth > std::numeric_limits<int>::max())
+        cli_error("flag --skew-depth expects a non-negative depth", 2);
+      o.skew_depth = static_cast<int>(depth);
     } else if (a == "--full") {
       o.full = true;
     } else if (a == "--cost") {
@@ -329,18 +344,12 @@ Options parse_flags(int argc, char** argv, int first) {
       if (o.top_k <= 0) cli_error("flag --top expects a positive count", 2);
     } else if (a == "--trace-out") {
       o.trace_out = value(i, a);
-    } else if (a == "--trace-summary") {
-      o.trace_summary = true;
     } else if (a == "--progress") {
       o.progress = true;
-    } else if (a == "--stats-json") {
-      o.stats_json = true;
     } else if (a == "--profile") {
       o.profile = true;
     } else if (a == "--vm-profile") {
       o.vm_profile = true;
-    } else if (a == "--profile-json") {
-      o.profile_json = true;
     } else if (a == "--n") {
       o.n = flag_int(a, value(i, a));
       if (o.n <= 0) cli_error("flag --n expects a positive size", 2);
@@ -383,8 +392,10 @@ IntMat parse_ops(const IvLayout& layout, const std::vector<std::string>& ops,
     if (i + more > ops.size())
       cli_error("malformed op near '" + ops[i - 1] + "'", 2);
   };
+  std::string op;
+  auto num = [&](size_t at) { return parse_int("op " + op, ops[at]); };
   while (i < ops.size()) {
-    std::string op = ops[i++];
+    op = ops[i++];
     if (op == "interchange") {
       need(2);
       m = mat_mul(loop_interchange(layout, ops[i], ops[i + 1]), m);
@@ -392,7 +403,7 @@ IntMat parse_ops(const IvLayout& layout, const std::vector<std::string>& ops,
     } else if (op == "skew") {
       need(3);
       m = mat_mul(
-          loop_skew(layout, ops[i], ops[i + 1], std::stoll(ops[i + 2])), m);
+          loop_skew(layout, ops[i], ops[i + 1], num(i + 2)), m);
       i += 3;
     } else if (op == "reverse") {
       need(1);
@@ -400,21 +411,23 @@ IntMat parse_ops(const IvLayout& layout, const std::vector<std::string>& ops,
       i += 1;
     } else if (op == "scale") {
       need(2);
-      m = mat_mul(loop_scaling(layout, ops[i], std::stoll(ops[i + 1])), m);
+      m = mat_mul(loop_scaling(layout, ops[i], num(i + 1)), m);
       i += 2;
     } else if (op == "align") {
       need(3);
-      m = mat_mul(statement_alignment(layout, ops[i], ops[i + 1],
-                                      std::stoll(ops[i + 2])),
+      m = mat_mul(statement_alignment(layout, ops[i], ops[i + 1], num(i + 2)),
                   m);
       i += 3;
     } else if (op == "reorder") {
       need(1);
       std::string parent = ops[i++];
       std::vector<int> perm;
+      // Indices past int range cannot name a child: clamp them so
+      // statement_reorder rejects them instead of wrapping around.
       while (i < ops.size() && !ops[i].empty() &&
              (std::isdigit(static_cast<unsigned char>(ops[i][0]))))
-        perm.push_back(std::stoi(ops[i++]));
+        perm.push_back(static_cast<int>(
+            std::min<i64>(num(i++), std::numeric_limits<int>::max())));
       m = mat_mul(statement_reorder(layout, parent, perm), m);
     } else {
       cli_error("unknown op '" + op + "'", 2);
@@ -423,12 +436,52 @@ IntMat parse_ops(const IvLayout& layout, const std::vector<std::string>& ops,
   return m;
 }
 
-// End-of-run telemetry: --stats counters, the Chrome trace file, and
-// the span summary. Every exit path (success, diagnostics, errors)
-// funnels through here so a partial run still leaves a usable trace.
-void dump_stats(const Options& opts) {
+// What the run report needs beyond the process-wide registries (Stats,
+// Tracer, ExecProfiler and the native fallback reasons).
+struct RunRecord {
+  std::string command;
+  std::string result;  // profile command: its JSON result object
+  DiagnosticEngine diagnostics;
+};
+
+RunRecord g_run;
+
+// The --report-json document: one JSON object with one top-level
+// member per line, in a fixed order, so line-oriented tools can pick
+// members out without a JSON parser. `diagnostics` comes last.
+std::string report_json(const Options& opts, int rc) {
+  const Stats& stats = Stats::global();
+  std::ostringstream os;
+  os << "{\n  \"command\":" << json_quote(g_run.command) << ",\n"
+     << "  \"exit_code\":" << rc << ",\n"
+     << "  \"engine\":{\"requested\":" << json_quote(engine_name(opts.engine))
+     << ",\"runs\":{\"vm\":" << stats.value("exec.vm.runs")
+     << ",\"partitioned\":" << stats.value("exec.par.runs")
+     << ",\"native\":" << stats.value("exec.native.runs")
+     << ",\"walker\":" << stats.value("exec.walker.runs")
+     << "},\"fallbacks\":[";
+  const std::vector<std::string> reasons = native_fallback_reasons();
+  for (size_t i = 0; i < reasons.size(); ++i)
+    os << (i ? "," : "") << json_quote(reasons[i]);
+  os << "],\"partition_substitutions\":"
+     << stats.value("exec.native.partition_substitutions") << "},\n"
+     << "  \"stats\":" << stats.to_json() << ",\n";
+  if (!opts.trace_out.empty())
+    os << "  \"spans\":" << Tracer::global().summary_json() << ",\n";
+  if (ExecProfiler::global().report_count() > 0)
+    os << "  \"profile\":" << ExecProfiler::global().merged().to_json()
+       << ",\n";
+  if (!g_run.result.empty()) os << "  \"result\":" << g_run.result << ",\n";
+  os << "  \"diagnostics\":" << g_run.diagnostics.to_json() << "\n}\n";
+  return os.str();
+}
+
+// End-of-run telemetry: --stats counters, the profiler report, the
+// Chrome trace file and the run report. Every exit path (success,
+// diagnostics, errors) funnels through here so a partial run still
+// leaves a usable trace and report. Returns `rc`.
+int dump_stats(const Options& opts, int rc) {
   if (opts.stats) std::cerr << Stats::global().to_text();
-  if (opts.stats_json) std::cout << Stats::global().to_json() << "\n";
   if (opts.profile && ExecProfiler::global().report_count() > 0)
     std::cerr << ExecProfiler::global().merged().to_text();
   if (!opts.trace_out.empty()) {
@@ -441,7 +494,24 @@ void dump_stats(const Options& opts) {
                 << " events -> " << opts.trace_out << "\n";
     }
   }
-  if (opts.trace_summary) std::cerr << Tracer::global().summary_text();
+  if (!opts.report_json.empty()) {
+    std::ofstream out(opts.report_json);
+    if (!out)
+      std::cerr << "inltc: cannot write report to " << opts.report_json
+                << "\n";
+    else
+      out << report_json(opts, rc);
+  }
+  return rc;
+}
+
+// A failed run or refused candidate: the prose on stderr, the
+// structured diagnostics (if any) into the run report; exit 1.
+int fail(const Options& opts, const std::string& prose,
+         const std::vector<Diagnostic>& diagnostics = {}) {
+  std::cerr << "inltc: " << prose << "\n";
+  for (const Diagnostic& d : diagnostics) g_run.diagnostics.report(d);
+  return dump_stats(opts, 1);
 }
 
 // Progress line for long searches, rendered in place on stderr.
@@ -497,26 +567,13 @@ ExecPlan exec_plan(TransformSession& session, const IntMat& m,
 }
 
 // Evaluate `m` through the session; emit the program on success and
-// the diagnostics (prose to stderr, or JSON to stdout under
-// --diag-json) on failure.
+// the diagnostics on failure.
 int run_candidate(TransformSession& session, const IntMat& m,
                   const Options& opts) {
   CandidateResult r = session.evaluate(m);
-  if (r.legal) {
-    int rc = emit_and_verify(session.program(), *r.program, opts,
-                             exec_plan(session, m, opts));
-    dump_stats(opts);
-    return rc;
-  }
-  if (opts.diag_json) {
-    DiagnosticEngine render;
-    for (const Diagnostic& d : r.diagnostics) render.report(d);
-    std::cout << render.to_json() << "\n";
-  } else {
-    std::cerr << "inltc: " << r.error << "\n";
-  }
-  dump_stats(opts);
-  return 1;
+  if (!r.legal) return fail(opts, r.error, r.diagnostics);
+  return dump_stats(opts, emit_and_verify(session.program(), *r.program, opts,
+                                          exec_plan(session, m, opts)));
 }
 
 }  // namespace
@@ -539,9 +596,9 @@ int main(int argc, char** argv) {
       cmd != "parallel" && cmd != "profile" && cmd != "tile")
     cli_error("unknown command '" + cmd + "'", 2);
   std::string path = opts.args[0];
-  if (!opts.trace_out.empty() || opts.trace_summary)
-    Tracer::global().enable();
-  if (opts.stats || opts.stats_json) Stats::enable_timing();
+  g_run.command = cmd;
+  if (!opts.trace_out.empty()) Tracer::global().enable();
+  if (opts.stats || !opts.report_json.empty()) Stats::enable_timing();
   if (opts.profile || cmd == "profile") ExecProfiler::global().enable();
 
   try {
@@ -564,8 +621,7 @@ int main(int argc, char** argv) {
       for (const std::string& v : parallel_loops(layout, deps))
         std::cout << " " << v;
       std::cout << "\n";
-      dump_stats(opts);
-      return 0;
+      return dump_stats(opts, 0);
     }
 
     if (cmd == "transform") {
@@ -580,8 +636,7 @@ int main(int argc, char** argv) {
       AstRecovery rec = recover_ast(layout, m);
       LegalityTrace t = explain_legality(layout, deps, m, rec);
       std::cout << t.to_text(deps, *rec.target_layout);
-      dump_stats(opts);
-      return t.legal() ? 0 : 1;
+      return dump_stats(opts, t.legal() ? 0 : 1);
     }
 
     if (cmd == "complete") {
@@ -684,8 +739,7 @@ int main(int argc, char** argv) {
         if (opts.full && !rank && h.result.program)
           std::cout << print_program(*h.result.program);
       }
-      dump_stats(opts);
-      return 0;
+      return dump_stats(opts, 0);
     }
 
     if (cmd == "profile") {
@@ -701,17 +755,7 @@ int main(int argc, char** argv) {
       Program prog = session.program();
       if (opts.args.size() > 1) {
         CandidateResult r = session.evaluate(m);
-        if (!r.legal) {
-          if (opts.diag_json) {
-            DiagnosticEngine render;
-            for (const Diagnostic& d : r.diagnostics) render.report(d);
-            std::cout << render.to_json() << "\n";
-          } else {
-            std::cerr << "inltc: " << r.error << "\n";
-          }
-          dump_stats(opts);
-          return 1;
-        }
+        if (!r.legal) return fail(opts, r.error, r.diagnostics);
         prog = *r.program;
       }
 
@@ -739,46 +783,39 @@ int main(int argc, char** argv) {
         };
         const i64 compile_ns = timer_ns("exec.native.compile_ns");
         const i64 run_ns = timer_ns("exec.native.run_ns");
-        const char* ename = opts.engine == ExecEngine::kVm ? "vm"
-                            : opts.engine == ExecEngine::kAstWalker
-                                ? "ast"
-                                : "native";
-        if (opts.profile_json) {
-          std::ostringstream os;
-          os << "{\"engine\":" << json_quote(ename) << ",\"n\":" << opts.n
-             << ",\"repeat\":" << opts.repeat << ",\"wall_ns\":" << wall
-             << ",\"instances\":" << last.instances
-             << ",\"native\":{\"compile_ns\":" << compile_ns
-             << ",\"run_ns\":" << run_ns
-             << ",\"compiles\":" << d.counter("exec.native.compiles")
-             << ",\"disk_hits\":" << d.counter("exec.native.disk_hits")
-             << ",\"lru_hits\":" << d.counter("exec.native.lru_hits")
-             << ",\"fallbacks\":" << d.counter("exec.native.fallbacks")
-             << "}}";
-          std::cout << os.str() << "\n";
-        } else {
-          std::cout << "engine: " << ename << "  N=" << opts.n << "  "
-                    << opts.repeat << " run" << (opts.repeat == 1 ? "" : "s")
-                    << "\nwall: " << std::fixed << std::setprecision(3)
-                    << static_cast<double>(wall) / 1e6 << " ms  ("
-                    << last.instances << " instances/run)\n";
-          if (opts.engine == ExecEngine::kNative) {
-            const i64 compiles = d.counter("exec.native.compiles");
-            std::cout << "native compile: "
-                      << static_cast<double>(compile_ns) / 1e6 << " ms ("
-                      << compiles << " compile" << (compiles == 1 ? "" : "s")
-                      << ", " << d.counter("exec.native.disk_hits")
-                      << " disk + " << d.counter("exec.native.lru_hits")
-                      << " lru hits)  kernel run: "
-                      << static_cast<double>(run_ns) / 1e6 << " ms\n";
-            if (d.counter("exec.native.fallbacks") > 0)
-              std::cout << "native fallbacks: "
-                        << d.counter("exec.native.fallbacks")
-                        << " (the VM executed instead)\n";
-          }
+        const char* ename = engine_name(opts.engine);
+        std::ostringstream result;
+        result << "{\"engine\":" << json_quote(ename) << ",\"n\":" << opts.n
+               << ",\"repeat\":" << opts.repeat << ",\"wall_ns\":" << wall
+               << ",\"instances\":" << last.instances
+               << ",\"native\":{\"compile_ns\":" << compile_ns
+               << ",\"run_ns\":" << run_ns
+               << ",\"compiles\":" << d.counter("exec.native.compiles")
+               << ",\"disk_hits\":" << d.counter("exec.native.disk_hits")
+               << ",\"lru_hits\":" << d.counter("exec.native.lru_hits")
+               << ",\"fallbacks\":" << d.counter("exec.native.fallbacks")
+               << "}}";
+        g_run.result = result.str();
+        std::cout << "engine: " << ename << "  N=" << opts.n << "  "
+                  << opts.repeat << " run" << (opts.repeat == 1 ? "" : "s")
+                  << "\nwall: " << std::fixed << std::setprecision(3)
+                  << static_cast<double>(wall) / 1e6 << " ms  ("
+                  << last.instances << " instances/run)\n";
+        if (opts.engine == ExecEngine::kNative) {
+          const i64 compiles = d.counter("exec.native.compiles");
+          std::cout << "native compile: "
+                    << static_cast<double>(compile_ns) / 1e6 << " ms ("
+                    << compiles << " compile" << (compiles == 1 ? "" : "s")
+                    << ", " << d.counter("exec.native.disk_hits")
+                    << " disk + " << d.counter("exec.native.lru_hits")
+                    << " lru hits)  kernel run: "
+                    << static_cast<double>(run_ns) / 1e6 << " ms\n";
+          if (d.counter("exec.native.fallbacks") > 0)
+            std::cout << "native fallbacks: "
+                      << d.counter("exec.native.fallbacks")
+                      << " (the VM executed instead)\n";
         }
-        dump_stats(opts);
-        return 0;
+        return dump_stats(opts, 0);
       }
 
       if (opts.exec_threads <= 1)
@@ -828,34 +865,34 @@ int main(int argc, char** argv) {
                              static_cast<double>(par_wall)
                        : 0.0;
 
-      if (opts.profile_json) {
-        std::ostringstream os;
-        os << "{\"n\":" << opts.n << ",\"threads\":" << opts.exec_threads
-           << ",\"repeat\":" << opts.repeat << ",\"wavefront\":"
-           << (sched.wavefront ? "true" : "false") << ",\"partition\":[";
-        for (size_t i = 0; i < sched.partition.size(); ++i)
-          os << (i ? "," : "") << json_quote(sched.partition[i]);
-        os << "],\"serial_wall_ns\":" << serial_wall
-           << ",\"parallel_wall_ns\":" << par_wall
-           << ",\"measured_speedup\":" << measured_speedup
-           << ",\"report\":" << rep.to_json() << "}";
-        std::cout << os.str() << "\n";
-      } else {
-        std::cout << "schedule:";
-        for (const std::string& v : sched.partition) std::cout << " " << v;
-        std::cout << (sched.wavefront ? " (wavefront)" : " (doall)")
-                  << "  N=" << opts.n << "\n"
-                  << "serial wall: " << std::fixed << std::setprecision(3)
-                  << static_cast<double>(serial_wall) / 1e6
-                  << " ms  parallel wall: "
-                  << static_cast<double>(par_wall) / 1e6 << " ms ("
-                  << opts.repeat << " run" << (opts.repeat == 1 ? "" : "s")
-                  << ")  measured speedup: " << std::setprecision(2)
-                  << measured_speedup << "x\n"
-                  << rep.to_text();
-      }
-      dump_stats(opts);
-      return 0;
+      // The report's `profile` member is the measured ProfileReport;
+      // the model's prediction rides in the result beside it.
+      std::ostringstream result;
+      result << "{\"n\":" << opts.n << ",\"threads\":" << opts.exec_threads
+             << ",\"repeat\":" << opts.repeat << ",\"wavefront\":"
+             << (sched.wavefront ? "true" : "false") << ",\"partition\":[";
+      for (size_t i = 0; i < sched.partition.size(); ++i)
+        result << (i ? "," : "") << json_quote(sched.partition[i]);
+      result << "],\"serial_wall_ns\":" << serial_wall
+             << ",\"parallel_wall_ns\":" << par_wall
+             << ",\"measured_speedup\":" << measured_speedup
+             << ",\"predicted_parallel_fraction\":"
+             << rep.predicted_parallel_fraction
+             << ",\"predicted_speedup\":" << rep.predicted_speedup << "}";
+      g_run.result = result.str();
+      std::cout << "schedule:";
+      for (const std::string& v : sched.partition) std::cout << " " << v;
+      std::cout << (sched.wavefront ? " (wavefront)" : " (doall)")
+                << "  N=" << opts.n << "\n"
+                << "serial wall: " << std::fixed << std::setprecision(3)
+                << static_cast<double>(serial_wall) / 1e6
+                << " ms  parallel wall: "
+                << static_cast<double>(par_wall) / 1e6 << " ms ("
+                << opts.repeat << " run" << (opts.repeat == 1 ? "" : "s")
+                << ")  measured speedup: " << std::setprecision(2)
+                << measured_speedup << "x\n"
+                << rep.to_text();
+      return dump_stats(opts, 0);
     }
 
     if (cmd == "tile") {
@@ -868,17 +905,7 @@ int main(int argc, char** argv) {
       if (opts.args.size() > 1) {
         std::cerr << "matrix:\n" << mat_to_string(m) << "\n";
         CandidateResult r = session.evaluate(m);
-        if (!r.legal) {
-          if (opts.diag_json) {
-            DiagnosticEngine render;
-            for (const Diagnostic& d : r.diagnostics) render.report(d);
-            std::cout << render.to_json() << "\n";
-          } else {
-            std::cerr << "inltc: " << r.error << "\n";
-          }
-          dump_stats(opts);
-          return 1;
-        }
+        if (!r.legal) return fail(opts, r.error, r.diagnostics);
         prog = *r.program;
       }
 
@@ -894,8 +921,7 @@ int main(int argc, char** argv) {
               1);
         }
         std::cout << detect_bands(tlayout, tdeps).to_text(tlayout, tdeps);
-        dump_stats(opts);
-        return 0;
+        return dump_stats(opts, 0);
       }
 
       TileOptions topts;
@@ -927,9 +953,8 @@ int main(int argc, char** argv) {
       if (tp.plan.applied)
         eplan.target_partition = tiled_partition(
             eplan.target_partition, tp.plan.spec, tp.plan.tile_vars);
-      int rc = emit_and_verify(session.program(), out, opts, eplan);
-      dump_stats(opts);
-      return rc;
+      return dump_stats(opts,
+                        emit_and_verify(session.program(), out, opts, eplan));
     }
 
     if (cmd == "parallel") {
@@ -949,24 +974,13 @@ int main(int argc, char** argv) {
                   << analyze_target_parallelism(layout, deps, m, rec)
                          .to_text(deps);
       }
-      dump_stats(opts);
-      return 0;
+      return dump_stats(opts, 0);
     }
 
     cli_error("unknown command '" + cmd + "'", 2);
   } catch (const DiagnosedTransformError& e) {
-    if (opts.diag_json) {
-      DiagnosticEngine render;
-      for (const Diagnostic& d : e.diagnostics()) render.report(d);
-      std::cout << render.to_json() << "\n";
-    } else {
-      std::cerr << "inltc: " << e.what() << "\n";
-    }
-    dump_stats(opts);
-    return 1;
+    return fail(opts, e.what(), e.diagnostics());
   } catch (const Error& e) {
-    std::cerr << "inltc: " << e.what() << "\n";
-    dump_stats(opts);
-    return 1;
+    return fail(opts, e.what());
   }
 }
