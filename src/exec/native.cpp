@@ -341,7 +341,7 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
     f << src.code;
     if (!f) {
       if (why)
-        *why = exec_warning("native engine: cannot write " + tmp_c +
+        *why = exec_warning("native engine: cannot write into " + dir +
                             "; using the VM");
       fs::remove(tmp_c, ec);
       return nullptr;
@@ -379,8 +379,8 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   fs::rename(tmp_so, so_path, ec);
   if (ec) {
     if (why)
-      *why = exec_warning("native engine: cannot publish " + so_path + " (" +
-                          ec.message() + "); using the VM");
+      *why = exec_warning("native engine: cannot publish into " + dir +
+                          " (" + ec.message() + "); using the VM");
     fs::remove(tmp_c, ec);
     fs::remove(tmp_so, ec);
     return nullptr;

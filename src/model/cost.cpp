@@ -11,6 +11,7 @@
 #include "linalg/gauss.hpp"
 #include "linalg/hermite.hpp"
 #include "support/json.hpp"
+#include "support/small_vec.hpp"
 #include "support/stats.hpp"
 #include "support/trace.hpp"
 #include "transform/parallel.hpp"
@@ -37,8 +38,10 @@ double rat_double(const Rational& r) {
 
 constexpr size_t kMemoStripes = 16;
 
-// Memo key: statement index, N_S's row count, then N_S row-major.
-using StepKey = std::vector<i64>;
+// Memo key: statement index, N_S's row count, then N_S row-major —
+// inline up to a depth-3 statement's 3x3 N_S, so forming a key to
+// look up allocates nothing.
+using StepKey = SmallVec<i64, 12>;
 
 struct StepKeyHash {
   size_t operator()(const StepKey& key) const {
@@ -72,12 +75,19 @@ struct StmtTable {
   };
   std::vector<Access> accesses;
   Step loopless;  // the Step when k == 0: nothing moves
+  /// Target loop positions in the model's skeleton (CostModel's
+  /// constructor), resolved once.
+  std::vector<int> skeleton_rows;
 };
 
 }  // namespace
 
 struct CostModelTables {
   std::vector<StmtTable> stmts;
+  const AstRecovery* skeleton = nullptr;
+  /// Never reused by another model: what a thread's MemoFront is keyed
+  /// by.
+  std::uint64_t id = 0;
   struct alignas(64) Stripe {
     std::mutex mu;
     // Node-based: a Step's address is stable for the model's lifetime.
@@ -158,9 +168,10 @@ Step make_step(const StmtTable& st, const IntMat& ns,
 // N_S of statement `st` under `m` (Def 7: the target tree-loop rows of
 // M·A_S), as the memo key: statement index, row count, rows.
 StepKey step_key(size_t stmt, const StmtTable& st, const IntMat& m,
-                 const AstRecovery& rec) {
+                 const AstRecovery& rec, const AstRecovery* skeleton) {
   const std::vector<int>& rows =
-      rec.target_layout->stmt_info(st.label).loop_positions;
+      &rec == skeleton ? st.skeleton_rows
+                       : rec.target_layout->stmt_info(st.label).loop_positions;
   StepKey key;
   key.reserve(2 + rows.size() * static_cast<size_t>(st.k));
   key.push_back(static_cast<i64>(stmt));
@@ -177,33 +188,77 @@ StepKey step_key(size_t stmt, const StmtTable& st, const IntMat& m,
   return key;
 }
 
+std::atomic<std::uint64_t> next_model_id{1};
+
+// A thread's lock-free front to one model's striped memo: the Steps
+// this thread has looked up before, by key. Without it every lookup
+// takes a stripe's mutex, and threads scoring the same few thousand
+// N_S contend on them. A Step never moves and lives as long as its
+// model, and a front serves one model id (ids are never reused), so
+// it never hands out a pointer into a destroyed model.
+//
+// The front also holds the memo-hit and lines() Stats counts, which
+// it adds to the shared counters when it moves to another model, when
+// its model is destroyed on this thread, or when the thread exits —
+// the search workers that score exit before search() returns —
+// instead of on every lookup.
+struct MemoFront {
+  std::uint64_t model = 0;
+  std::unordered_map<StepKey, const Step*, StepKeyHash> steps;
+  i64 scores = 0;
+  i64 hits = 0;
+
+  ~MemoFront() { flush(); }
+  void flush() {
+    if (scores > 0) Stats::global().add("model.scores", scores);
+    if (hits > 0) Stats::global().add("model.direction_memo_hits", hits);
+    scores = hits = 0;
+  }
+  void bind(std::uint64_t id) {
+    if (model == id) return;
+    flush();
+    steps.clear();
+    model = id;
+  }
+};
+thread_local MemoFront memo_front;
+
 // The memoized Step of statement `stmt` under `m`.
 const Step& lookup_step(CostModelTables& t, size_t stmt, const IntMat& m,
                         const AstRecovery& rec, const ModelOptions& opts,
-                        std::atomic<i64>& hits, std::atomic<i64>& misses) {
+                        std::atomic<i64>& misses) {
   const StmtTable& st = t.stmts[stmt];
   if (st.k == 0) return st.loopless;
-  StepKey key = step_key(stmt, st, m, rec);
+  StepKey key = step_key(stmt, st, m, rec, t.skeleton);
+  MemoFront& front = memo_front;
+  front.bind(t.id);
+  if (auto f = front.steps.find(key); f != front.steps.end()) {
+    ++front.hits;
+    return *f->second;
+  }
   CostModelTables::Stripe& stripe = t.memo[StepKeyHash{}(key) % kMemoStripes];
+  const Step* found = nullptr;
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
     auto it = stripe.steps.find(key);
-    if (it != stripe.steps.end()) {
-      hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+    if (it != stripe.steps.end()) found = &it->second;
   }
-  // Miss: compute unlocked; a racing thread's equal Step may win.
-  misses.fetch_add(1, std::memory_order_relaxed);
-  const int rows = static_cast<int>(key[1]);
-  IntMat ns(rows, st.k);
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < st.k; ++c)
-      ns(r, c) = key[2 + static_cast<size_t>(r) * st.k + c];
-  Step step = make_step(st, ns, opts);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  return stripe.steps.try_emplace(std::move(key), std::move(step))
-      .first->second;
+  if (found) {
+    ++front.hits;
+  } else {
+    // Miss: compute unlocked; a racing thread's equal Step may win.
+    misses.fetch_add(1, std::memory_order_relaxed);
+    const int rows = static_cast<int>(key[1]);
+    IntMat ns(rows, st.k);
+    for (int r = 0; r < rows; ++r)
+      for (int c = 0; c < st.k; ++c)
+        ns(r, c) = key[2 + static_cast<size_t>(r) * st.k + c];
+    Step step = make_step(st, ns, opts);
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    found = &stripe.steps.try_emplace(key, std::move(step)).first->second;
+  }
+  front.steps.emplace(std::move(key), found);
+  return *found;
 }
 
 // Labels of the statements under some partitioned doall level of the
@@ -222,12 +277,11 @@ void collect_partitioned_stmts(const Node* n,
 
 }  // namespace
 
-CostModel::CostModel(const IvLayout& src, const ModelOptions& opts)
+CostModel::CostModel(const IvLayout& src, const ModelOptions& opts,
+                     const AstRecovery* skeleton)
     : opts_(opts),
       tables_(std::make_unique<CostModelTables>()),
       estimates_(Stats::global().counter("model.estimates")),
-      scores_(Stats::global().counter("model.scores")),
-      hits_(Stats::global().counter("model.direction_memo_hits")),
       misses_(Stats::global().counter("model.direction_memo_misses")) {
   for (const std::string& label : src.stmt_labels()) {
     const StatementContext sc = src.program().find_statement(label);
@@ -247,20 +301,31 @@ CostModel::CostModel(const IvLayout& src, const ModelOptions& opts)
       st.loopless.strides.emplace_back(a.subscripts.size(), Rational(0));
     }
     charge(st.loopless, 0, opts_);
+    if (skeleton)
+      st.skeleton_rows =
+          skeleton->target_layout->stmt_info(label).loop_positions;
   }
+  tables_->skeleton = skeleton;
+  tables_->id = next_model_id.fetch_add(1, std::memory_order_relaxed);
 }
 
-CostModel::~CostModel() = default;
+CostModel::~CostModel() {
+  // Flush and empty this thread's front now; other threads' fronts do
+  // so when they next use a model, or when they exit.
+  if (memo_front.model == tables_->id) memo_front.bind(0);
+}
 
 double CostModel::lines(const IntMat& m, const AstRecovery& skeleton) const {
-  scores_.fetch_add(1, std::memory_order_relaxed);
   // estimate()'s total_lines: the same per-reference lines, summed in
   // the same order.
   double total = 0;
   for (size_t s = 0; s < tables_->stmts.size(); ++s)
     for (double l :
-         lookup_step(*tables_, s, m, skeleton, opts_, hits_, misses_).lines)
+         lookup_step(*tables_, s, m, skeleton, opts_, misses_).lines)
       total += l;
+  MemoFront& front = memo_front;
+  front.bind(tables_->id);
+  ++front.scores;
   return total;
 }
 
@@ -271,7 +336,7 @@ CostEstimate CostModel::estimate(const IntMat& m,
   CostEstimate est;
   for (size_t s = 0; s < tables_->stmts.size(); ++s) {
     const StmtTable& st = tables_->stmts[s];
-    const Step& step = lookup_step(*tables_, s, m, rec, opts_, hits_, misses_);
+    const Step& step = lookup_step(*tables_, s, m, rec, opts_, misses_);
     for (size_t i = 0; i < st.accesses.size(); ++i) {
       const StmtTable::Access& a = st.accesses[i];
       RefCost rc;

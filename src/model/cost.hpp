@@ -142,12 +142,20 @@ struct CostEstimate {
 ///
 /// Memo lookups count in the `model.direction_memo_hits` /
 /// `model.direction_memo_misses` Stats counters, scores in
-/// `model.scores` and estimates in `model.estimates`.
+/// `model.scores` and estimates in `model.estimates`. Each thread
+/// gathers its hits and scores and adds them when it next uses another
+/// model, when the model is destroyed on that thread, or when the
+/// thread exits.
 struct CostModelTables;
 
 class CostModel {
  public:
-  explicit CostModel(const IvLayout& src, const ModelOptions& opts = {});
+  /// `skeleton`, when set, is the recovery most calls will pass (the
+  /// one search() shares among all its candidates; it must outlive
+  /// the model): each statement's target loop positions in it are
+  /// resolved here, once, instead of by name on every call.
+  explicit CostModel(const IvLayout& src, const ModelOptions& opts = {},
+                     const AstRecovery* skeleton = nullptr);
   ~CostModel();
 
   const ModelOptions& options() const { return opts_; }
@@ -168,8 +176,6 @@ class CostModel {
   ModelOptions opts_;
   std::unique_ptr<CostModelTables> tables_;
   std::atomic<i64>& estimates_;
-  std::atomic<i64>& scores_;
-  std::atomic<i64>& hits_;
   std::atomic<i64>& misses_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -91,121 +90,6 @@ void CandidatePipeline::run_deferred(Candidate& c) const {
   c.plans = {};
 }
 
-struct InOrderFanOut::Block {
-  std::vector<Candidate> cands;
-  bool done = false;           // guarded by mu_
-  std::exception_ptr failure;  // what `work` threw on a worker, if anything
-};
-
-InOrderFanOut::InOrderFanOut(int threads, size_t block, size_t window,
-                             WorkFn work, SettleFn settle)
-    : threads_(std::max(1, threads)),
-      block_(std::max<size_t>(1, block)),
-      window_limit_(std::max<size_t>(1, window)),
-      work_(std::move(work)),
-      settle_(std::move(settle)) {}
-
-InOrderFanOut::~InOrderFanOut() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closing_ = true;
-    queue_.clear();
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void InOrderFanOut::push(Candidate&& c) {
-  open_.push_back(std::move(c));
-  ++pushed_;
-  peak_ = std::max(peak_, pushed_ - settled_);
-  if (open_.size() < next_block_) return;
-  submit();
-  settle_ready(/*wait=*/window_.size() >= window_limit_);
-}
-
-void InOrderFanOut::finish() {
-  if (!open_.empty()) submit();
-  {
-    // Nothing more will be queued: workers exit once the queue drains.
-    std::lock_guard<std::mutex> lock(mu_);
-    closing_ = true;
-  }
-  work_cv_.notify_all();
-  while (!window_.empty()) settle_ready(/*wait=*/true);
-}
-
-void InOrderFanOut::submit() {
-  auto b = std::make_unique<Block>();
-  b->cands.swap(open_);
-  next_block_ = std::clamp<size_t>(
-      static_cast<size_t>(pushed_) / (4 * static_cast<size_t>(threads_)), 1,
-      block_);
-  open_.reserve(next_block_);
-  Block* raw = b.get();
-  window_.push_back(std::move(b));
-  if (threads_ == 1) {
-    for (Candidate& c : raw->cands) work_(c);
-    raw->done = true;  // no workers: nothing else touches the flag
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(raw);
-  }
-  work_cv_.notify_one();
-  if (static_cast<int>(workers_.size()) < threads_)
-    workers_.emplace_back([this] { worker(); });
-}
-
-void InOrderFanOut::settle_ready(bool wait) {
-  std::vector<std::unique_ptr<Block>> ready;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (wait)
-      done_cv_.wait(lock, [this] { return window_.front()->done; });
-    while (!window_.empty() && window_.front()->done) {
-      ready.push_back(std::move(window_.front()));
-      window_.pop_front();
-    }
-  }
-  for (std::unique_ptr<Block>& b : ready) {
-    if (b->failure) std::rethrow_exception(b->failure);
-    for (Candidate& c : b->cands) {
-      settle_(std::move(c));
-      ++settled_;
-    }
-    b.reset();
-  }
-}
-
-void InOrderFanOut::worker() {
-  for (;;) {
-    Block* b;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return closing_ || !queue_.empty(); });
-      if (queue_.empty()) return;
-      b = queue_.front();
-      queue_.pop_front();
-    }
-    // A throwing stage must not end the process from a worker: the
-    // failure travels with the block and is rethrown when it settles.
-    std::exception_ptr failure;
-    try {
-      for (Candidate& c : b->cands) work_(c);
-    } catch (...) {
-      failure = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      b->failure = failure;
-      b->done = true;
-    }
-    done_cv_.notify_one();
-  }
-}
-
 namespace {
 
 // Missing estimates (cost stage absent, or the estimate failed) sort
@@ -223,41 +107,61 @@ bool hit_better(const SearchHit& a, const SearchHit& b) {
 
 }  // namespace
 
-CandidateAccumulator::CandidateAccumulator(size_t num_deps, int nslots,
-                                           std::vector<int> pos_to_slot,
-                                           const SearchOptions& sopts)
-    : sopts_(sopts), pos_to_slot_(std::move(pos_to_slot)), nslots_(nslots) {
-  out_.rejections.by_dependence.assign(num_deps, 0);
-  out_.rejections.by_row.assign(static_cast<size_t>(nslots) + 1, 0);
+WalkTally::WalkTally(size_t num_deps, int nslots) : nslots_(nslots) {
+  rejections.by_dependence.assign(num_deps, 0);
+  rejections.by_row.assign(static_cast<size_t>(nslots) + 1, 0);
 }
 
-// Rejection provenance: n candidates killed by dependence `dep`,
-// decided at slot `row` (nslots == decided only at completion).
-void CandidateAccumulator::attribute(int dep, int row, i64 n) {
-  if (dep >= 0 && dep < static_cast<int>(out_.rejections.by_dependence.size()))
-    out_.rejections.by_dependence[dep] += n;
+void WalkTally::attribute(int dep, int row, i64 n) {
+  if (dep >= 0 && dep < static_cast<int>(rejections.by_dependence.size()))
+    rejections.by_dependence[dep] += n;
   if (row < 0 || row > nslots_) row = nslots_;
-  out_.rejections.by_row[row] += n;
-  out_.rejections.rejected += n;
+  rejections.by_row[row] += n;
+  rejections.rejected += n;
 }
 
-void CandidateAccumulator::prune_subtree(int dep, int row, i64 leaves) {
-  ++out_.stats.pruned_subtrees;
-  out_.stats.pruned_candidates += leaves;
+void WalkTally::prune_subtree(int dep, int row, i64 leaves) {
+  ++stats.pruned_subtrees;
+  stats.pruned_candidates += leaves;
   attribute(dep, row, leaves);
 }
 
-void CandidateAccumulator::prune_leaf(int dep) {
-  ++out_.stats.pruned_candidates;
+void WalkTally::prune_leaf(int dep) {
+  ++stats.pruned_candidates;
   attribute(dep, nslots_, 1);
 }
 
+void WalkTally::add(const WalkTally& o) {
+  stats.candidates_total += o.stats.candidates_total;
+  stats.evaluated += o.stats.evaluated;
+  stats.legal += o.stats.legal;
+  stats.illegal_evaluated += o.stats.illegal_evaluated;
+  stats.pruned_candidates += o.stats.pruned_candidates;
+  stats.pruned_subtrees += o.stats.pruned_subtrees;
+  stats.verified += o.stats.verified;
+  stats.verify_failed += o.stats.verify_failed;
+  for (size_t d = 0; d < o.rejections.by_dependence.size(); ++d)
+    rejections.by_dependence[d] += o.rejections.by_dependence[d];
+  for (size_t r = 0; r < o.rejections.by_row.size(); ++r)
+    rejections.by_row[r] += o.rejections.by_row[r];
+  rejections.rejected += o.rejections.rejected;
+}
+
+CandidateAccumulator::CandidateAccumulator(size_t num_deps, int nslots,
+                                           std::vector<int> pos_to_slot,
+                                           const SearchOptions& sopts)
+    : tally_(num_deps, nslots),
+      sopts_(sopts),
+      pos_to_slot_(std::move(pos_to_slot)),
+      nslots_(nslots) {}
+
 void CandidateAccumulator::settle(Candidate&& c) {
+  SearchStats& stats = tally_.stats;
   if (c.result.legal) {
-    ++out_.stats.legal;
+    ++stats.legal;
     if (c.result.verify) {
-      ++out_.stats.verified;
-      if (!c.result.verify->equivalent) ++out_.stats.verify_failed;
+      ++stats.verified;
+      if (!c.result.verify->equivalent) ++stats.verify_failed;
     }
     SearchHit h{c.index, std::move(c.matrix), std::move(c.result),
                 std::move(c.cost), std::move(c.tile)};
@@ -277,7 +181,7 @@ void CandidateAccumulator::settle(Candidate&& c) {
       bound_.store(hit_lines(out_.hits.front()));
     return;
   }
-  ++out_.stats.illegal_evaluated;
+  ++stats.illegal_evaluated;
   // Attribute through the first localized legality diagnostic
   // (codegen-stage failures carry no dependence provenance).
   for (const Diagnostic& dg : c.result.legality.diagnostics) {
@@ -285,7 +189,7 @@ void CandidateAccumulator::settle(Candidate&& c) {
     int slot = dg.row >= 0 && dg.row < static_cast<int>(pos_to_slot_.size())
                    ? pos_to_slot_[dg.row]
                    : -1;
-    attribute(dg.dep_index, slot < 0 ? nslots_ : slot, 1);
+    tally_.attribute(dg.dep_index, slot < 0 ? nslots_ : slot, 1);
     break;
   }
 }
@@ -293,6 +197,8 @@ void CandidateAccumulator::settle(Candidate&& c) {
 SearchResult CandidateAccumulator::take() {
   if (sopts_.top_k > 0)
     std::sort(out_.hits.begin(), out_.hits.end(), hit_better);
+  out_.stats = tally_.stats;
+  out_.rejections = std::move(tally_.rejections);
   return std::move(out_);
 }
 

@@ -1,5 +1,6 @@
 #include "pipeline/search.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -110,27 +111,146 @@ void PermutationSkewGenerator::pop() {
   chosen_.pop_back();
 }
 
+std::unique_ptr<CandidateGenerator> PermutationSkewGenerator::clone() const {
+  return std::make_unique<PermutationSkewGenerator>(*this);
+}
+
+namespace {
+
+// One depth-first walk over a candidate space: the generator, the
+// engine that prunes it (null in exact mode) and the matrix the walk
+// writes its rows into — an identity whose loop-slot rows the pushed
+// options overwrite. Destroying a walk pops whatever it still has
+// pushed, so a walk that throws leaves its generator and engine where
+// it found them.
+struct Walk {
+  Walk(CandidateGenerator& gen, IncrementalLegality* engine,
+       const std::vector<int>& slots, int width)
+      : gen(gen), engine(engine), slots(slots), m(IntMat::identity(width)) {}
+  ~Walk() {
+    while (!path.empty()) pop();
+  }
+  Walk(const Walk&) = delete;
+  Walk& operator=(const Walk&) = delete;
+
+  int depth() const { return static_cast<int>(path.size()); }
+  /// Descend by option k; false when the engine proves every
+  /// completion of the new prefix illegal.
+  bool push(i64 k) {
+    IntVec r = gen.row(k);
+    for (int j = 0; j < m.cols(); ++j) m(slots[depth()], j) = r[j];
+    gen.push(k);
+    path.push_back(k);
+    return !engine || engine->push_row(r);
+  }
+  void pop() {
+    if (engine) engine->pop_row();
+    gen.pop();
+    path.pop_back();
+  }
+
+  CandidateGenerator& gen;
+  IncrementalLegality* engine;
+  const std::vector<int>& slots;
+  IntMat m;
+  std::vector<i64> path;  // the option pushed at each depth
+};
+
+// Walk the subtree below `w`'s prefix down to depth `stop` in
+// enumeration order, from candidate `index` on: `visit(index)` at each
+// viable prefix of depth `stop`, which covers leaves[stop]
+// candidates; a pruned prefix records its subtree in `tally`, then
+// `pruned(n)` with its leaf count.
+template <class Visit, class Pruned>
+void descend(Walk& w, int stop, const std::vector<i64>& leaves,
+             WalkTally& tally, i64& index, const Visit& visit,
+             const Pruned& pruned) {
+  const int depth = w.depth();
+  if (depth == stop) {
+    visit(index);
+    index += leaves[depth];
+    return;
+  }
+  for (i64 k = 0; k < w.gen.num_options(depth); ++k) {
+    if (w.push(k)) {
+      descend(w, stop, leaves, tally, index, visit, pruned);
+    } else {
+      const i64 n = leaves[depth + 1];
+      tally.prune_subtree(w.engine->killer(), w.engine->killer_row(), n);
+      if (Tracer::enabled()) {
+        ScopedSpan ps("search.prune", "search");
+        ps.arg("depth", static_cast<i64>(depth));
+        ps.arg("dep", static_cast<i64>(w.engine->killer()));
+        ps.arg("pruned", n);
+      }
+      index += n;
+      pruned(n);
+    }
+    w.pop();
+  }
+}
+
+// Viable prefixes of depth `stop` below `w`'s, counted up to `want`.
+i64 viable_prefixes(Walk& w, int stop, i64 want) {
+  if (w.depth() == stop) return 1;
+  i64 n = 0;
+  for (i64 k = 0; k < w.gen.num_options(w.depth()) && n < want; ++k) {
+    if (w.push(k)) n += viable_prefixes(w, stop, want - n);
+    w.pop();
+  }
+  return n;
+}
+
+// One unit of deferred work: a survivor of the calling thread's walk,
+// or the subtree below one viable prefix at the cut depth.
+struct Unit {
+  Candidate survivor;
+  /// Subtree: the option at each slot above the cut (empty for a
+  /// single survivor), and the enumeration index of its first
+  /// candidate.
+  std::vector<i64> prefix;
+  i64 index = 0;
+  /// Subtree: its decided candidates in index order, and its prunes
+  /// and counted leaves.
+  std::vector<Candidate> decided;
+  WalkTally tally;
+};
+
+// What one worker walks its subtrees with, built once per search.
+struct SubtreeWorker {
+  SubtreeWorker(const CandidateGenerator& gen, const IvLayout& layout,
+                const DependenceSet& deps)
+      : gen(gen.clone()), engine(layout, deps) {}
+  std::unique_ptr<CandidateGenerator> gen;
+  IncrementalLegality engine;
+};
+
+// Subtrees per session thread at the cut: enough that uneven subtrees
+// still balance over the workers.
+constexpr i64 kSubtreesPerThread = 8;
+
+// Exact subtree sizes per depth (prefix-independent by the generator
+// contract): what index arithmetic under pruning uses.
+std::vector<i64> leaves_below(const CandidateGenerator& gen) {
+  std::vector<i64> out(gen.num_slots() + 1, 1);
+  for (int d = gen.num_slots(); d-- > 0;)
+    out[d] = checked_mul(out[d + 1], gen.num_options(d));
+  return out;
+}
+
+}  // namespace
+
 std::vector<IntMat> materialize_candidates(const IvLayout& layout,
                                            CandidateGenerator& gen) {
-  std::vector<IntMat> out;
-  IntMat m = IntMat::identity(layout.size());
-  std::vector<int> slots = layout.all_loop_positions();
+  const std::vector<int>& slots = layout.all_loop_positions();
   INLT_CHECK(static_cast<int>(slots.size()) == gen.num_slots());
-
-  std::function<void(int)> rec = [&](int depth) {
-    if (depth == gen.num_slots()) {
-      out.push_back(m);
-      return;
-    }
-    for (i64 k = 0; k < gen.num_options(depth); ++k) {
-      IntVec r = gen.row(k);
-      for (int j = 0; j < layout.size(); ++j) m(slots[depth], j) = r[j];
-      gen.push(k);
-      rec(depth + 1);
-      gen.pop();
-    }
-  };
-  rec(0);
+  std::vector<IntMat> out;
+  Walk w(gen, /*engine=*/nullptr, slots, layout.size());
+  WalkTally unused;
+  i64 index = 0;
+  descend(
+      w, gen.num_slots(), leaves_below(gen), unused, index,
+      [&](i64) { out.push_back(w.m); }, [](i64) {});
   return out;
 }
 
@@ -154,21 +274,17 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   ScopedSpan run_span("search.run", "search");
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Exact subtree sizes per depth (prefix-independent by the
-  // generator contract) — what index arithmetic under pruning uses.
-  std::vector<i64> leaves_below(nslots + 1, 1);
-  for (int d = nslots; d-- > 0;)
-    leaves_below[d] = checked_mul(leaves_below[d + 1], gen.num_options(d));
+  const std::vector<i64> leaves = leaves_below(gen);
 
-  IntMat m = IntMat::identity(layout_->size());
+  const int width = layout_->size();
   const std::vector<int>& slots = layout_->all_loop_positions();
   // Layout position -> slot index, for converting a legality
   // diagnostic's deciding row into a by_row bucket.
-  std::vector<int> pos_to_slot(layout_->size(), -1);
+  std::vector<int> pos_to_slot(width, -1);
   for (int s = 0; s < nslots; ++s) pos_to_slot[slots[s]] = s;
 
   CandidateAccumulator acc(deps_.deps.size(), nslots, pos_to_slot, sopts);
-  acc.stats().candidates_total = leaves_below[0];
+  acc.stats().candidates_total = leaves[0];
 
   // -- pipeline configuration ---------------------------------------
   // Full mode, the legality-only filter and rank mode are the same
@@ -182,7 +298,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   // legality, cost, tile and verify stages read it.
   std::optional<AstRecovery> skeleton;
   if (cost || full || !prune)
-    skeleton.emplace(recover_ast(*layout_, IntMat::identity(layout_->size())));
+    skeleton.emplace(recover_ast(*layout_, IntMat::identity(width)));
   // Inter-stage scratch, built on first use by whichever deferred
   // stage needs it: the target-space dependences M·D that the cost,
   // tile and verify stages share.
@@ -193,21 +309,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
     return *c.target_deps;
   };
   CandidatePipeline pipe;
-  if (prune) {
-    // The engine's full-depth verdict IS the hull legality test
-    // (test_incremental proves the equivalence); in full mode the
-    // codegen stage rebuilds the result from scratch anyway, so the
-    // leaf verdict records only the flag.
-    if (full) {
-      pipe.add(StageKind::kLegality, /*deferred=*/false,
-               [](Candidate& c) { c.result.legal = true; });
-    } else {
-      pipe.add(StageKind::kLegality, /*deferred=*/false, [this](Candidate& c) {
-        c.result.legal = true;
-        c.result.legality.unsatisfied = engine_->current_unsatisfied();
-      });
-    }
-  } else if (!full) {
+  if (!prune && !full) {
     // Exact filter mode: decide legality by the ILP test at the leaf,
     // skipping plan/build/simplify.
     pipe.add(StageKind::kLegality, /*deferred=*/false,
@@ -219,29 +321,32 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
       c.rejected = !c.result.legal;
     });
   }
-  // (Exact full mode has no standalone legality stage: the ILP
-  // verdict is produced inside codegen by generate_code_exact.)
+  // (Under the hull test the walk's verdict is the legality stage; in
+  // exact full mode the ILP verdict is produced inside codegen by
+  // generate_code_exact.)
   // One cost model per search: its N_S memo is shared by every
   // candidate's kCost stage and freed when the search returns.
   std::optional<CostModel> model;
+  // Rank mode scores first and builds the full estimate (M·D, the
+  // parallel schedule, per-reference costs) only for a candidate
+  // whose score is below the worst kept hit. That is exact: the bound
+  // only falls, and a candidate settles after every one already kept,
+  // so one not below the bound could neither beat the worst hit nor
+  // win a tie (DESIGN.md, "Rank by score"). A sink sees every hit, so
+  // with one set every hit gets the estimate.
+  const bool bounded = sopts.top_k > 0 && !sopts.sink;
   if (cost) {
     ModelOptions mopts = sopts.model;
     mopts.pad = opts_.codegen.pad;
     mopts.exec_threads = sopts.exec_threads;
-    model.emplace(*layout_, mopts);
-    // Rank mode scores first and builds the full estimate (M·D, the
-    // parallel schedule, per-reference costs) only for a candidate
-    // whose score is below the worst kept hit. That is exact: the
-    // bound only falls, and a candidate settles after every one
-    // already kept, so one not below the bound could neither beat the
-    // worst hit nor win a tie (DESIGN.md, "Rank by score"). A sink
-    // sees every hit, so with one set every hit gets the estimate.
-    const bool bounded = sopts.top_k > 0 && !sopts.sink;
+    model.emplace(*layout_, mopts, &*skeleton);
     pipe.add(StageKind::kCost, /*deferred=*/true,
              [&model, &skeleton, &acc, bounded, target_deps](Candidate& c) {
                try {
-                 if (bounded && !(model->lines(c.matrix, *skeleton) <
-                                  acc.bound()))
+                 if (bounded &&
+                     !((c.score ? *c.score
+                                : model->lines(c.matrix, *skeleton)) <
+                       acc.bound()))
                    return;
                  c.cost.emplace(
                      model->estimate(c.matrix, *skeleton, target_deps(c)));
@@ -337,35 +442,195 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   // even two clock reads per leaf would dominate it.
   HistogramCell* cand_hist =
       full ? &Stats::global().histogram("search.candidate_ns") : nullptr;
+  auto run_deferred = [&](Candidate& c) {
+    ScopedSpan cs("search.candidate", "search");
+    const auto c0 = std::chrono::steady_clock::now();
+    pipe.run_deferred(c);
+    if (cand_hist)
+      cand_hist->record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - c0)
+                            .count());
+    if (cs.active()) {
+      cs.arg("index", c.index);
+      cs.arg("legal", c.result.legal);
+    }
+  };
 
-  // Survivors of the legality walk stream to the deferred stages while
-  // the walk continues (the IncrementalLegality engine is stateful, so
-  // the walk itself stays sequential; the deferred stages are not) and
-  // settle in enumeration order, so hits, stats and rejection
-  // provenance are identical at any thread count. Full-mode survivors
-  // each cost milliseconds and go one per block; rank-mode survivors
-  // cost tens of microseconds and go in blocks growing to 64 as the
-  // walk finds more of them. At most a few blocks per thread are
-  // unsettled at once.
+  // A full-depth prefix of walk `w`: true when the engine accepts the
+  // candidate (counted as evaluated), false when it rejects the
+  // completion (counted as pruned).
+  auto legal_leaf = [&](Walk& w, WalkTally& tally) {
+    if (prune && !w.engine->current_legal()) {
+      // Viable prefix, illegal completion: the zero projection of
+      // leaf_killer() is what rejected it.
+      tally.prune_leaf(w.engine->leaf_killer());
+      return false;
+    }
+    tally.note_evaluated();
+    return true;
+  };
+  // The record of an accepted leaf, through the leaf stages.
+  auto record = [&](Walk& w, i64 index) {
+    Candidate c;
+    c.index = index;
+    c.matrix = w.m;
+    if (prune) {
+      // The engine's full-depth verdict IS the hull legality test
+      // (test_incremental proves the equivalence); in full mode the
+      // codegen stage rebuilds the result from scratch anyway, so the
+      // verdict records only the flag.
+      c.result.legal = true;
+      if (!full) c.result.legality.unsatisfied = w.engine->current_unsatisfied();
+    }
+    pipe.run_leaf(c);
+    return c;
+  };
+
+  // -- the cut --------------------------------------------------------
+  // The legality walk is the floor of a search whose survivors cost
+  // microseconds, so with several threads the calling thread walks
+  // only down to the shallowest depth with kSubtreesPerThread viable
+  // prefixes per thread, and each viable prefix there is one unit of
+  // deferred work: a worker walks its whole subtree. The count comes
+  // from the session's engine, whose memo the walk above the cut then
+  // reuses. Full-mode survivors cost milliseconds each and go one per
+  // unit, as do the survivors of a space too small to cut.
   const int nthreads = resolve_threads(opts_.threads, std::numeric_limits<int>::max());
-  const size_t block = pipe.has(StageKind::kCodegen) ? 1 : 64;
-  InOrderFanOut fan(
+  int cut = nslots;
+  if (prune && nthreads > 1 && !pipe.has(StageKind::kCodegen)) {
+    Walk probe(gen, engine_.get(), slots, width);
+    const i64 want = kSubtreesPerThread * nthreads;
+    for (int d = 1; d < nslots && cut == nslots; ++d)
+      if (viable_prefixes(probe, d, want) >= want) cut = d;
+  }
+  const bool split = cut < nslots;
+  std::vector<SubtreeWorker> workers;
+  if (split) {
+    workers.reserve(static_cast<size_t>(nthreads));
+    for (int t = 0; t < nthreads; ++t) workers.emplace_back(gen, *layout_, deps_);
+  }
+
+  // `search.inflight_peak`: the most candidate records held at once
+  // between the walk that made them and settling.
+  std::atomic<i64> held{0}, held_peak{0};
+  auto hold = [&](i64 n) {
+    const i64 now = held.fetch_add(n, std::memory_order_relaxed) + n;
+    i64 peak = held_peak.load(std::memory_order_relaxed);
+    while (now > peak && !held_peak.compare_exchange_weak(
+                             peak, now, std::memory_order_relaxed)) {
+    }
+  };
+
+  // Progress: candidates decided so far — passed by the calling
+  // thread's walk, or in a settled subtree — reported every
+  // progress_interval of them.
+  i64 done = 0;
+  i64 next_report = sopts.progress ? sopts.progress_interval
+                                   : std::numeric_limits<i64>::max();
+  auto advance = [&](i64 n) {
+    done += n;
+    if (done < next_report) return;
+    SearchProgress p;
+    p.done = done;
+    p.total = acc.stats().candidates_total;
+    p.legal = acc.stats().legal;
+    p.pruned = acc.stats().pruned_candidates;
+    p.elapsed_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    p.rate = p.elapsed_s > 0 ? static_cast<double>(done) / p.elapsed_s : 0;
+    p.prune_rate = done > 0 ? static_cast<double>(p.pruned) / done : 0;
+    p.eta_s = p.rate > 0 ? static_cast<double>(p.total - done) / p.rate : 0;
+    sopts.progress(p);
+    next_report = done + sopts.progress_interval;
+  };
+
+  // Units stream to the workers while the calling thread walks on, and
+  // settle in enumeration order, so hits, stats and rejection
+  // provenance are identical at any thread count. A subtree's worker
+  // replays its prefix on the worker's own engine, walks the rest,
+  // runs every stage of its survivors inline and returns them with its
+  // tally; its engine is then cleared, so its memo never outgrows one
+  // subtree. Single rank-mode survivors cost tens of microseconds and
+  // go in blocks growing to 64 as the walk finds more of them;
+  // subtrees and full-mode survivors go one per block. At most a few
+  // blocks per thread are unsettled at once.
+  const size_t block = split || pipe.has(StageKind::kCodegen) ? 1 : 64;
+  // In a bounded rank search a subtree walk scores each legal leaf
+  // itself and keeps no record of one whose score cannot make the top
+  // K — it is only counted. Its bound is the lower of the published one
+  // and the K-th best total_lines among the subtree's own estimated
+  // hits: those settle before any later leaf of the subtree, so the
+  // argument of DESIGN.md "Rank by score" holds for them too.
+  const bool count_only = bounded && !full;
+  const size_t top_k = static_cast<size_t>(sopts.top_k);
+  auto walk_subtree = [&](Unit& u, SubtreeWorker& sw) {
+    std::vector<double> best;  // max-heap of the subtree's K best
+    Walk w(*sw.gen, &sw.engine, slots, width);
+    for (i64 k : u.prefix) {
+      const bool viable = w.push(k);
+      INLT_CHECK_MSG(viable, "a cut prefix replayed as dead");
+    }
+    i64 index = u.index;
+    descend(
+        w, nslots, leaves, u.tally, index,
+        [&](i64 i) {
+          if (!legal_leaf(w, u.tally)) return;
+          std::optional<double> score;
+          if (count_only) {
+            try {
+              score = model->lines(w.m, *skeleton);
+            } catch (const Error&) {
+              // Unrankable: the Cost stage records it without an
+              // estimate.
+            }
+            const double bound =
+                best.size() < top_k ? acc.bound()
+                                    : std::min(acc.bound(), best.front());
+            if (score && !(*score < bound)) {
+              u.tally.count_legal();
+              return;
+            }
+          }
+          Candidate c = record(w, i);
+          c.score = score;
+          if (deferred && !c.rejected) run_deferred(c);
+          if (count_only && c.cost) {
+            best.push_back(c.cost->total_lines);
+            std::push_heap(best.begin(), best.end());
+            if (best.size() > top_k) {
+              std::pop_heap(best.begin(), best.end());
+              best.pop_back();
+            }
+          }
+          u.decided.push_back(std::move(c));
+        },
+        [](i64) {});
+  };
+  InOrderFanOut<Unit> fan(
       nthreads, block, /*window=*/4 * static_cast<size_t>(nthreads),
-      [&](Candidate& c) {
-        ScopedSpan cs("search.candidate", "search");
-        const auto c0 = std::chrono::steady_clock::now();
-        pipe.run_deferred(c);
-        if (cand_hist)
-          cand_hist->record(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - c0)
-                  .count());
-        if (cs.active()) {
-          cs.arg("index", c.index);
-          cs.arg("legal", c.result.legal);
+      [&](Unit& u, int worker) {
+        if (u.prefix.empty()) {
+          run_deferred(u.survivor);
+          return;
         }
+        SubtreeWorker& sw = workers[worker];
+        walk_subtree(u, sw);
+        sw.engine.clear();
+        hold(static_cast<i64>(u.decided.size()));
       },
-      [&acc](Candidate&& c) { acc.settle(std::move(c)); });
+      [&](Unit&& u) {
+        if (u.prefix.empty()) {
+          held.fetch_sub(1, std::memory_order_relaxed);
+          acc.settle(std::move(u.survivor));
+          return;
+        }
+        held.fetch_sub(static_cast<i64>(u.decided.size()),
+                       std::memory_order_relaxed);
+        acc.tally().add(u.tally);
+        for (Candidate& c : u.decided) acc.settle(std::move(c));
+        advance(leaves[cut]);
+      });
   // The verification reference runs the source once, on its own
   // thread: started before the first survivor is handed to a worker,
   // and only if there is one. A source that cannot run rethrows from
@@ -381,98 +646,55 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
                 sopts.verify_seed, sopts.verify_engine, plan);
   };
 
-  i64 index = 0;
-  i64 next_report = sopts.progress ? sopts.progress_interval
-                                   : std::numeric_limits<i64>::max();
-  auto emit_progress = [&](i64 done) {
-    SearchProgress p;
-    p.done = done;
-    p.total = acc.stats().candidates_total;
-    p.legal = acc.stats().legal;
-    p.pruned = acc.stats().pruned_candidates;
-    p.elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    p.rate = p.elapsed_s > 0 ? static_cast<double>(done) / p.elapsed_s : 0;
-    p.prune_rate = done > 0 ? static_cast<double>(p.pruned) / done : 0;
-    p.eta_s = p.rate > 0 ? static_cast<double>(p.total - done) / p.rate : 0;
-    sopts.progress(p);
-  };
+  {
+    Walk w(gen, engine_.get(), slots, width);
+    i64 index = 0;
+    descend(
+        w, cut, leaves, acc.tally(), index,
+        [&](i64 i) {
+          if (split) {
+            Unit u;
+            u.prefix = w.path;
+            u.index = i;
+            u.tally = WalkTally(deps_.deps.size(), nslots);
+            fan.push(std::move(u));
+            return;
+          }
+          if (legal_leaf(w, acc.tally())) {
+            Candidate c = record(w, i);
+            if (deferred && !c.rejected) {
+              // Deferred stages pending: hand the survivor over.
+              prepare_verify();
+              Unit u;
+              u.survivor = std::move(c);
+              hold(1);
+              fan.push(std::move(u));
+            } else {
+              acc.settle(std::move(c));
+            }
+          }
+          advance(1);
+        },
+        advance);
+  }
 
-  std::function<void(int)> rec = [&](int depth) {
-    if (depth == nslots) {
-      if (prune && !engine_->current_legal()) {
-        // Viable prefix, illegal completion: the zero projection of
-        // leaf_killer() is what rejected it.
-        acc.prune_leaf(engine_->leaf_killer());
-        ++index;
-        if (index >= next_report) {
-          emit_progress(index);
-          next_report = index + sopts.progress_interval;
-        }
-        return;
-      }
-      acc.note_evaluated();
-      Candidate c;
-      c.index = index;
-      c.matrix = m;
-      pipe.run_leaf(c);
-      if (deferred && !c.rejected) {
-        // Deferred stages pending: hand the survivor to the fan-out.
-        prepare_verify();
-        fan.push(std::move(c));
-      } else {
-        acc.settle(std::move(c));
-      }
-      ++index;
-      if (index >= next_report) {
-        emit_progress(index);
-        next_report = index + sopts.progress_interval;
-      }
-      return;
-    }
-    for (i64 k = 0; k < gen.num_options(depth); ++k) {
-      IntVec r = gen.row(k);
-      for (int j = 0; j < layout_->size(); ++j) m(slots[depth], j) = r[j];
-      gen.push(k);
-      bool viable = true;
-      if (prune) viable = engine_->push_row(r);
-      if (!viable) {
-        i64 n = leaves_below[depth + 1];
-        acc.prune_subtree(engine_->killer(), engine_->killer_row(), n);
-        if (Tracer::enabled()) {
-          ScopedSpan ps("search.prune", "search");
-          ps.arg("depth", static_cast<i64>(depth));
-          ps.arg("dep", static_cast<i64>(engine_->killer()));
-          ps.arg("pruned", n);
-        }
-        index += n;
-        if (index >= next_report) {
-          emit_progress(index);
-          next_report = index + sopts.progress_interval;
-        }
-      } else {
-        rec(depth + 1);
-      }
-      if (prune) engine_->pop_row();
-      gen.pop();
-    }
-  };
-  rec(0);
-
-  // Drain the deferred stages still in flight.
+  // Drain the deferred work still in flight.
   if (fan.pushed() > 0) {
     ScopedSpan eval_span("search.evaluate", "search");
     fan.finish();
     if (eval_span.active()) {
-      eval_span.arg("candidates", fan.pushed());
+      eval_span.arg("units", fan.pushed());
       eval_span.arg("threads", static_cast<i64>(fan.workers()));
     }
-    Stats::global().raise("search.inflight_peak", fan.inflight_peak());
+    Stats::global().raise("search.inflight_peak", held_peak.load());
+    if (split) Stats::global().add("search.subtrees", fan.pushed());
   }
 
   // Final report: done == total, so consumers can close their display.
-  if (sopts.progress) emit_progress(index);
+  if (sopts.progress) {
+    next_report = done;
+    advance(0);
+  }
 
   if (run_span.active()) {
     run_span.arg("total", acc.stats().candidates_total);

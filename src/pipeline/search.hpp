@@ -10,6 +10,16 @@
 // reported result is bit-identical to a sequential `evaluate()` call
 // on the same matrix.
 //
+// Subtrees: when the session has several threads and the space is
+// large, the calling thread walks only down to a cut depth — the
+// shallowest with at least 8 viable prefixes per thread — and hands
+// each viable prefix there to a worker as one unit. Each worker walks
+// its subtrees with its own clone of the generator and its own
+// engine, and the units settle in enumeration order, so results are
+// the same at any thread count. Full-mode searches, whose survivors
+// cost milliseconds each, and small spaces hand over single survivors
+// instead.
+//
 // Candidate indices: candidates are numbered in depth-first
 // enumeration order (the order `materialize_candidates` produces), and
 // pruned subtrees advance the index by their exact leaf count, so a
@@ -18,6 +28,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -36,10 +47,15 @@ namespace inlt {
 ///
 /// Contract: `num_options(depth)` must not depend on the pushed
 /// prefix — candidate indexing (and therefore pruning accounting)
-/// relies on subtree sizes being a function of depth alone.
+/// relies on subtree sizes being a function of depth alone. `row(k)`
+/// may depend only on the options pushed so far.
 class CandidateGenerator {
  public:
   virtual ~CandidateGenerator() = default;
+
+  /// An independent copy in the same state, for a worker thread to
+  /// walk its own subtrees with (search() clones at depth 0).
+  virtual std::unique_ptr<CandidateGenerator> clone() const = 0;
 
   /// Loop rows per candidate (== number of loop positions).
   virtual int num_slots() const = 0;
@@ -68,6 +84,7 @@ class PermutationSkewGenerator : public CandidateGenerator {
   explicit PermutationSkewGenerator(const IvLayout& layout,
                                     SearchSpace space = {});
 
+  std::unique_ptr<CandidateGenerator> clone() const override;
   int num_slots() const override;
   i64 num_options(int depth) const override;
   IntVec row(i64 k) const override;

@@ -228,7 +228,10 @@ class TransformSession {
   /// every candidate is evaluated.
   ///
   /// The engine's memo trie lives on the session: repeated searches —
-  /// and overlapping spaces — reuse each other's per-prefix work.
+  /// and overlapping spaces — reuse each other's per-prefix work. When
+  /// the space is cut into subtrees (see search.hpp), that is the walk
+  /// above the cut; each worker walks its subtrees on an engine of its
+  /// own, cleared after every subtree.
   /// Not safe to call concurrently on one session.
   SearchResult search(CandidateGenerator& gen,
                       const SearchOptions& sopts = {});

@@ -1,7 +1,5 @@
 #include "transform/incremental.hpp"
 
-#include <algorithm>
-
 #include "instance/program_order.hpp"
 #include "support/check.hpp"
 #include "support/stats.hpp"
@@ -34,7 +32,6 @@ IncrementalLegality::IncrementalLegality(const IvLayout& layout,
   in_common_.resize(nd);
   zero_ok_.resize(nd);
   is_self_.resize(nd);
-  order_.resize(nd);
   for (size_t d = 0; d < nd; ++d) {
     const Dependence& dep = deps_.deps[d];
     // For structure-preserving candidates the target tree equals the
@@ -51,7 +48,6 @@ IncrementalLegality::IncrementalLegality(const IvLayout& layout,
     is_self_[d] = dep.src == dep.dst;
     zero_ok_[d] =
         is_self_[d] || syntactically_before(layout_, dep.src, dep.dst);
-    order_[d] = static_cast<int>(d);
   }
   root_ = std::make_unique<Node>();
   root_->states.assign(nd, kRun);
@@ -86,11 +82,11 @@ IncrementalLegality::State IncrementalLegality::step(State s,
 bool IncrementalLegality::push_row(const IntVec& row) {
   INLT_CHECK_MSG(depth() < num_slots(), "push_row past the last slot");
   INLT_CHECK(row.size() == static_cast<size_t>(layout_.size()));
-  stat_pushes().fetch_add(1, std::memory_order_relaxed);
+  ++pushes_;
   Node* cur = path_.back();
   auto it = cur->children.find(row);
   if (it != cur->children.end()) {
-    stat_memo_hits().fetch_add(1, std::memory_order_relaxed);
+    ++memo_hits_;
     path_.push_back(it->second.get());
     return it->second->viable;
   }
@@ -103,10 +99,10 @@ bool IncrementalLegality::push_row(const IntVec& row) {
     node->killer = cur->killer;
     node->killer_row = cur->killer_row;
   } else {
-    stat_rows_evaluated().fetch_add(1, std::memory_order_relaxed);
+    ++rows_evaluated_;
     node->states = cur->states;
     int slot = depth();
-    for (int d : order_) {
+    for (size_t d = 0; d < deps_.deps.size(); ++d) {
       if (!in_common_[d][slot]) continue;
       State s = static_cast<State>(node->states[d]);
       if (s == kAccept || s == kReject) continue;
@@ -119,14 +115,9 @@ bool IncrementalLegality::push_row(const IntVec& row) {
       node->states[d] = ns;
       if (ns == kReject) {
         node->viable = false;
-        node->killer = d;
+        node->killer = static_cast<int>(d);
         node->killer_row = slot;
         node->states.clear();  // dead nodes carry no states
-        // Move-to-front: this dependence just proved it prunes; try
-        // it first on future prefixes.
-        auto pos = std::find(order_.begin(), order_.end(), d);
-        order_.erase(pos);
-        order_.insert(order_.begin(), d);
         break;
       }
     }
@@ -140,6 +131,14 @@ bool IncrementalLegality::push_row(const IntVec& row) {
 void IncrementalLegality::pop_row() {
   INLT_CHECK_MSG(path_.size() > 1, "pop_row on an empty stack");
   path_.pop_back();
+  if (path_.size() > 1) return;
+  // Back at the root: publish the counts gathered since the last time
+  // (a shared counter bumped on every push would make engines walking
+  // on different threads contend for its cache line).
+  stat_pushes().fetch_add(pushes_, std::memory_order_relaxed);
+  stat_memo_hits().fetch_add(memo_hits_, std::memory_order_relaxed);
+  stat_rows_evaluated().fetch_add(rows_evaluated_, std::memory_order_relaxed);
+  pushes_ = memo_hits_ = rows_evaluated_ = 0;
 }
 
 bool IncrementalLegality::prefix_viable() const {

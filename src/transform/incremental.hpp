@@ -13,9 +13,12 @@
 //    definitely-negative (or undecidable) entry, no extension of the
 //    prefix can recover — the whole subtree of candidates below the
 //    prefix is illegal and can be pruned.
-//  * Dependences are tested in move-to-front order: the dependence
-//    that most recently killed a candidate is tried first, so typical
-//    sweeps reject a dead prefix after one dot product.
+//  * Dependences are tested in index order, so the dependence a dead
+//    prefix is attributed to (killer()) is the lowest-index one that
+//    rejects it: a fact of the prefix, not of the walk that reached
+//    it. Engines that walk different parts of one space (search()'s
+//    subtree workers) therefore attribute every rejection the same
+//    way one sequential engine would.
 //
 // Scope: the engine models candidates that preserve the AST shape —
 // square matrices whose edge rows are identity rows. For those,
@@ -58,6 +61,9 @@ class IncrementalLegality {
   /// Push the full-width row for the next slot. Returns the viability
   /// of the new prefix: false means every completion is illegal.
   bool push_row(const IntVec& row);
+  /// Popping the last row publishes the `incremental.pushes`,
+  /// `incremental.memo_hits` and `incremental.rows_evaluated` Stats
+  /// counts of the pushes since the stack was last empty.
   void pop_row();
   /// Rows currently pushed.
   int depth() const { return static_cast<int>(path_.size()) - 1; }
@@ -136,12 +142,15 @@ class IncrementalLegality {
   std::vector<std::uint8_t> zero_ok_;
   // Self-dependence flag, for current_unsatisfied().
   std::vector<std::uint8_t> is_self_;
-  // Move-to-front testing order over dependence indices.
-  std::vector<int> order_;
 
   std::unique_ptr<Node> root_;
   std::vector<Node*> path_;  // path_[0] == root_; back() == current
   size_t node_count_ = 1;
+  // The incremental.* Stats counts since the stack last returned to
+  // the root, where pop_row() publishes them.
+  i64 pushes_ = 0;
+  i64 memo_hits_ = 0;
+  i64 rows_evaluated_ = 0;
 };
 
 }  // namespace inlt

@@ -13,6 +13,7 @@
 #                report text (use [^\n]* to stay within one member)
 #   DIAG_GOLDEN  optional file whose content must equal the report's
 #                diagnostics member byte for byte
+#   WRITES       optional file the run must also write (removed first)
 #
 # Every report is also checked for its layout: "{", then one line per
 # member — command, exit_code, engine, stats, then spans, profile and
@@ -24,6 +25,9 @@ foreach(v INLTC ARGS REPORT EXPECT_RC)
 endforeach()
 
 file(REMOVE ${REPORT})
+if(WRITES)
+  file(REMOVE ${WRITES})
+endif()
 execute_process(
   COMMAND ${INLTC} ${ARGS} --report-json ${REPORT}
   OUTPUT_QUIET
@@ -36,6 +40,9 @@ if(NOT rc EQUAL ${EXPECT_RC})
 endif()
 if(NOT EXISTS ${REPORT})
   message(FATAL_ERROR "inltc ${ARGS}: no report at ${REPORT}\nstderr:\n${err}")
+endif()
+if(WRITES AND NOT EXISTS ${WRITES})
+  message(FATAL_ERROR "inltc ${ARGS}: did not write ${WRITES}\nstderr:\n${err}")
 endif()
 file(READ ${REPORT} report)
 

@@ -235,10 +235,16 @@ TEST(RankTest, StreamingFanOutIsInOrderAndThreadCountInvariant) {
     r.stats = res.stats;
     r.rejections = res.rejections;
     r.inflight_peak = Stats::global().value("search.inflight_peak");
-    // Bounded by the window (4 blocks of 64 per thread) plus the block
-    // being filled, and well below the number of survivors.
+    // Candidate records waiting to settle. At one thread survivors go
+    // in blocks: bounded by the window (4 blocks of 64) plus the block
+    // being filled. At 2 and 4 the space is cut into subtrees of
+    // 14 x 7 = 98 leaves below depth 2, and at most the window's
+    // 4 per thread plus one are held. Either way, below the number of
+    // survivors.
+    const i64 unit = threads == 1 ? 64 : 98;
     EXPECT_GT(r.inflight_peak, 0) << "threads " << threads;
-    EXPECT_LE(r.inflight_peak, (4 * threads + 1) * 64) << "threads " << threads;
+    EXPECT_LE(r.inflight_peak, (4 * threads + 1) * unit)
+        << "threads " << threads;
     EXPECT_LT(r.inflight_peak, res.stats.legal) << "threads " << threads;
     runs.push_back(std::move(r));
   }
@@ -464,6 +470,9 @@ class EdgeColumnGenerator : public CandidateGenerator {
       if (layout.positions()[p].kind == PositionKind::kEdge)
         edges_.push_back(p);
   }
+  std::unique_ptr<CandidateGenerator> clone() const override {
+    return std::make_unique<EdgeColumnGenerator>(*this);
+  }
   int num_slots() const override { return inner_.num_slots(); }
   i64 num_options(int depth) const override {
     return 2 * inner_.num_options(depth);
@@ -501,6 +510,63 @@ TEST(RankTest, EveryCandidateRecoversTheSharedSkeleton) {
                   skeleton)
             << rc.name << " candidate " << i;
     }
+  }
+}
+
+TEST(RankTest, EdgeColumnSpaceRanksTheSameCutIntoSubtrees) {
+  // Each worker walks its subtrees with its own clone of the
+  // generator: the top 5, the full cost ranking and all accounting of
+  // the edge-column space equal the one-thread walk, which never cuts.
+  struct Run {
+    std::vector<std::pair<i64, std::string>> top, all;
+    SearchStats stats;
+    RejectionBreakdown rejections;
+  };
+  std::vector<Run> runs;
+  for (int threads : {1, 2, 4}) {
+    SessionOptions so;
+    so.threads = threads;
+    TransformSession session(gallery::cholesky(), so);
+    EdgeColumnGenerator gen(session.layout(), SearchSpace{2, 1});
+    SearchOptions top;
+    top.mode = SearchMode::kLegalityOnly;
+    top.top_k = 5;
+    SearchOptions all = top;
+    all.top_k = 0;
+    all.cost = true;
+    const StatsSnapshot before = Stats::global().snapshot();
+    const SearchResult best = session.search(gen, top);
+    const SearchResult every = session.search(gen, all);
+    const StatsSnapshot delta = Stats::global().snapshot() - before;
+    if (threads == 1) {
+      EXPECT_EQ(delta.counter("search.subtrees"), 0);
+    } else {
+      EXPECT_GT(delta.counter("search.subtrees"), 0) << "threads " << threads;
+    }
+    // One score per legal candidate, whoever scores it.
+    EXPECT_EQ(delta.counter("model.scores"), best.stats.legal);
+    Run r;
+    for (const SearchHit& h : best.hits)
+      r.top.emplace_back(h.index, h.cost->to_json());
+    for (const SearchHit& h : every.hits)
+      r.all.emplace_back(h.index, h.cost->to_json());
+    r.stats = best.stats;
+    r.rejections = best.rejections;
+    EXPECT_EQ(every.stats.legal, best.stats.legal);
+    runs.push_back(std::move(r));
+  }
+  ASSERT_EQ(runs[0].top.size(), 5u);
+  for (size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].top, runs[0].top);
+    EXPECT_EQ(runs[i].all, runs[0].all);
+    EXPECT_EQ(runs[i].stats.evaluated, runs[0].stats.evaluated);
+    EXPECT_EQ(runs[i].stats.legal, runs[0].stats.legal);
+    EXPECT_EQ(runs[i].stats.pruned_candidates,
+              runs[0].stats.pruned_candidates);
+    EXPECT_EQ(runs[i].stats.pruned_subtrees, runs[0].stats.pruned_subtrees);
+    EXPECT_EQ(runs[i].rejections.by_dependence,
+              runs[0].rejections.by_dependence);
+    EXPECT_EQ(runs[i].rejections.by_row, runs[0].rejections.by_row);
   }
 }
 

@@ -259,6 +259,29 @@ TEST(CandidateAccumulator, PruneAccounting) {
   EXPECT_EQ(res.rejections.by_row[3], 1);
 }
 
+TEST(CandidateAccumulator, SubtreeTallyAddsToTheWalks) {
+  // A subtree's tally (its prunes and counted leaves) adds to the
+  // calling thread's as if one walk had recorded both.
+  SearchOptions sopts;
+  CandidateAccumulator acc(/*num_deps=*/2, /*nslots=*/3, {0, 1, 2}, sopts);
+  acc.prune_subtree(/*dep=*/0, /*row=*/0, /*leaves=*/8);
+  WalkTally sub(/*num_deps=*/2, /*nslots=*/3);
+  sub.prune_subtree(/*dep=*/1, /*row=*/2, /*leaves=*/2);
+  sub.prune_leaf(/*dep=*/0);
+  sub.note_evaluated();
+  sub.count_legal();
+  acc.tally().add(sub);
+  SearchResult res = acc.take();
+  EXPECT_EQ(res.stats.pruned_subtrees, 2);
+  EXPECT_EQ(res.stats.pruned_candidates, 11);
+  EXPECT_EQ(res.stats.evaluated, 1);
+  EXPECT_EQ(res.stats.legal, 1);
+  EXPECT_TRUE(res.hits.empty());
+  EXPECT_EQ(res.rejections.rejected, 11);
+  EXPECT_EQ(res.rejections.by_dependence, (std::vector<i64>{9, 2}));
+  EXPECT_EQ(res.rejections.by_row, (std::vector<i64>{8, 0, 2, 1}));
+}
+
 TEST(CandidateAccumulator, VerifyCountersFollowSettledResults) {
   SearchOptions sopts;
   CandidateAccumulator acc(1, 1, {0}, sopts);

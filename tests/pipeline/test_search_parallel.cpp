@@ -4,7 +4,9 @@
 // rejection provenance — with or without semantic verification.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 
@@ -12,6 +14,7 @@
 #include "ir/printer.hpp"
 #include "pipeline/candidate.hpp"
 #include "pipeline/search.hpp"
+#include "support/stats.hpp"
 
 namespace inlt {
 namespace {
@@ -167,15 +170,153 @@ TEST(SearchParallel, LegalityOnlyModeUnaffectedByThreadCount) {
     EXPECT_EQ(seq.hits[i].index, par.hits[i].index);
 }
 
+// -- the split walk ----------------------------------------------------
+// With several session threads a large space is cut into subtrees that
+// workers walk on engines of their own; everything a search reports
+// must still equal the one-thread walk, which never cuts.
+
+// Subtree units a search handed to its workers (0: single survivors).
+i64 subtrees_of(const std::function<void()>& search) {
+  const StatsSnapshot before = Stats::global().snapshot();
+  search();
+  return (Stats::global().snapshot() - before).counter("search.subtrees");
+}
+
+void expect_same_verdicts(const SearchResult& a, const SearchResult& b) {
+  expect_identical(a, b);
+  ASSERT_EQ(a.hits.size(), b.hits.size());
+  for (size_t i = 0; i < a.hits.size(); ++i)
+    EXPECT_EQ(a.hits[i].result.legality.unsatisfied,
+              b.hits[i].result.legality.unsatisfied);
+}
+
+TEST(SplitWalk, LegalityOnlySkewSpaceMatchesOneThread) {
+  // Cholesky at skew 2/2: 75,000 candidates, cut into subtrees at 2, 3
+  // and 4 threads. Hits (with their unsatisfied sets), stats and the
+  // rejection breakdown must equal the uncut one-thread walk.
+  SearchOptions sopts;
+  sopts.mode = SearchMode::kLegalityOnly;
+  SearchResult seq;
+  EXPECT_EQ(subtrees_of([&] {
+              seq = run_search(&gallery::cholesky, 1, SearchSpace{2, 2}, sopts);
+            }),
+            0);
+  ASSERT_GT(seq.stats.legal, 0);
+  for (int threads : {2, 3, 4}) {
+    SearchResult par;
+    EXPECT_GT(subtrees_of([&] {
+                par = run_search(&gallery::cholesky, threads,
+                                 SearchSpace{2, 2}, sopts);
+              }),
+              0)
+        << "threads " << threads;
+    expect_same_verdicts(seq, par);
+  }
+}
+
+TEST(SplitWalk, SkewZeroSpaceHandsOverSingleSurvivors) {
+  // The 24 orders of Cholesky have too few prefixes to cut at any
+  // depth: even at 4 threads each survivor is its own unit.
+  SearchOptions sopts;
+  sopts.mode = SearchMode::kLegalityOnly;
+  sopts.top_k = 3;
+  SearchResult seq = run_search(&gallery::cholesky, 1, SearchSpace{}, sopts);
+  SearchResult par;
+  EXPECT_EQ(subtrees_of([&] {
+              par = run_search(&gallery::cholesky, 4, SearchSpace{}, sopts);
+            }),
+            0);
+  expect_same_verdicts(seq, par);
+}
+
+TEST(SplitWalk, ProgressIsMonotoneAndEndsAtTotal) {
+  for (int threads : {1, 4}) {
+    SessionOptions opts;
+    opts.threads = threads;
+    TransformSession session(gallery::cholesky(), opts);
+    SearchOptions sopts;
+    sopts.mode = SearchMode::kLegalityOnly;
+    sopts.top_k = 5;
+    sopts.progress_interval = 1;
+    std::vector<SearchProgress> reports;
+    sopts.progress = [&](const SearchProgress& p) { reports.push_back(p); };
+    const SearchResult res = session.search(SearchSpace{2, 2}, sopts);
+    ASSERT_FALSE(reports.empty()) << "threads " << threads;
+    for (size_t i = 1; i < reports.size(); ++i) {
+      EXPECT_GE(reports[i].done, reports[i - 1].done) << "threads " << threads;
+      EXPECT_GE(reports[i].legal, reports[i - 1].legal);
+      EXPECT_LE(reports[i].done, reports[i].total);
+    }
+    EXPECT_EQ(reports.back().done, res.stats.candidates_total)
+        << "threads " << threads;
+    EXPECT_EQ(reports.back().legal, res.stats.legal);
+    EXPECT_EQ(reports.back().pruned, res.stats.pruned_candidates);
+  }
+}
+
+// Permutations × skews whose rows throw at one leaf-level option: the
+// throw happens below any cut, so at several threads on a worker.
+class ThrowingGenerator : public CandidateGenerator {
+ public:
+  ThrowingGenerator(const IvLayout& layout, SearchSpace space)
+      : inner_(layout, space) {}
+  std::unique_ptr<CandidateGenerator> clone() const override {
+    return std::make_unique<ThrowingGenerator>(*this);
+  }
+  int num_slots() const override { return inner_.num_slots(); }
+  i64 num_options(int depth) const override {
+    return inner_.num_options(depth);
+  }
+  IntVec row(i64 k) const override {
+    if (depth_ == num_slots() - 1 && k == 1)
+      throw std::runtime_error("row failed");
+    return inner_.row(k);
+  }
+  void push(i64 k) override {
+    inner_.push(k);
+    ++depth_;
+  }
+  void pop() override {
+    inner_.pop();
+    --depth_;
+  }
+
+ private:
+  PermutationSkewGenerator inner_;
+  int depth_ = 0;
+};
+
+TEST(SplitWalk, ThrowInsideASubtreeIsRethrownFromSearch) {
+  for (int threads : {1, 4}) {
+    SessionOptions opts;
+    opts.threads = threads;
+    TransformSession session(gallery::cholesky(), opts);
+    SearchOptions sopts;
+    sopts.mode = SearchMode::kLegalityOnly;
+    sopts.top_k = 5;
+    ThrowingGenerator bad(session.layout(), SearchSpace{2, 2});
+    EXPECT_THROW(session.search(bad, sopts), std::runtime_error)
+        << "threads " << threads;
+    // The walk unwound: the session's engine is back at depth 0 and a
+    // later search reports what a fresh session does.
+    const SearchResult again = session.search(SearchSpace{1, 1}, sopts);
+    const SearchResult fresh =
+        run_search(&gallery::cholesky, threads, SearchSpace{1, 1}, sopts);
+    expect_same_verdicts(fresh, again);
+  }
+}
+
 // The fan-out under search(), driven directly: uneven per-candidate
 // work on three workers must still settle in push order, within the
 // window, and a stage that throws on a worker must surface on the
 // calling thread instead of ending the process.
 TEST(InOrderFanOut, SettlesInPushOrderUnderUnevenWork) {
   std::vector<i64> settled;
-  InOrderFanOut fan(
+  std::atomic<int> bad_worker{0};
+  InOrderFanOut<Candidate> fan(
       /*threads=*/3, /*block=*/4, /*window=*/8,
-      [](Candidate& c) {
+      [&](Candidate& c, int worker) {
+        if (worker < 0 || worker >= 3) ++bad_worker;
         // The early blocks hold one candidate each; even ones are
         // slow, so odd ones finish before the block ahead of them.
         if (c.index % 2 == 0)
@@ -197,14 +338,15 @@ TEST(InOrderFanOut, SettlesInPushOrderUnderUnevenWork) {
   EXPECT_EQ(fan.pushed(), 203);
   EXPECT_LE(fan.inflight_peak(), (8 + 1) * 4);
   EXPECT_GT(fan.workers(), 0);
+  EXPECT_EQ(bad_worker.load(), 0);
 }
 
 TEST(InOrderFanOut, WorkerFailureIsRethrownOnTheCallingThread) {
   for (int threads : {1, 2}) {
     std::vector<i64> settled;
-    InOrderFanOut fan(
+    InOrderFanOut<Candidate> fan(
         threads, /*block=*/2, /*window=*/2,
-        [](Candidate& c) {
+        [](Candidate& c, int) {
           if (c.index == 5) throw std::runtime_error("stage failed");
         },
         [&](Candidate&& c) { settled.push_back(c.index); });

@@ -162,14 +162,9 @@ profile flags: --n N | --repeat R | --engine E
 // Driver-level failure: a structured Stage::kCli diagnostic on
 // stderr, with a consistent exit code — 2 for bad invocations
 // (unknown command/flag/op, malformed arguments), 1 for runtime
-// failures (unreadable files).
-[[noreturn]] void cli_error(const std::string& message, int rc) {
-  Diagnostic d;
-  d.stage = Stage::kCli;
-  d.message = message;
-  std::cerr << "inltc: " << d.render() << "\n";
-  std::exit(rc);
-}
+// failures (unreadable files). Once the flags are parsed it also lands
+// in the run report, and the report and trace are written (dump_stats).
+[[noreturn]] void cli_error(const std::string& message, int rc);
 
 std::string read_source(const std::string& path) {
   if (path == "-") {
@@ -505,6 +500,27 @@ int dump_stats(const Options& opts, int rc) {
   return rc;
 }
 
+// The parsed flags, once parse_flags has returned: from then on
+// cli_error writes the run report and trace like every other exit.
+const Options* g_opts = nullptr;
+
+Diagnostic cli_diagnostic(const std::string& message) {
+  Diagnostic d;
+  d.stage = Stage::kCli;
+  d.message = message;
+  return d;
+}
+
+void cli_error(const std::string& message, int rc) {
+  const Diagnostic d = cli_diagnostic(message);
+  std::cerr << "inltc: " << d.render() << "\n";
+  if (g_opts) {
+    g_run.diagnostics.report(d);
+    dump_stats(*g_opts, rc);
+  }
+  std::exit(rc);
+}
+
 // A failed run or refused candidate: the prose on stderr, the
 // structured diagnostics (if any) into the run report; exit 1.
 int fail(const Options& opts, const std::string& prose,
@@ -590,13 +606,14 @@ int main(int argc, char** argv) {
   Options opts = parse_flags(argc, argv, first);
   if (opts.search_flag) cmd = "search";
   if (cmd.empty() || opts.args.empty()) usage();
+  g_opts = &opts;
+  g_run.command = cmd;
   // Reject unknown commands before any file is read or analyzed.
   if (cmd != "analyze" && cmd != "transform" && cmd != "explain" &&
       cmd != "complete" && cmd != "search" && cmd != "rank" &&
       cmd != "parallel" && cmd != "profile" && cmd != "tile")
     cli_error("unknown command '" + cmd + "'", 2);
   std::string path = opts.args[0];
-  g_run.command = cmd;
   if (!opts.trace_out.empty()) Tracer::global().enable();
   if (opts.stats || !opts.report_json.empty()) Stats::enable_timing();
   if (opts.profile || cmd == "profile") ExecProfiler::global().enable();
@@ -981,6 +998,6 @@ int main(int argc, char** argv) {
   } catch (const DiagnosedTransformError& e) {
     return fail(opts, e.what(), e.diagnostics());
   } catch (const Error& e) {
-    return fail(opts, e.what());
+    return fail(opts, e.what(), {cli_diagnostic(e.what())});
   }
 }
