@@ -147,12 +147,16 @@ InterpStats interpret(const Program& p, const std::map<std::string, i64>& params
     throw Error("an access observer requires the AST walker engine");
   if (opts.cache_probe && opts.engine != ExecEngine::kVm)
     throw Error("cache_probe requires the VM engine");
+  // The probe counts one serial access stream; a partitioned run has
+  // none, and running it serially instead would be a silent rewrite.
+  const bool partitioned = opts.num_threads > 1 && !opts.partition.empty();
+  if (opts.cache_probe && partitioned)
+    throw Error("cache_probe requires a serial run (no partition)");
   // The native engine covers the serial path; a parallel partition
   // rides the VM's worker pool, the one remaining substitution.
   // Preparation failures (no compiler, compile error) warn once and
   // fall back; runtime failures of a prepared kernel (bounds, budget)
   // throw like any other engine's.
-  const bool partitioned = opts.num_threads > 1 && !opts.partition.empty();
   if (opts.engine == ExecEngine::kNative && !partitioned) {
     InterpStats st;
     Diagnostic why;
@@ -160,7 +164,7 @@ InterpStats interpret(const Program& p, const std::map<std::string, i64>& params
     warn_native_fallback_once(why);
   }
   if (opts.engine != ExecEngine::kAstWalker) {
-    if (partitioned && !opts.cache_probe) {
+    if (partitioned) {
       if (opts.engine == ExecEngine::kNative)
         Stats::global().add("exec.native.partition_substitutions");
       return run_partitioned(p, params, mem, opts.partition, opts.num_threads,

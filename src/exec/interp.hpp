@@ -98,8 +98,9 @@ struct InterpOptions {
   std::function<void(const AccessEvent&)> observer;
   /// Engine selection.
   ExecEngine engine = ExecEngine::kVm;
-  /// When set, count cache lines touched during execution. VM engine
-  /// only (interpret() rejects it with any other engine); results
+  /// When set, count cache lines touched during execution. Serial VM
+  /// runs only (interpret() rejects it with any other engine or with a
+  /// partitioned run); results
   /// accumulate into the pointed-to probe, so one probe can span
   /// several runs.
   CacheProbe* cache_probe = nullptr;
@@ -108,20 +109,21 @@ struct InterpOptions {
   /// program, the VM chunks those (doall) loops across a shared
   /// worker pool — bit-identical Memory, summed InterpStats, and the
   /// instance budget enforced per worker. Serial otherwise. VM engine
-  /// (kNative is substituted by the VM here); a cache probe forces
-  /// the serial path, and the walker always runs serially.
+  /// (kNative is substituted by the VM here); the walker always runs
+  /// serially.
   int num_threads = 1;
   std::vector<std::string> partition;
   /// Opt-in per-opcode VM profiling: bucket the nanoseconds spent in
   /// each bytecode op (guards, loop enter/advance, statements) and in
   /// statements by loop depth into the Stats log₂ histograms
   /// (`vm.op.*_ns`, `vm.stmt.depth*_ns`). VM engine, serial path only
-  /// (the partitioned driver has its own per-worker profiler —
-  /// support/profile.hpp). Execution results are unchanged; the
-  /// instrumented dispatch loop is compiled separately so the default
-  /// path pays nothing. Profiled runs execute every statement instance
-  /// one at a time: the VM's batched leaf-loop executor stays off, so
-  /// the histograms time the per-instance interpreter.
+  /// (a partitioned run ignores it: the partitioned driver has its own
+  /// per-worker profiler — support/profile.hpp). Execution results are
+  /// unchanged; it selects the VM dispatch loop's profiled mode, a
+  /// separate instantiation, so the default path pays nothing.
+  /// Profiled runs execute every statement instance one at a time: the
+  /// VM's batched leaf-loop executor stays off, so the histograms time
+  /// the per-instance interpreter.
   bool profile = false;
 };
 

@@ -1,10 +1,12 @@
 // VmProgram execution (see vm.hpp for the design; compile.cpp builds
 // the tables).
 //
-// run() is the hot path of semantic verification: a flat dispatch loop
-// over control instructions with no recursion, no name lookups and no
-// per-access subscript evaluation — fast accesses ride incrementally
-// maintained flat offsets whose bounds were checked at loop entry.
+// dispatch<Mode> is the one interpreter of the control stream; run(),
+// run_worker() and run_probe() enter it in their mode. Its serial mode
+// is the hot path of semantic verification: no recursion, no name
+// lookups and no per-access subscript evaluation — fast accesses ride
+// incrementally maintained flat offsets whose bounds were checked at
+// loop entry.
 // Everything still observable (InterpStats, guard semantics, iteration
 // order, the uninterpreted-function hash) matches the AST walker bit
 // for bit.
@@ -80,9 +82,12 @@ void VmProgram::bounds_fail(const Access& a, int dim, i64 idx) const {
               std::to_string(arr.hi[dim]) + "]");
 }
 
-// Initialize offset registers and run the hoisted endpoint bounds
-// checks for one entry of `loop` (env already holds v = lo).
-void VmProgram::enter_loop(const LoopInfo& loop, i64 lo, i64 hi) {
+// Enter loop `id` at its first iteration lo, with hi its last bound:
+// set the loop variable, initialize offset registers and run the
+// hoisted endpoint bounds checks.
+void VmProgram::enter_loop(const LoopInfo& loop, int id, i64 lo, i64 hi) {
+  env_[loop.slot] = lo;
+  hi_[id] = hi;
   for (int i = loop.init_begin; i != loop.init_end; ++i) {
     const Access& a = accesses_[inits_[i].access];
     offs_[a.reg] = eval(a.offset);
@@ -416,21 +421,18 @@ void VmProgram::probe_lines(const StmtInfo& s) {
 
 namespace {
 
-// Cached per-opcode / per-depth histogram cells for the profiled
-// dispatch loop (run_impl<true>). HistogramCell references from the
-// global registry are stable forever, so one lookup per name suffices.
+// Cached per-opcode / per-depth histogram cells for the profiled mode.
+// HistogramCell references from the global registry are stable
+// forever, so one lookup per name suffices.
 struct OpHists {
-  HistogramCell* guards;
-  HistogramCell* loop_enter;
-  HistogramCell* loop_next;
-  HistogramCell* stmt;
+  HistogramCell* op[4];  // by COp: guards, loop enter, loop next, stmt
   std::vector<HistogramCell*> depth;
 
   OpHists()
-      : guards(&Stats::global().histogram("vm.op.guards_ns")),
-        loop_enter(&Stats::global().histogram("vm.op.loop_enter_ns")),
-        loop_next(&Stats::global().histogram("vm.op.loop_next_ns")),
-        stmt(&Stats::global().histogram("vm.op.stmt_ns")) {}
+      : op{&Stats::global().histogram("vm.op.guards_ns"),
+           &Stats::global().histogram("vm.op.loop_enter_ns"),
+           &Stats::global().histogram("vm.op.loop_next_ns"),
+           &Stats::global().histogram("vm.op.stmt_ns")} {}
 
   HistogramCell* depth_cell(int d) {
     if (static_cast<size_t>(d) >= depth.size())
@@ -444,48 +446,101 @@ struct OpHists {
 
 }  // namespace
 
-template <bool kProfile>
-InterpStats VmProgram::run_impl(const InterpOptions& opts) {
+// The one dispatch loop (vm.hpp). Every mode runs the same control
+// flow; the `if constexpr` blocks are where they differ, and the
+// serial instantiation compiles to the plain loop.
+template <VmProgram::Mode M>
+InterpStats VmProgram::dispatch(i64 max_instances, const Team* team,
+                                ProbeState* ps) {
+  constexpr bool kProfiled = M == Mode::kProfiled;
+  constexpr bool kWorker = M == Mode::kWorker;
+  constexpr bool kProbe = M == Mode::kProbe;
   InterpStats st;
-  const i64 max_instances = opts.max_instances;
   // Per-run cell cache: name lookups happen once per profiled run, and
   // keeping it run-local (not static) makes concurrent profiled runs
   // race-free — the cells themselves are atomic.
-  std::optional<OpHists> cells;
-  if constexpr (kProfile) cells.emplace();
-  OpHists* hist = cells ? &*cells : nullptr;
+  std::optional<OpHists> hist;
+  if constexpr (kProfiled) hist.emplace();
   int depth = 0;  // loop nesting depth of the current pc (profiled only)
-  (void)hist;     // unused in the !kProfile instantiation
   (void)depth;
+  // Worker mode: whether the pc is inside this worker's chunk of a
+  // marked loop. Work there is this worker's; work elsewhere is worker
+  // 0's, so only worker 0 counts and executes it.
+  bool in_chunk = false;
+  const bool main_worker = !kWorker || team->worker == 0;
+  auto owned = [&] { return !kWorker || in_chunk || main_worker; };
   size_t pc = 0;
   for (;;) {
     const CInst& in = code_[pc];
     i64 t0 = 0;
-    if constexpr (kProfile) t0 = profile_now_ns();
+    if constexpr (kProfiled) t0 = profile_now_ns();
     switch (in.op) {
       case COp::kGuards:
         if (guards_hold(guard_sets_[in.arg])) {
           ++pc;
         } else {
-          ++st.guard_failures;
+          if (owned()) ++st.guard_failures;
           pc = static_cast<size_t>(in.jump);
         }
         break;
       case COp::kLoopEnter: {
         const LoopInfo& L = loops_[in.arg];
+        bool chunk = false;  // an activation split across the team
+        if constexpr (kWorker) {
+          chunk = !in_chunk && marked_[in.arg];
+          if (chunk) {
+            // Entry barrier first: serial writes preceding the loop
+            // (worker 0's) must be visible before any chunk reads.
+            team_wait(*team);
+          } else if (!owned() && !reach_marked_[in.arg]) {
+            pc = static_cast<size_t>(in.jump);  // no work below for us
+            break;
+          }
+        }
         i64 lo = eval_lower(L.lower);
         i64 hi = eval_upper(L.upper);
         if (lo > hi) {
+          // Zero trip. Bounds only read enclosing loop variables, so
+          // every worker skips alike, without the exit barrier.
           pc = static_cast<size_t>(in.jump);
           break;
         }
-        env_[L.slot] = lo;
-        hi_[in.arg] = hi;
-        enter_loop(L, lo, hi);
+        if constexpr (kProbe) {
+          if (L.probe_collapse) {
+            // A leaf of the lowering plan: affine subscripts are
+            // monotonic in the loop variable, so its two endpoint
+            // iterations bound the whole range.
+            i64 last = checked_add(
+                lo, checked_mul(floor_div(checked_sub(hi, lo), L.step),
+                                L.step));
+            for (i64 v : {lo, last}) {
+              env_[L.slot] = v;
+              for (int i = L.probe_begin; i != L.probe_end; ++i)
+                probe_note(*ps, accesses_[i]);
+            }
+            pc = static_cast<size_t>(in.jump);
+            break;
+          }
+        }
+        if (chunk) {
+          if (!enter_chunk(L, in.arg, *team, lo, hi)) {
+            pc = static_cast<size_t>(in.jump);  // empty chunk
+            break;
+          }
+          in_chunk = true;
+        } else {
+          enter_loop(L, in.arg, lo, hi);
+        }
+        if (!owned()) {
+          ++pc;
+          break;
+        }
         ++st.loop_iterations;
-        if constexpr (kProfile) {
+        if constexpr (kProfiled) {
           ++depth;
         } else if (L.leaf >= 0 && !probe_) {
+          // The loop's back-edge still runs, so a chunk's exit barrier
+          // is reached as without the executor.
           pc = run_leaf(L, pc, lo, hi, st, max_instances);
           break;
         }
@@ -496,43 +551,40 @@ InterpStats VmProgram::run_impl(const InterpOptions& opts) {
         const LoopInfo& L = loops_[in.arg];
         i64 v = checked_add(env_[L.slot], L.step);
         if (v > hi_[in.arg]) {
-          if constexpr (kProfile) --depth;
+          if constexpr (kProfiled) --depth;
+          if constexpr (kWorker) {
+            if (in_chunk && marked_[in.arg]) {
+              in_chunk = false;
+              leave_chunk(L, in.arg, *team);
+            }
+          }
           ++pc;  // loop done; falls out past the back-edge
           break;
         }
         env_[L.slot] = v;
-        ++st.loop_iterations;
+        if (owned()) ++st.loop_iterations;
         for (int i = L.adv_begin; i != L.adv_end; ++i)
           offs_[advances_[i].reg] += advances_[i].delta;
         pc = static_cast<size_t>(in.jump);
         break;
       }
       case COp::kStmt:
-        exec_stmt(stmts_[in.arg], st, max_instances);
+        if constexpr (kProbe) {
+          const StmtInfo& s = stmts_[in.arg];
+          for (int i = s.first_access; i != s.first_access + s.naccesses; ++i)
+            probe_note(*ps, accesses_[i]);
+        } else if (owned()) {
+          exec_stmt(stmts_[in.arg], st, max_instances);
+        }
         ++pc;
         break;
       case COp::kHalt:
         return st;
     }
-    if constexpr (kProfile) {
-      i64 dt = profile_now_ns() - t0;
-      switch (in.op) {
-        case COp::kGuards:
-          hist->guards->record(dt);
-          break;
-        case COp::kLoopEnter:
-          hist->loop_enter->record(dt);
-          break;
-        case COp::kLoopNext:
-          hist->loop_next->record(dt);
-          break;
-        case COp::kStmt:
-          hist->stmt->record(dt);
-          hist->depth_cell(depth)->record(dt);
-          break;
-        case COp::kHalt:
-          break;  // unreachable: kHalt returned above
-      }
+    if constexpr (kProfiled) {
+      const i64 dt = profile_now_ns() - t0;
+      hist->op[static_cast<int>(in.op)]->record(dt);
+      if (in.op == COp::kStmt) hist->depth_cell(depth)->record(dt);
     }
   }
 }
@@ -549,8 +601,8 @@ InterpStats VmProgram::run(const InterpOptions& opts) {
     while ((i64{1} << probe_shift_) < probe_->line_elems) ++probe_shift_;
   }
   batched_instances_ = serial_leaf_instances_ = 0;
-  InterpStats st =
-      opts.profile ? run_impl<true>(opts) : run_impl<false>(opts);
+  InterpStats st = opts.profile ? dispatch<Mode::kProfiled>(opts.max_instances)
+                                : dispatch<Mode::kSerial>(opts.max_instances);
   Stats::global().add("exec.vm.runs");
   Stats::global().add("exec.vm.instances", st.instances);
   add_leaf_counters();
@@ -597,203 +649,104 @@ std::vector<std::pair<int, std::string>> VmProgram::marked_loops() const {
   return out;
 }
 
+// One arrival at the team barrier. With instrumentation off, its whole
+// cost over the bare wait is one plain pointer test.
+void VmProgram::team_wait(const Team& t) {
+  WorkerProfile* prof = instr_.prof;
+  const i64 t0 = prof ? profile_now_ns() : 0;
+  t.barrier.arrive_and_wait();
+  if (prof) {
+    const i64 waited = profile_now_ns() - t0;
+    prof->barrier_wait_ns += waited;
+    if (instr_.wait_ns) instr_.wait_ns->record(waited);
+  }
+}
+
+// Enter this worker's chunk of one nonempty activation [lo, hi] of
+// marked loop `id`: the block [count*w/n, count*(w+1)/n) of its
+// iterations, with lo and hi narrowed to it, and the chunk's profile
+// and trace clocks started. A worker whose block is empty (more
+// workers than iterations) arrives at the exit barrier at once and
+// gets false.
+bool VmProgram::enter_chunk(const LoopInfo& L, int id, const Team& t, i64& lo,
+                            i64& hi) {
+  WorkerProfile* prof = instr_.prof;
+  const i64 count = floor_div(checked_sub(hi, lo), L.step) + 1;
+  const i64 b = count * t.worker / t.nworkers;
+  const i64 e = count * (t.worker + 1) / t.nworkers;
+  if (prof) {
+    if (prof->levels.size() < loops_.size())
+      prof->levels.resize(loops_.size());
+    ++prof->levels[id].activations;
+  }
+  if (b >= e) {
+    if (prof) ++prof->empty_chunks;
+    team_wait(t);
+    return false;
+  }
+  hi = checked_add(lo, checked_mul(e - 1, L.step));
+  lo = checked_add(lo, checked_mul(b, L.step));
+  enter_loop(L, id, lo, hi);
+  // One relaxed atomic load: the rest of a disabled tracer's cost.
+  chunk_traced_ = Tracer::enabled();
+  if (prof) chunk_t0_ = profile_now_ns();
+  if (chunk_traced_) {
+    chunk_trace_t0_ = Tracer::global().now_ns();
+    if (instr_.active_workers) {
+      int a = instr_.active_workers->fetch_add(1, std::memory_order_relaxed) +
+              1;
+      Tracer::global().counter("active workers", "exec.par", "workers", a);
+    }
+  }
+  return true;
+}
+
+// Leave this worker's chunk of marked loop `id`: record it, then the
+// exit barrier — code after the loop may read what other chunks wrote.
+void VmProgram::leave_chunk(const LoopInfo& L, int id, const Team& t) {
+  if (WorkerProfile* prof = instr_.prof) {
+    const i64 dur = profile_now_ns() - chunk_t0_;
+    prof->busy_ns += dur;
+    ++prof->chunks;
+    LevelTally& lt = prof->levels[id];
+    ++lt.chunks;
+    lt.busy_ns += dur;
+    if (instr_.chunk_ns) instr_.chunk_ns->record(dur);
+  }
+  if (chunk_traced_) {
+    Tracer& tr = Tracer::global();
+    TraceEvent ev;
+    ev.name = "chunk";
+    ev.cat = "exec.worker";
+    ev.start_ns = chunk_trace_t0_;
+    ev.dur_ns = tr.now_ns() - chunk_trace_t0_;
+    ev.args.push_back(TraceArg{"loop", L.var, true});
+    ev.args.push_back(TraceArg{"worker", std::to_string(t.worker), false});
+    tr.record(std::move(ev));
+    if (instr_.active_workers) {
+      int a = instr_.active_workers->fetch_sub(1, std::memory_order_relaxed) -
+              1;
+      tr.counter("active workers", "exec.par", "workers", a);
+    }
+    if (instr_.chunks_done) {
+      i64 c = instr_.chunks_done->fetch_add(1, std::memory_order_relaxed) + 1;
+      tr.counter("chunks done", "exec.par", "chunks", c);
+    }
+  }
+  team_wait(t);
+}
+
 InterpStats VmProgram::run_worker(int worker, int nworkers,
                                   ExecBarrier& barrier,
                                   const InterpOptions& opts) {
-  // Mirror of run() with chunking on the marked loops; see the header
-  // contract. The probe and observer paths are serial-only.
   INLT_CHECK_MSG(marked_.size() == loops_.size(),
                  "run_worker requires mark_partition() first");
-  InterpStats st;
-  probe_ = nullptr;
+  probe_ = nullptr;  // the cache probe and observer paths are serial
   batched_instances_ = serial_leaf_instances_ = 0;
-  const i64 max_instances = opts.max_instances;
-  const bool main_worker = worker == 0;
-  bool in_chunk = false;  // inside this worker's chunk of a marked loop
-  size_t pc = 0;
-  for (;;) {
-    const CInst& in = code_[pc];
-    switch (in.op) {
-      case COp::kGuards:
-        if (guards_hold(guard_sets_[in.arg])) {
-          ++pc;
-        } else {
-          if (in_chunk || main_worker) ++st.guard_failures;
-          pc = static_cast<size_t>(in.jump);
-        }
-        break;
-      case COp::kLoopEnter: {
-        const LoopInfo& L = loops_[in.arg];
-        if (!in_chunk && marked_[in.arg]) {
-          // One activation of a partitioned loop. The whole per-chunk
-          // cost of disabled instrumentation is these two gates: a
-          // plain pointer test and one relaxed atomic load.
-          WorkerProfile* prof = instr_.prof;
-          const bool traced = Tracer::enabled();
-          // Entry barrier first: serial writes preceding the loop
-          // (worker 0) must be visible before any chunk starts
-          // reading.
-          i64 t0 = prof ? profile_now_ns() : 0;
-          barrier.arrive_and_wait();
-          if (prof) {
-            i64 waited = profile_now_ns() - t0;
-            prof->barrier_wait_ns += waited;
-            if (instr_.wait_ns) instr_.wait_ns->record(waited);
-          }
-          i64 lo = eval_lower(L.lower);
-          i64 hi = eval_upper(L.upper);
-          if (lo > hi) {
-            // Zero trip: every worker sees the same bounds and skips
-            // without the exit barrier.
-            pc = static_cast<size_t>(in.jump);
-            break;
-          }
-          i64 count =
-              floor_div(checked_sub(hi, lo), L.step) + 1;  // executed iters
-          i64 b = count * worker / nworkers;
-          i64 e = count * (worker + 1) / nworkers;
-          if (prof) {
-            if (prof->levels.size() < loops_.size())
-              prof->levels.resize(loops_.size());
-            ++prof->levels[in.arg].activations;
-          }
-          if (b >= e) {
-            // Empty chunk (more workers than iterations): arrive at
-            // the exit barrier immediately and move past the loop.
-            i64 t1 = prof ? profile_now_ns() : 0;
-            if (prof) ++prof->empty_chunks;
-            barrier.arrive_and_wait();
-            if (prof) {
-              i64 waited = profile_now_ns() - t1;
-              prof->barrier_wait_ns += waited;
-              if (instr_.wait_ns) instr_.wait_ns->record(waited);
-            }
-            pc = static_cast<size_t>(in.jump);
-            break;
-          }
-          i64 clo = checked_add(lo, checked_mul(b, L.step));
-          i64 chi = checked_add(lo, checked_mul(e - 1, L.step));
-          env_[L.slot] = clo;
-          hi_[in.arg] = chi;
-          enter_loop(L, clo, chi);
-          ++st.loop_iterations;
-          in_chunk = true;
-          chunk_profiled_ = prof != nullptr;
-          chunk_traced_ = traced;
-          if (prof) chunk_t0_ = profile_now_ns();
-          if (traced) {
-            chunk_trace_t0_ = Tracer::global().now_ns();
-            if (instr_.active_workers) {
-              int a = instr_.active_workers->fetch_add(
-                          1, std::memory_order_relaxed) +
-                      1;
-              Tracer::global().counter("active workers", "exec.par",
-                                       "workers", a);
-            }
-          }
-          if (L.leaf >= 0) {
-            // The loop's back-edge still runs, so the chunk's exit
-            // barrier below is reached as without the executor.
-            pc = run_leaf(L, pc, clo, chi, st, max_instances);
-            break;
-          }
-          ++pc;
-          break;
-        }
-        if (!in_chunk && !main_worker && !reach_marked_[in.arg]) {
-          pc = static_cast<size_t>(in.jump);  // no work below for us
-          break;
-        }
-        i64 lo = eval_lower(L.lower);
-        i64 hi = eval_upper(L.upper);
-        if (lo > hi) {
-          pc = static_cast<size_t>(in.jump);
-          break;
-        }
-        env_[L.slot] = lo;
-        hi_[in.arg] = hi;
-        enter_loop(L, lo, hi);
-        if (in_chunk || main_worker) {
-          ++st.loop_iterations;
-          if (L.leaf >= 0) {
-            pc = run_leaf(L, pc, lo, hi, st, max_instances);
-            break;
-          }
-        }
-        ++pc;
-        break;
-      }
-      case COp::kLoopNext: {
-        const LoopInfo& L = loops_[in.arg];
-        i64 v = checked_add(env_[L.slot], L.step);
-        if (v > hi_[in.arg]) {
-          if (in_chunk && marked_[in.arg]) {
-            // Chunk complete. Exit barrier: code after the loop may
-            // read what other workers' chunks wrote.
-            in_chunk = false;
-            WorkerProfile* prof = chunk_profiled_ ? instr_.prof : nullptr;
-            i64 t1 = 0;
-            if (prof) {
-              t1 = profile_now_ns();
-              i64 dur = t1 - chunk_t0_;
-              prof->busy_ns += dur;
-              ++prof->chunks;
-              LevelTally& lt = prof->levels[in.arg];
-              ++lt.chunks;
-              lt.busy_ns += dur;
-              if (instr_.chunk_ns) instr_.chunk_ns->record(dur);
-            }
-            if (chunk_traced_) {
-              Tracer& tr = Tracer::global();
-              TraceEvent ev;
-              ev.name = "chunk";
-              ev.cat = "exec.worker";
-              ev.start_ns = chunk_trace_t0_;
-              ev.dur_ns = tr.now_ns() - chunk_trace_t0_;
-              ev.args.push_back(TraceArg{"loop", L.var, true});
-              ev.args.push_back(
-                  TraceArg{"worker", std::to_string(worker), false});
-              tr.record(std::move(ev));
-              if (instr_.active_workers) {
-                int a = instr_.active_workers->fetch_sub(
-                            1, std::memory_order_relaxed) -
-                        1;
-                tr.counter("active workers", "exec.par", "workers", a);
-              }
-              if (instr_.chunks_done) {
-                i64 c = instr_.chunks_done->fetch_add(
-                            1, std::memory_order_relaxed) +
-                        1;
-                tr.counter("chunks done", "exec.par", "chunks", c);
-              }
-            }
-            barrier.arrive_and_wait();
-            if (prof) {
-              i64 waited = profile_now_ns() - t1;
-              prof->barrier_wait_ns += waited;
-              if (instr_.wait_ns) instr_.wait_ns->record(waited);
-            }
-          }
-          ++pc;  // loop done; falls out past the back-edge
-          break;
-        }
-        env_[L.slot] = v;
-        if (in_chunk || main_worker) ++st.loop_iterations;
-        for (int i = L.adv_begin; i != L.adv_end; ++i)
-          offs_[advances_[i].reg] += advances_[i].delta;
-        pc = static_cast<size_t>(in.jump);
-        break;
-      }
-      case COp::kStmt:
-        if (in_chunk || main_worker)
-          exec_stmt(stmts_[in.arg], st, max_instances);
-        ++pc;
-        break;
-      case COp::kHalt:
-        add_leaf_counters();
-        return st;
-    }
-  }
+  const Team team{worker, nworkers, barrier};
+  InterpStats st = dispatch<Mode::kWorker>(opts.max_instances, &team);
+  add_leaf_counters();
+  return st;
 }
 
 void VmProgram::add_leaf_counters() const {
@@ -818,67 +771,8 @@ void VmProgram::probe_note(ProbeState& ps, const Access& a) {
   }
 }
 
-// The probe interpreter: same control flow as run() but statements
-// only record subscript extremes, and a loop whose children are all
-// unguarded statements is collapsed to its two endpoint iterations
-// (affine subscripts are monotonic in the loop variable, so endpoints
-// bound the whole range) — array sizing drops an order of complexity.
 void VmProgram::run_probe(ProbeState& ps) {
-  size_t pc = 0;
-  for (;;) {
-    const CInst& in = code_[pc];
-    switch (in.op) {
-      case COp::kGuards:
-        pc = guards_hold(guard_sets_[in.arg]) ? pc + 1
-                                              : static_cast<size_t>(in.jump);
-        break;
-      case COp::kLoopEnter: {
-        const LoopInfo& L = loops_[in.arg];
-        i64 lo = eval_lower(L.lower);
-        i64 hi = eval_upper(L.upper);
-        if (lo > hi) {
-          pc = static_cast<size_t>(in.jump);
-          break;
-        }
-        if (L.probe_collapse) {
-          i64 last = checked_add(
-              lo,
-              checked_mul(floor_div(checked_sub(hi, lo), L.step), L.step));
-          for (i64 v : {lo, last}) {
-            env_[L.slot] = v;
-            for (int i = L.probe_begin; i != L.probe_end; ++i)
-              probe_note(ps, accesses_[i]);
-          }
-          pc = static_cast<size_t>(in.jump);
-          break;
-        }
-        env_[L.slot] = lo;
-        hi_[in.arg] = hi;
-        ++pc;
-        break;
-      }
-      case COp::kLoopNext: {
-        const LoopInfo& L = loops_[in.arg];
-        i64 v = checked_add(env_[L.slot], L.step);
-        if (v > hi_[in.arg]) {
-          ++pc;
-        } else {
-          env_[L.slot] = v;
-          pc = static_cast<size_t>(in.jump);
-        }
-        break;
-      }
-      case COp::kStmt: {
-        const StmtInfo& s = stmts_[in.arg];
-        for (int i = s.first_access; i != s.first_access + s.naccesses; ++i)
-          probe_note(ps, accesses_[i]);
-        ++pc;
-        break;
-      }
-      case COp::kHalt:
-        return;
-    }
-  }
+  dispatch<Mode::kProbe>(0, nullptr, &ps);
 }
 
 }  // namespace inlt

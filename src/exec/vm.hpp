@@ -23,6 +23,20 @@
 //  * control flow is a flat instruction array driven by a program
 //    counter — no recursion, loop state lives in per-loop slots.
 //
+// One dispatch loop interprets that control stream for every kind of
+// run: a template over four modes, which differ only where they must.
+//
+//  * serial (run()): the hot path, with the leaf-loop executor below;
+//  * profiled (run() with InterpOptions::profile): clock reads around
+//    every op, bucketed into the vm.op.* / vm.stmt.depth* histograms,
+//    and the leaf executor off so each instance is timed;
+//  * worker (run_worker()): chunking of partition-marked loops, with
+//    stats and statements owned by the chunk's worker or worker 0;
+//  * probe (probe_ranges()): subscript extremes instead of execution.
+//
+// Loop entry, advance, guards and statement dispatch are thus written
+// once for all of them.
+//
 // Results are bit-identical to the AST walker (the differential suite
 // in tests/exec/test_vm.cpp enforces this), including InterpStats.
 // All compile-time constant folding (parameter substitution, stride
@@ -55,11 +69,10 @@
 // text do not change. Per-instance execution remains for non-leaf
 // statements, CacheProbe runs, profiled runs and that last iteration.
 //
-// probe_ranges() is the same machinery in "probe" mode: it sizes
-// arrays for declare_arrays without touching memory, and collapses the
-// plan's leaf loops into two endpoint evaluations per entry —
-// declare_arrays drops from the full iteration count to the iteration
-// count of the outer nest.
+// The probe mode sizes arrays for declare_arrays without touching
+// memory, and collapses the plan's leaf loops into two endpoint
+// evaluations per entry — declare_arrays drops from the full iteration
+// count to the iteration count of the outer nest.
 #pragma once
 
 #include <atomic>
@@ -85,9 +98,11 @@ class VmProgram {
   VmProgram(const Program& p, const std::map<std::string, i64>& params,
             Memory& mem);
 
-  /// Execute. Only `max_instances` is consulted from `opts` — callers
-  /// with an observer must use the AST walker (interpret() rejects
-  /// one with any other engine).
+  /// Execute in the dispatch loop's serial mode, or its profiled mode
+  /// when `opts.profile` is set. Only `max_instances`, `cache_probe`
+  /// and `profile` are consulted from `opts` — callers with an
+  /// observer must use the AST walker (interpret() rejects one with
+  /// any other engine).
   InterpStats run(const InterpOptions& opts = {});
 
   /// Re-point array references at another Memory with identical
@@ -102,11 +117,12 @@ class VmProgram {
   /// so per-worker clones of a marked prototype agree on the schedule.
   int mark_partition(const std::vector<std::string>& vars);
 
-  /// SPMD worker body for partitioned execution (driven by
-  /// run_partitioned in exec/parallel.hpp; `this` must be worker `w`'s
-  /// private clone of a marked prototype, all clones bound to the same
-  /// Memory). Every worker executes the full control flow so loop
-  /// environments stay consistent, but:
+  /// SPMD worker body for partitioned execution: the dispatch loop's
+  /// worker mode (driven by run_partitioned in exec/parallel.hpp;
+  /// `this` must be worker `w`'s private clone of a marked prototype,
+  /// all clones bound to the same Memory). Only `max_instances` is
+  /// consulted from `opts`. Every worker executes the full control
+  /// flow so loop environments stay consistent, but:
   ///
   ///  * a marked loop's iteration range is block-split: worker w runs
   ///    the contiguous chunk [count*w/n, count*(w+1)/n) of each
@@ -159,7 +175,8 @@ class VmProgram {
   i64 checked_accesses() const { return checked_accesses_; }
 
   /// Per-array subscript extremes over the program's execution, the
-  /// sizing information declare_arrays needs. Pure: touches no Memory.
+  /// sizing information declare_arrays needs: the dispatch loop's
+  /// probe mode over a program compiled without Memory. Pure.
   struct Range {
     std::vector<i64> lo, hi;
   };
@@ -322,18 +339,42 @@ class VmProgram {
 
   VmProgram() = default;
 
-  /// The dispatch loop of run(), compiled twice: kProfile adds clock
-  /// reads around every instruction and buckets them into the Stats
-  /// per-opcode / per-depth histograms; the !kProfile instantiation is
-  /// the unchanged hot path.
-  template <bool kProfile>
-  InterpStats run_impl(const InterpOptions& opts);
+  // Probe-mode accumulator, parallel to arrays_.
+  struct ProbeState {
+    struct ArrayRange {
+      std::vector<i64> lo, hi;
+      bool init = false;
+    };
+    std::vector<ArrayRange> ranges;
+  };
+
+  // The one interpreter over code_ (see the header comment): run()
+  // enters it as kSerial or kProfiled, run_worker() as kWorker,
+  // run_probe() as kProbe.
+  enum class Mode { kSerial, kProfiled, kWorker, kProbe };
+  // A worker's place in a partitioned run (kWorker only).
+  struct Team {
+    int worker, nworkers;
+    ExecBarrier& barrier;
+  };
+  template <Mode M>
+  InterpStats dispatch(i64 max_instances, const Team* team = nullptr,
+                       ProbeState* ps = nullptr);
+  // kWorker's chunk entry and exit around a marked loop's activation,
+  // and their timed barrier arrival.
+  bool enter_chunk(const LoopInfo& L, int id, const Team& t, i64& lo,
+                   i64& hi);
+  void leave_chunk(const LoopInfo& L, int id, const Team& t);
+  void team_wait(const Team& t);
+  // The kProbe entry behind probe_ranges().
+  void run_probe(ProbeState& ps);
+  void probe_note(ProbeState& ps, const Access& a);
 
   i64 eval(const LinExpr& e) const;  // checked
   i64 eval_lower(const CBound& b) const;
   i64 eval_upper(const CBound& b) const;
   bool guards_hold(const GuardSet& g) const;
-  void enter_loop(const LoopInfo& loop, i64 lo, i64 hi);
+  void enter_loop(const LoopInfo& loop, int id, i64 lo, i64 hi);
   void exec_stmt(const StmtInfo& s, InterpStats& st, i64 max_instances);
   void probe_lines(const StmtInfo& s);
   void slow_access_offsets(const StmtInfo& s);
@@ -386,7 +427,6 @@ class VmProgram {
   WorkerInstr instr_;
   i64 chunk_t0_ = 0;        // profile clock at current chunk start
   i64 chunk_trace_t0_ = 0;  // tracer clock at current chunk start
-  bool chunk_profiled_ = false;
   bool chunk_traced_ = false;
   std::vector<i64> env_;    // loop variable values, by slot
   std::vector<i64> hi_;     // per active loop: current upper bound
@@ -397,17 +437,6 @@ class VmProgram {
   std::vector<double> leaf_regs_;
   i64 batched_instances_ = 0;
   i64 serial_leaf_instances_ = 0;
-
-  // Probe-mode accumulator, parallel to arrays_.
-  struct ProbeState {
-    struct ArrayRange {
-      std::vector<i64> lo, hi;
-      bool init = false;
-    };
-    std::vector<ArrayRange> ranges;
-  };
-  void run_probe(ProbeState& ps);
-  void probe_note(ProbeState& ps, const Access& a);
 };
 
 }  // namespace inlt

@@ -246,8 +246,9 @@ const Step& lookup_step(CostModelTables& t, size_t stmt, const IntMat& m,
   if (found) {
     ++front.hits;
   } else {
-    // Miss: compute unlocked; a racing thread's equal Step may win.
-    misses.fetch_add(1, std::memory_order_relaxed);
+    // Miss: compute unlocked. A racing thread's equal Step may win the
+    // insert; then this lookup counts as the hit it turned out to be,
+    // so misses count distinct N_S whatever the thread count.
     const int rows = static_cast<int>(key[1]);
     IntMat ns(rows, st.k);
     for (int r = 0; r < rows; ++r)
@@ -255,7 +256,12 @@ const Step& lookup_step(CostModelTables& t, size_t stmt, const IntMat& m,
         ns(r, c) = key[2 + static_cast<size_t>(r) * st.k + c];
     Step step = make_step(st, ns, opts);
     std::lock_guard<std::mutex> lock(stripe.mu);
-    found = &stripe.steps.try_emplace(key, std::move(step)).first->second;
+    auto [it, inserted] = stripe.steps.try_emplace(key, std::move(step));
+    found = &it->second;
+    if (inserted)
+      misses.fetch_add(1, std::memory_order_relaxed);
+    else
+      ++front.hits;
   }
   front.steps.emplace(std::move(key), found);
   return *found;

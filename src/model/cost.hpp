@@ -142,7 +142,9 @@ struct CostEstimate {
 ///
 /// Memo lookups count in the `model.direction_memo_hits` /
 /// `model.direction_memo_misses` Stats counters, scores in
-/// `model.scores` and estimates in `model.estimates`. Each thread
+/// `model.scores` and estimates in `model.estimates`. A miss counts
+/// once per N_S the memo stores: of two threads racing to compute the
+/// same one, the thread whose insert loses counts a hit. Each thread
 /// gathers its hits and scores and adds them when it next uses another
 /// model, when the model is destroyed on that thread, or when the
 /// thread exits.

@@ -47,9 +47,12 @@ struct Kernel {
   std::vector<std::string> partition;
 };
 
-// Test corpus: source nests with their doall partitions, plus the
+// Test corpus: source nests with their doall partitions, the
 // skewed-stencil wavefront (sequential time loop over a chunked inner
-// doall — the schedule that exercises the per-activation barriers).
+// doall — the schedule that exercises the per-activation barriers),
+// and a guarded nest whose guard failures fall both inside the chunked
+// doall (each counted by its chunk's worker) and at the serial level
+// around it (counted by worker 0 alone).
 std::vector<Kernel> kernels() {
   std::vector<Kernel> out;
   for (auto [name, p] : std::initializer_list<std::pair<const char*, Program>>{
@@ -78,6 +81,25 @@ end
     EXPECT_EQ(s.partition, (std::vector<std::string>{"J"}));
     EXPECT_TRUE(s.wavefront);
     out.push_back({"stencil_wavefront", gen.program, s.partition});
+  }
+  {
+    // Dependence analysis takes guard-free programs only, so the
+    // partition is by hand: each J iteration writes its own B(I, J)
+    // and reads A(I), which nothing in the J loop writes.
+    Program p = parse_program(R"(
+param N
+do I = 1, N
+  if ((I) mod 3 == 0)
+    S1: A(I) = A(I - 3) + 1.0
+  endif
+  do J = 1, N
+    if ((I + J) mod 2 == 0)
+      S2: B(I, J) = B(I, J) * 0.5 + A(I)
+    endif
+  end
+end
+)");
+    out.push_back({"guarded", p, {"J"}});
   }
   return out;
 }

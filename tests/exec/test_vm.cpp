@@ -304,6 +304,11 @@ TEST(Vm, CacheProbeNeedsVmEngine) {
     opts.engine = engine;
     EXPECT_THROW(interpret(p, {{"N", 4}}, mem, opts), Error);
   }
+  // Nor does a partitioned VM run fall back to serial to feed it.
+  opts.engine = ExecEngine::kVm;
+  opts.num_threads = 2;
+  opts.partition = {"J"};  // S2's doall level
+  EXPECT_THROW(interpret(p, {{"N", 4}}, mem, opts), Error);
   EXPECT_EQ(probe.accesses, 0);
 }
 

@@ -423,6 +423,30 @@ TEST(RankTest, BoundedSearchEstimatesFewCandidatesInFull) {
   EXPECT_LT(delta.counter("model.estimates"), 50);
 }
 
+TEST(RankTest, MemoMissesCountDistinctStepsAtAnyThreadCount) {
+  // A miss is counted by the lookup whose insert wins: two threads
+  // racing on one N_S count one miss and one hit. Ranking the
+  // 403,368-candidate Cholesky 3/2 space computes the same steps at
+  // any thread count, so it counts the same misses.
+  std::vector<i64> misses;
+  for (int threads : {1, 2, 4}) {
+    SessionOptions so;
+    so.threads = threads;
+    TransformSession session(testdata_cholesky(), so);
+    SearchOptions top;
+    top.mode = SearchMode::kLegalityOnly;
+    top.cost = true;
+    top.top_k = 5;
+    const StatsSnapshot before = Stats::global().snapshot();
+    session.search(SearchSpace{3, 2}, top);
+    const StatsSnapshot delta = Stats::global().snapshot() - before;
+    misses.push_back(delta.counter("model.direction_memo_misses"));
+  }
+  EXPECT_GT(misses[0], 0);
+  EXPECT_EQ(misses[1], misses[0]);
+  EXPECT_EQ(misses[2], misses[0]);
+}
+
 TEST(RankTest, SinkSeesTheFullEstimateOfEveryHit) {
   // With a sink the bound is off: every streamed hit carries the same
   // estimate an unbounded cost search gives it.

@@ -55,7 +55,8 @@
 //                     of the command; the merged report prints to
 //                     stderr at exit
 //        --vm-profile per-opcode VM profiling for serial --verify runs
-//                     (vm.op.* / vm.stmt.depth* histograms; see --stats)
+//                     (vm.op.* / vm.stmt.depth* histograms; see --stats);
+//                     rejected with --exec-threads > 1
 //        profile: --n N (problem size, default 64) | --repeat R
 //        --threads N  search/evaluate worker threads (positive; default
 //                     is the hardware count)
@@ -376,6 +377,10 @@ Options parse_flags(int argc, char** argv, int first) {
       o.args.push_back(a);
     }
   }
+  // Partitioned runs have their own per-worker profiler (--profile);
+  // the opcode profiler would silently skip them.
+  if (o.vm_profile && o.exec_threads > 1)
+    cli_error("--vm-profile profiles serial runs; drop --exec-threads", 2);
   return o;
 }
 
