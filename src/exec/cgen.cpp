@@ -87,7 +87,10 @@ class Emitter {
     emit_preamble();
     emit_kernel_open();
     for (const NodePtr& root : prog_->roots()) emit_node(*root);
-    line("INLTC_DONE(0);");
+    line("stats[0] = st_inst;");
+    line("stats[1] = st_iter;");
+    line("stats[2] = st_guard;");
+    line("return 0;");
     indent_ = 0;
     line("}");
     out.code = std::move(code_);
@@ -177,21 +180,15 @@ class Emitter {
 
   void emit_preamble() {
     raw(
-        "/* inltc native kernel, emitter v2 — generated; do not edit.\n"
-        " * Semantics mirror exec/interp.cpp + exec/vm.cpp bit for bit;\n"
-        " * compile with -O1 -ffp-contract=off -fwrapv (exec/native.cpp). */\n"
-        "#include <stddef.h>\n"
-        "\n"
+        "/* inltc native kernel, emitter v3 — generated; do not edit.\n"
+        " * A run that returns 0 mirrors exec/interp.cpp + exec/vm.cpp bit\n"
+        " * for bit; one that returns 1 (bail) met a fault or the instance\n"
+        " * budget and is replayed on the VM. Self-contained: compile with\n"
+        " * -O1 -ffp-contract=off -fwrapv -fno-math-errno -nostdlib\n"
+        " * (exec/native.cpp). */\n"
         "typedef long long i64;\n"
         "typedef unsigned long long u64;\n"
-        "double sqrt(double);\n"
-        "int snprintf(char* restrict, size_t, const char* restrict, ...);\n"
-        "\n"
-        "#if defined(__GNUC__)\n"
-        "#define INLTC_COLD __attribute__((cold, noinline))\n"
-        "#else\n"
-        "#define INLTC_COLD\n"
-        "#endif\n"
+        "double sqrt(double); /* one instruction under -fno-math-errno */\n"
         "\n"
         "static i64 inltc_fdiv(i64 a, i64 b) { /* floor division */\n"
         "  i64 q = a / b;\n"
@@ -229,53 +226,16 @@ class Emitter {
         "  x.u = bits;\n"
         "  return x.d;\n"
         "}\n"
-        "\n"
-        "/* Failure messages, formatted off the hot path (exec/vm.cpp text). */\n"
-        "INLTC_COLD static void inltc_oob(char* err, i64 errcap, const char* arr,\n"
-        "                                 int dim, i64 idx, i64 lo, i64 hi) {\n"
-        "  if (errcap > 0)\n"
-        "    snprintf(err, (size_t)errcap,\n"
-        "             \"array index out of bounds: %s dim %d index %lld not in \"\n"
-        "             \"[%lld, %lld]\", arr, dim, idx, lo, hi);\n"
-        "}\n"
-        "INLTC_COLD static void inltc_msg(char* err, i64 errcap, const char* msg,\n"
-        "                                 const char* arg) {\n"
-        "  if (errcap > 0) snprintf(err, (size_t)errcap, \"%s%s\", msg, arg);\n"
-        "}\n"
-        "\n"
-        "#define INLTC_DONE(rc_)                                          \\\n"
-        "  do {                                                           \\\n"
-        "    stats[0] = st_inst;                                          \\\n"
-        "    stats[1] = st_iter;                                          \\\n"
-        "    stats[2] = st_guard;                                         \\\n"
-        "    return (rc_);                                                \\\n"
-        "  } while (0)\n"
-        "#define INLTC_OOB(...)                                           \\\n"
-        "  do {                                                           \\\n"
-        "    inltc_oob(err, errcap, __VA_ARGS__);                         \\\n"
-        "    INLTC_DONE(2);                                               \\\n"
-        "  } while (0)\n"
-        "#define INLTC_BUDGET()                                           \\\n"
-        "  do {                                                           \\\n"
-        "    inltc_msg(err, errcap, \"interpreter instance budget exceeded\", \"\"); \\\n"
-        "    INLTC_DONE(3);                                               \\\n"
-        "  } while (0)\n"
-        "#define INLTC_UNDECL(arr_)                                       \\\n"
-        "  do {                                                           \\\n"
-        "    inltc_msg(err, errcap, \"undeclared array \", arr_);           \\\n"
-        "    INLTC_DONE(4);                                               \\\n"
-        "  } while (0)\n"
         "\n");
   }
 
   void emit_kernel_open() {
     raw(
         "i64 inltc_kernel(double** arrays, const i64* shapes, const i64* params,\n"
-        "                 i64 max_instances, i64* stats, char* err, i64 errcap) {\n");
+        "                 i64 max_instances, i64* stats) {\n");
     indent_ = 1;
     line("i64 st_inst = 0, st_iter = 0, st_guard = 0;");
-    line("(void)arrays; (void)shapes; (void)params;");
-    line("(void)max_instances; (void)err; (void)errcap;");
+    line("(void)arrays; (void)shapes; (void)params; (void)max_instances;");
     for (const auto& [name, b] : binding_) {
       line("double* restrict " + b.cname + " = arrays[" +
            std::to_string(b.index) + "];  /* " + san(name) + " */");
@@ -373,46 +333,29 @@ class Emitter {
     return out;
   }
 
-  // An array's name as a C string literal, for failure messages.
-  static std::string quoted(const std::string& array) {
-    std::string out = "\"";
-    out += san(array);
-    out += '"';
-    return out;
-  }
-
-  // Emit subscript evaluation and the flat-offset temp for one access;
-  // returns the offset temp's name. A checked access first tests the
-  // array for NULL and then every subscript against its dimension —
-  // the VM's per-access slow path. An unchecked access (its checks ran
-  // at the owning loop's entry) computes the offset with no branches.
+  // Emit the flat-offset temp for one access; returns its name. A
+  // checked access first bails unless the array is declared and every
+  // subscript is inside its dimension — the VM's per-access slow path.
+  // An unchecked access (its checks ran at the owning loop's entry)
+  // computes the offset with no branches.
   std::string emit_access(const std::string& array,
                           const std::vector<AffineExpr>& subs, bool checked) {
     const ArrayBinding& b = binding_.at(array);
-    // Arrays only touched inside zero-trip or guarded-off subtrees are
-    // never declared in Memory; the host then passes NULL and an
-    // executed access must fail like the VM's.
-    if (checked)
-      line("if (!" + b.cname + ") INLTC_UNDECL(" + quoted(array) + ");");
-    std::string off = fresh("o");
-    std::string sum;
+    std::string outside, sum;
     for (int d = 0; d < static_cast<int>(subs.size()); ++d) {
-      std::string ds = std::to_string(d);
-      std::string lo = b.cname + "_lo" + ds;
-      std::string idx = affine_c(subs[d]);
-      if (checked) {
-        std::string x = fresh("x");
-        std::string hi = b.cname + "_hi" + ds;
-        line("const i64 " + x + " = " + idx + ";");
-        line("if (" + x + " < " + lo + " || " + x + " > " + hi + ")");
-        line("  INLTC_OOB(" + quoted(array) + ", " + ds + ", " + x + ", " + lo +
-             ", " + hi + ");");
-        idx = x;
-      }
+      const std::string ds = std::to_string(d);
+      const std::string lo = b.cname + "_lo" + ds;
+      const std::string idx = affine_c(subs[d]);
+      outside += " || " + idx + " < " + lo + " || " + idx + " > " + b.cname +
+                 "_hi" + ds;
       std::string delta = "(" + idx + " - " + lo + ") * " + b.cname + "_st" + ds;
       sum = sum.empty() ? delta : sum + " + " + delta;
     }
+    // Arrays only touched inside zero-trip or guarded-off subtrees are
+    // never declared in Memory; the host then passes NULL.
+    if (checked) line("if (!" + b.cname + outside + ") return 1;");
     if (sum.empty()) sum = "0";
+    const std::string off = fresh("o");
     line("const i64 " + off + " = " + sum + ";");
     return off;
   }
@@ -469,7 +412,7 @@ class Emitter {
   enum class StmtMode {
     kChecked,     // guarded or loop-less: per-access checks, budget test
     kHoisted,     // checks ran at loop entry; budget test per instance
-    kUnbudgeted,  // hoisted, in a leaf loop's budget-covered iterations
+    kUnbudgeted,  // hoisted, in a leaf loop the budget covers
   };
 
   void emit_stmt(const Statement& s, StmtMode mode) {
@@ -487,65 +430,49 @@ class Emitter {
          (s.rhs ? scalar_c(*s.rhs, offs) : std::string("0.0")) + ";");
     if (mode != StmtMode::kUnbudgeted) {
       line("++st_inst;");
-      line("if (st_inst > max_instances) INLTC_BUDGET();");
+      line("if (st_inst > max_instances) return 1;");
     }
     --indent_;
     line("}");
   }
 
   // The plan's hoisted checks, run once per non-empty entry of loop
-  // `n`: the NULL tests, then per access and dimension the subscript's
-  // extremes over [first, last] — exact, since an affine subscript is
-  // monotonic in the loop variable.
+  // `n` as one branch-free test that bails: the NULL tests, then per
+  // access and dimension the subscript's extremes over [first, last] —
+  // exact, since an affine subscript is monotonic in the loop variable.
   void emit_entry_checks(const Node& n, const std::string& first,
                          const std::string& last, const LoopPlan& plan) {
     std::vector<std::vector<ArrayAccess>> accs(n.children().size());
     for (int c : plan.fast) accs[c] = n.children()[c]->stmt_data().accesses();
-    for (const LoopPlan::Check& k : plan.checks) {
-      const std::string& array = accs[k.stmt][k.access].array;
-      if (k.dim < 0)
-        line("if (!" + binding_.at(array).cname + ") INLTC_UNDECL(" +
-             quoted(array) + ");");
-    }
     auto at = [&](const AffineExpr& e, const std::string& value) {
       scope_.emplace_back(n.var(), value);
       std::string out = affine_c(e);
       scope_.pop_back();
       return out;
     };
+    line("if (0");
+    indent_ += 2;
     for (const LoopPlan::Check& k : plan.checks) {
-      if (k.dim < 0) continue;
       const ArrayAccess& a = accs[k.stmt][k.access];
-      const ArrayBinding& b = binding_.at(a.array);
+      const std::string& cname = binding_.at(a.array).cname;
+      if (k.dim < 0) {
+        line("| !" + cname);
+        continue;
+      }
       const AffineExpr& e = a.subscripts[k.dim];
       const i64 coef = e.coef(n.var());
-      std::string ds = std::to_string(k.dim);
-      std::string lo = b.cname + "_lo" + ds, hi = b.cname + "_hi" + ds;
-      std::string mn = fresh("c");
-      std::string mx = mn;
-      line("{");
-      ++indent_;
-      if (coef == 0) {
-        line("const i64 " + mn + " = " + at(e, first) + ";");
-      } else {
-        mx = fresh("c");
-        line("const i64 " + mn + " = " + at(e, coef > 0 ? first : last) + ";");
-        line("const i64 " + mx + " = " + at(e, coef > 0 ? last : first) + ";");
-      }
-      std::string args = quoted(a.array) + ", " + ds + ", ";
-      line("if (" + mn + " < " + lo + ") INLTC_OOB(" + args + mn + ", " + lo +
-           ", " + hi + ");");
-      line("if (" + mx + " > " + hi + ") INLTC_OOB(" + args + mx + ", " + lo +
-           ", " + hi + ");");
-      --indent_;
-      line("}");
+      const std::string ds = std::to_string(k.dim);
+      line("| (" + at(e, coef >= 0 ? first : last) + " < " + cname + "_lo" +
+           ds + ") | (" + at(e, coef >= 0 ? last : first) + " > " + cname +
+           "_hi" + ds + ")");
     }
+    indent_ -= 2;
+    line(") return 1;");
   }
 
-  // A leaf loop's k statements run n iterations. The first
-  // m = min(n, budget left / k) cannot exceed the budget and run with
-  // no budget test; if m < n, one checked tail iteration faults at
-  // exactly the instance where the VM does (write, count, fail).
+  // A leaf loop's k statements run n iterations, with no budget test
+  // inside: the loop bails at entry unless the budget left covers all
+  // k·n instances.
   void emit_leaf_loop(const std::string& cv, const std::string& last, i64 step,
                       const std::vector<NodePtr>& body) {
     const std::string k = std::to_string(body.size());
@@ -554,13 +481,11 @@ class Emitter {
          (step == 1 ? last + " - " + lo + " + 1"
                     : "(" + last + " - " + lo + ") / " + i64lit(step) + " + 1") +
          ";");
-    line("const i64 " + cv + "_room = " +
+    line("if (" + cv + "_n > " +
          (k == "1" ? "max_instances - st_inst"
                    : "(max_instances - st_inst) / " + k) +
-         ";");
-    line("const i64 " + cv + "_m = " + cv + "_n < " + cv + "_room ? " + cv +
-         "_n : " + cv + "_room;");
-    line("const i64 " + cv + "_end = " + lo + " + " + cv + "_m" +
+         ") return 1;");
+    line("const i64 " + cv + "_end = " + lo + " + " + cv + "_n" +
          (step == 1 ? "" : " * " + i64lit(step)) + ";");
     line("for (i64 " + cv + " = " + lo + "; " + cv + " < " + cv + "_end; " +
          cv + " += " + i64lit(step) + ") {");
@@ -569,15 +494,8 @@ class Emitter {
       emit_stmt(s->stmt_data(), StmtMode::kUnbudgeted);
     --indent_;
     line("}");
-    line("st_iter += " + cv + "_m;");
-    line("st_inst += " + (k == "1" ? "" : k + " * ") + cv + "_m;");
-    line("if (" + cv + "_m < " + cv + "_n) { /* the budget runs out here */");
-    ++indent_;
-    line("const i64 " + cv + " = " + cv + "_end;");
-    line("++st_iter;");
-    for (const NodePtr& s : body) emit_stmt(s->stmt_data(), StmtMode::kHoisted);
-    --indent_;
-    line("}");
+    line("st_iter += " + cv + "_n;");
+    line("st_inst += " + (k == "1" ? "" : k + " * ") + cv + "_n;");
   }
 
   // The jam loop `n`'s groups of 8 consecutive columns (J values). A
@@ -586,7 +504,7 @@ class Emitter {
   // (J, L) box, every access is in bounds, every listed pair is apart
   // and the instance budget covers 8 full columns. The first group that
   // fails leaves `cv` at its first column for the plain loop that
-  // follows, which faults where the VM does.
+  // follows, which bails if a column faults or outruns the budget.
   void emit_jam_groups(const Node& n, const std::string& cv,
                        const JamPlan& jam) {
     Stats::global().add("exec.native.jammed_nests");

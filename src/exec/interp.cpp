@@ -155,8 +155,8 @@ InterpStats interpret(const Program& p, const std::map<std::string, i64>& params
   // The native engine covers the serial path; a parallel partition
   // rides the VM's worker pool, the one remaining substitution.
   // Preparation failures (no compiler, compile error) warn once and
-  // fall back; runtime failures of a prepared kernel (bounds, budget)
-  // throw like any other engine's.
+  // fall back; a prepared kernel that bails (bounds, budget) is
+  // replayed on the VM, which throws the VM's error.
   if (opts.engine == ExecEngine::kNative && !partitioned) {
     InterpStats st;
     Diagnostic why;

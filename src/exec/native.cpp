@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "exec/cgen.hpp"
+#include "exec/vm.hpp"
 #include "support/check.hpp"
 #include "support/sha256.hpp"
 #include "support/stats.hpp"
@@ -36,16 +37,19 @@ namespace fs = std::filesystem;
 /// Compilation flags baked into every kernel build AND into the cache
 /// key. -ffp-contract=off matches the inlt_exec build (bit-identical
 /// float semantics, no FMA contraction); -fwrapv makes the emitted
-/// unchecked int64 arithmetic defined (wrapping) instead of UB. -O1,
-/// not -O3: -O3 vectorizes the emitted leaf loops for 5-10% less
-/// kernel time on the perfbench run_generated orders, but makes each
-/// compile about twice as expensive, and a cold verified search is
-/// mostly compile time (DESIGN.md, "One flag set").
+/// unchecked int64 arithmetic defined (wrapping) instead of UB.
+/// -fno-math-errno lets `sqrt` compile to one instruction (IEEE sqrt:
+/// the same bits, NaN payloads included, as std::sqrt), so the kernel
+/// needs no libm, and -nostdlib skips the crt files and libc it never
+/// calls: the .so has no DT_NEEDED entry. -O1, not -O3: -O3 vectorizes
+/// the emitted leaf loops for 5-10% less kernel time on the perfbench
+/// run_generated orders, but makes each compile about twice as
+/// expensive, and a cold verified search is mostly compile time
+/// (DESIGN.md, "One flag set").
 static constexpr const char* kNativeFlags =
-    "-O1 -fPIC -shared -ffp-contract=off -fwrapv";
+    "-O1 -fPIC -shared -ffp-contract=off -fwrapv -fno-math-errno -nostdlib";
 
-using KernelFn = i64 (*)(double**, const i64*, const i64*, i64, i64*, char*,
-                         i64);
+using KernelFn = i64 (*)(double**, const i64*, const i64*, i64, i64*);
 
 /// An open compiled kernel: the dlopen handle, the entry point and the
 /// argument-binding spec. Held by shared_ptr so LRU eviction can
@@ -349,7 +353,7 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   }
 
   const std::string cmd = cc + " " + kNativeFlags + " -o \"" + tmp_so +
-                          "\" \"" + tmp_c + "\" -lm 2> \"" + tmp_err + "\"";
+                          "\" \"" + tmp_c + "\" 2> \"" + tmp_err + "\"";
   int rc = std::system(cmd.c_str());
   if (rc != 0) {
     std::string detail;
@@ -398,9 +402,14 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   return lru().put(key, std::move(k));
 }
 
-InterpStats native_run(const NativeKernel& kernel,
-                       const std::map<std::string, i64>& params, Memory& mem,
-                       const InterpOptions& opts) {
+namespace {
+
+/// Pack `mem` into the kernel's arguments and run it. False when the
+/// kernel bailed: the run met a fault or the instance budget, and
+/// `mem` may hold some of its writes.
+bool call_kernel(const NativeKernel& kernel,
+                 const std::map<std::string, i64>& params, Memory& mem,
+                 const InterpOptions& opts, InterpStats* out) {
   const NativeKernelSource& spec = kernel.spec();
   std::vector<double*> aptr;
   std::vector<i64> shapes;
@@ -409,7 +418,7 @@ InterpStats native_run(const NativeKernel& kernel,
     const std::string& name = spec.arrays[i];
     if (!mem.has(name)) {
       // Only reachable from zero-trip/guarded-off subtrees; an executed
-      // access faults inside the kernel like the VM's undeclared check.
+      // access bails.
       aptr.push_back(nullptr);
       shapes.insert(shapes.end(), static_cast<size_t>(3 * spec.ranks[i]), 0);
       continue;
@@ -435,20 +444,27 @@ InterpStats native_run(const NativeKernel& kernel,
   ScopedSpan span("native.run", "exec");
   ScopedTimer timer("exec.native.run_ns");
   i64 stats[3] = {0, 0, 0};
-  char err[256] = {0};
-  i64 rc = kernel.fn()(aptr.data(), shapes.data(), prm.data(),
-                       opts.max_instances, stats, err,
-                       static_cast<i64>(sizeof(err)));
-  if (rc != 0)
-    throw Error(err[0] ? std::string(err)
-                       : "native kernel failed with status " +
-                             std::to_string(rc));
-  InterpStats st;
-  st.instances = stats[0];
-  st.loop_iterations = stats[1];
-  st.guard_failures = stats[2];
+  if (kernel.fn()(aptr.data(), shapes.data(), prm.data(), opts.max_instances,
+                  stats) != 0)
+    return false;
+  out->instances = stats[0];
+  out->loop_iterations = stats[1];
+  out->guard_failures = stats[2];
   Stats::global().add("exec.native.runs");
-  Stats::global().add("exec.native.instances", st.instances);
+  Stats::global().add("exec.native.instances", out->instances);
+  return true;
+}
+
+}  // namespace
+
+InterpStats native_run(const NativeKernel& kernel,
+                       const std::map<std::string, i64>& params, Memory& mem,
+                       const InterpOptions& opts) {
+  InterpStats st;
+  if (!call_kernel(kernel, params, mem, opts, &st))
+    throw Error(
+        "native kernel bailed: the run faults or exceeds the instance budget "
+        "(interpret() replays such a run on the VM for the exact error)");
   return st;
 }
 
@@ -460,7 +476,13 @@ bool native_try_run(const Program& p, const std::map<std::string, i64>& params,
     Stats::global().add("exec.native.fallbacks");
     return false;
   }
-  *out = native_run(*k, params, mem, opts);
+  Memory before = mem;
+  if (call_kernel(*k, params, mem, opts, out)) return true;
+  // The VM owns every fault: it replays the run from the same Memory
+  // and produces the Error, the failing Memory and the InterpStats.
+  Stats::global().add("exec.native.bails");
+  mem = std::move(before);
+  *out = VmProgram(p, params, mem).run(opts);
   return true;
 }
 

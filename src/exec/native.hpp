@@ -4,9 +4,11 @@
 // and the bytecode VM). A Program is lowered to standalone C
 // (exec/cgen.hpp), compiled out of process with the system C compiler
 // (`$INLTC_CC`, else `$CC`, else `cc`) at `-O1 -fPIC -shared
-// -ffp-contract=off -fwrapv`, and loaded with dlopen; the kernel then
-// runs against the same Memory the VM uses and produces bit-identical
-// array state and InterpStats.
+// -ffp-contract=off -fwrapv -fno-math-errno -nostdlib`, and loaded with
+// dlopen. The kernel calls nothing, so it links no libc or libm: the
+// .so has no DT_NEEDED entry and no undefined symbol. It runs against
+// the same Memory the VM uses and produces bit-identical array state
+// and InterpStats.
 //
 // Compiled kernels are content-addressed on disk:
 //
@@ -26,9 +28,13 @@
 // Failure split: anything that prevents *preparing* a kernel (no
 // compiler, compile error, dlopen unsupported) makes native_prepare
 // return null with a Stage::kExec diagnostic — interpret() then falls
-// back to the VM. Errors while *running* a prepared kernel (bounds,
-// instance budget, undeclared array) throw inlt::Error exactly like
-// the other engines: a wrong candidate must fail, not fall back.
+// back to the VM. A prepared kernel carries only the fast path: on a
+// fault (bounds, undeclared array) or at the instance budget it
+// *bails* with no text. native_try_run copies Memory before the run;
+// on a bail it restores the copy, counts `exec.native.bails` and
+// replays the run on the VM, whose Error, failing Memory and
+// InterpStats are the result — the same as the other engines', so a
+// wrong candidate still fails, never silently falls back.
 #pragma once
 
 #include <map>
@@ -67,16 +73,19 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
                                              Diagnostic* why = nullptr);
 
 /// Run a prepared kernel: binds `params`, packs array pointers and
-/// shapes from `mem`, executes, and returns the stats. Throws Error on
-/// runtime failure (out of bounds, instance budget, undeclared array,
-/// unbound parameter) with the same messages the VM produces.
+/// shapes from `mem`, executes, and returns the stats. Takes no copy of
+/// `mem`: when the kernel bails it throws an Error that names the bail
+/// (not the VM's text) and leaves `mem` partly written. For callers
+/// that run in bounds with a budget they never reach (benchmarks);
+/// everyone else goes through interpret().
 InterpStats native_run(const NativeKernel& kernel,
                        const std::map<std::string, i64>& params, Memory& mem,
                        const InterpOptions& opts);
 
-/// Convenience used by interpret(): prepare + run. Returns false (and
-/// fills `why`) when the engine could not be prepared — the caller
-/// falls back to the VM. Runtime errors propagate as Error.
+/// Used by interpret(): prepare + run, replaying a bail on the VM from
+/// a copy of `mem` taken before the run. Returns false (and fills
+/// `why`) when the engine could not be prepared — the caller falls
+/// back to the VM. The replay's errors propagate as Error.
 bool native_try_run(const Program& p, const std::map<std::string, i64>& params,
                     Memory& mem, const InterpOptions& opts, InterpStats* out,
                     Diagnostic* why);

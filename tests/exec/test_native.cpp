@@ -15,9 +15,11 @@
 // fail) when the host has no usable C compiler.
 #include <gtest/gtest.h>
 
+#include <elf.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -296,10 +298,10 @@ TEST_F(NativeTest, InstanceBudgetEnforced) {
 // ---- failure parity with the VM ----
 //
 // The emitter hoists a fast statement's checks (unguarded, directly in
-// a loop) to the loop's entry exactly where the VM does, and leaf
-// loops defer the budget test to one checked tail iteration: both
-// engines must fail at the same access, with the same message, leaving
-// the same Memory behind.
+// a loop) to the loop's entry, and leaf loops test the budget once at
+// entry; a kernel that fails either bails and the VM replays the run.
+// Both engines must fail with the same message, leaving the same
+// Memory behind.
 
 /// Run `p` on both engines from the same prototype; both must throw.
 /// Returns the two messages and expects bit-identical final Memory.
@@ -450,8 +452,9 @@ end
 
 TEST_F(NativeTest, UndeclaredArrayFailsWithOneTextOnEveryEngine) {
   // Only A is declared. The walker and the VM write A(1) and fail at
-  // S2's first access to B; native runs the I loop's hoisted NULL
-  // tests first and fails at loop entry, leaving A untouched.
+  // S2's first access to B; the native kernel bails at the I loop's
+  // hoisted NULL test and the VM replays the run, so it leaves the
+  // same A(1).
   Program p = parse_program(R"(
 param N
 do I = 1, N
@@ -474,9 +477,130 @@ end
     } catch (const Error& e) {
       EXPECT_EQ(std::string(e.what()), "undeclared array B");
     }
-    const double a1 = mem.at("A").get({1});
-    EXPECT_EQ(a1, engine == ExecEngine::kNative ? 0.0 : 1.0);
+    EXPECT_EQ(mem.at("A").get({1}), 1.0);
   }
+}
+
+TEST_F(NativeTest, FaultingRunsBailAndReplayOnTheVm) {
+  // A clean run adds no bail. A run that outgrows the instance budget
+  // bails once, and the VM replays it from the Memory before the run:
+  // its Error and its failing Memory are the result. Called directly,
+  // the kernel has no copy to replay from and names the bail instead.
+  const Program p = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = A(I) * 2.0 + 1.0
+  do J = 1, N
+    S2: B(I, J) = B(I, J) + A(I)
+  end
+end
+)");
+  const std::map<std::string, i64> params{{"N", 6}};
+  Memory proto;
+  declare_arrays(p, params, proto);
+  randomize(proto, 1);
+  InterpOptions opts;
+  opts.engine = ExecEngine::kNative;
+
+  StatsSnapshot s0 = Stats::global().snapshot();
+  Memory clean = proto;
+  interpret(p, params, clean, opts);
+  StatsSnapshot d = Stats::global().snapshot() - s0;
+  EXPECT_EQ(d.counter("exec.native.runs"), 1);
+  EXPECT_EQ(d.counter("exec.native.bails"), 0);
+
+  opts.max_instances = 20;
+  auto [nat, vm] = fail_on_both(p, params, proto, opts.max_instances,
+                                "budget 20");
+  EXPECT_EQ(nat, "interpreter instance budget exceeded");
+  EXPECT_EQ(nat, vm);
+  d = Stats::global().snapshot() - s0;
+  EXPECT_EQ(d.counter("exec.native.runs"), 1);
+  EXPECT_EQ(d.counter("exec.native.bails"), 1);
+
+  std::shared_ptr<NativeKernel> k = native_prepare(p);
+  ASSERT_NE(k, nullptr);
+  Memory direct = proto;
+  try {
+    native_run(*k, params, direct, opts);
+    ADD_FAILURE() << "native_run did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("native kernel bailed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(NativeTest, SqrtOfNegativeIsBitIdenticalOnEveryEngine) {
+  // Under -fno-math-errno the kernel's sqrt is one instruction. Every
+  // argument here is negative (randomize fills [0, 1)): the NaNs must
+  // match the VM's and the walker's bit for bit, payload included.
+  const Program p = parse_program(R"(
+param N
+do I = 1, N
+  S1: A(I) = sqrt(A(I) - 2.0)
+end
+)");
+  const std::map<std::string, i64> params{{"N", 16}};
+  Memory proto;
+  declare_arrays(p, params, proto);
+  randomize(proto, 1);
+  const ExecEngine engines[] = {ExecEngine::kNative, ExecEngine::kVm,
+                                ExecEngine::kAstWalker};
+  std::vector<Memory> mems;
+  StatsSnapshot s0 = Stats::global().snapshot();
+  for (ExecEngine engine : engines) {
+    mems.push_back(proto);
+    InterpOptions opts;
+    opts.engine = engine;
+    interpret(p, params, mems.back(), opts);
+  }
+  StatsSnapshot d = Stats::global().snapshot() - s0;
+  ASSERT_EQ(d.counter("exec.native.runs"), 1) << "expected a real native run";
+  EXPECT_TRUE(std::isnan(mems[0].at("A").get({1})));
+  expect_bit_identical(mems[0], mems[1], "native vs VM");
+  expect_bit_identical(mems[0], mems[2], "native vs walker");
+}
+
+TEST_F(NativeTest, KernelObjectNeedsNoLibrary) {
+  // Built with -nostdlib, a kernel names no shared library and leaves
+  // no symbol for the loader to resolve. A sanitizer build resolves
+  // its runtime from the host process instead, so the test skips.
+  if (native_compiler().find("-fsanitize") != std::string::npos)
+    GTEST_SKIP() << "sanitized kernels import their runtime";
+  const Program p = load_testdata("cholesky.loop");
+  ASSERT_NE(native_prepare(p), nullptr);
+  const std::string so = read_file(dir_ + "/" + native_cache_key(p) + ".so");
+  Elf64_Ehdr eh;
+  ASSERT_GE(so.size(), sizeof(eh));
+  std::memcpy(&eh, so.data(), sizeof(eh));
+  ASSERT_EQ(std::memcmp(eh.e_ident, ELFMAG, SELFMAG), 0);
+  if (eh.e_ident[EI_CLASS] != ELFCLASS64) GTEST_SKIP() << "not ELF64";
+  int needed = 0, defined = 0, undefined = 0;
+  for (int i = 0; i < eh.e_shnum; ++i) {
+    Elf64_Shdr sh;
+    std::memcpy(&sh, so.data() + eh.e_shoff + i * eh.e_shentsize, sizeof(sh));
+    const char* at = so.data() + sh.sh_offset;
+    if (sh.sh_type == SHT_DYNAMIC) {
+      for (size_t off = 0; off + sizeof(Elf64_Dyn) <= sh.sh_size;
+           off += sizeof(Elf64_Dyn)) {
+        Elf64_Dyn dyn;
+        std::memcpy(&dyn, at + off, sizeof(dyn));
+        needed += dyn.d_tag == DT_NEEDED;
+      }
+    } else if (sh.sh_type == SHT_DYNSYM) {
+      // Entry 0 is the reserved null symbol.
+      for (size_t off = sizeof(Elf64_Sym); off + sizeof(Elf64_Sym) <= sh.sh_size;
+           off += sizeof(Elf64_Sym)) {
+        Elf64_Sym sym;
+        std::memcpy(&sym, at + off, sizeof(sym));
+        (sym.st_shndx == SHN_UNDEF ? undefined : defined) += 1;
+      }
+    }
+  }
+  EXPECT_EQ(needed, 0);
+  EXPECT_EQ(undefined, 0);
+  EXPECT_GE(defined, 1);  // inltc_kernel
 }
 
 // ---- jammed column walks ----
@@ -660,17 +784,14 @@ end
 }
 
 TEST_F(NativeTest, EmittedCholeskyIsLean) {
-  // No libc header but stddef.h, and no bounds or budget test inside
-  // any leaf loop's body: those run at loop entry and in the budget
-  // tail iteration.
+  // No header, no fault text, no budget tail, and no bounds or budget
+  // test inside any leaf loop's body: those run at loop entry, where a
+  // failing one bails.
   const std::string code = emit_native_c(gallery::cholesky()).code;
-  std::istringstream lines(code);
-  std::string ln;
-  while (std::getline(lines, ln)) {
-    if (ln.rfind("#include", 0) == 0) {
-      EXPECT_EQ(ln, "#include <stddef.h>");
-    }
-  }
+  EXPECT_EQ(code.find("#include"), std::string::npos);
+  EXPECT_EQ(code.find("snprintf"), std::string::npos);
+  EXPECT_EQ(code.find("errcap"), std::string::npos);
+  EXPECT_EQ(code.find("budget runs out here"), std::string::npos);
   int leaf_loops = 0;
   for (size_t at = code.find("for ("); at != std::string::npos;
        at = code.find("for (", at + 1)) {
@@ -686,6 +807,7 @@ TEST_F(NativeTest, EmittedCholeskyIsLean) {
     EXPECT_EQ(body.find("INLTC_OOB"), std::string::npos) << body;
     EXPECT_EQ(body.find("INLTC_UNDECL"), std::string::npos) << body;
     EXPECT_EQ(body.find("max_instances"), std::string::npos) << body;
+    EXPECT_EQ(body.find("return"), std::string::npos) << body;
   }
   EXPECT_EQ(leaf_loops, 2);  // the I loop (S2) and the L loop (S3)
 }
@@ -943,17 +1065,17 @@ TEST(NativeEmitter, TextUnchangedOnCorpus) {
     corpus.emplace_back("scaled fig3", generate_code(layout, deps, m).program);
   }
   const std::vector<std::string> expected = {
-      "0bade81182d3e82031a2bf76228155094e6bd31ca91a764747512b3775a69072",
-      "0bade81182d3e82031a2bf76228155094e6bd31ca91a764747512b3775a69072",
-      "921fa51eeb2a3d18386facd8bacae0e47a550a995e3ef17d0bbe5f61fdc75412",
-      "55705f1d48daa40e8f890b58bf7809c9abeff34226038ef01fa5f801aef00965",
-      "ed7e0d5f761e2b2b507f579c1fd4aea81fbe2e82e72f55f11f36ab12ac9777c6",
-      "69a41b55a3988a0b775035497073ad4eece9819fe5c14f0eaac9474f2de24c36",
-      "b1211d5d8386536fe1da43951e1317d646c9dcca7e3a13e998141710636e2a7d",
-      "27158cd650901c9be9d6f4d10fcca5a7059211963ebb73f8f664866c5ce5b84a",
-      "be16cd3edb6987768ec9d59cc1e4375f7bc1b707000c463822e03fc3809db558",
-      "4f5d6f306f10465ac2a12f0925174f167c1fa611c448508273261d554b3b028c",
-      "1fc93c3ee90239895f3fbe5dc418535ed1f375a58740ddb93f0a1acb36541071",
+      "acbabaad21ac7c64ec0ec23efc18390cbc3b91e0bcecf041812b1e1fbba53660",
+      "acbabaad21ac7c64ec0ec23efc18390cbc3b91e0bcecf041812b1e1fbba53660",
+      "5bf7b62047009f3a96b27b9ba4b297fc8c8002f8115126a071cbb13d878e28c1",
+      "7d013ae2d1152f643a00933680eabb0beaa1b390aa310e388037daf0a4c0addb",
+      "490b152827b210756fc7df888aff9f5e8db5821cd61a68beafe76e9d0d6100c6",
+      "39e1f9becafe108ab7eafdf49a13bbc0f29945da99c754ad690ff9a11b9fc6de",
+      "e858cad091e87d91a3d44279dfb6216244f42dcd2d848ebcd31c66fc06ed828e",
+      "571bc0ec7ea61a16a9528bc416fbe5366ff8ed15a23b8cec4e03ddbfb3896bb6",
+      "9fe4f1e20ae1f87b272855ff836bbf49a76b70a63ca9422ab20220ab72e08dcd",
+      "490ed4fe74bd72523ef4407a8ea4e8eaf9abf3789911f2dfc6f69810b5948757",
+      "ea8dc378e63b1c90f6cd13ea2022cae3dd0aa92913dd9181c464587b79d54c46",
   };
   EXPECT_EQ(corpus.size(), expected.size());
   for (size_t i = 0; i < corpus.size(); ++i) {

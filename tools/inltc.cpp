@@ -56,7 +56,8 @@
 //                     stderr at exit
 //        --vm-profile per-opcode VM profiling for serial --verify runs
 //                     (vm.op.* / vm.stmt.depth* histograms; see --stats);
-//                     rejected with --exec-threads > 1
+//                     rejected with --exec-threads > 1 and on
+//                     search/rank
 //        profile: --n N (problem size, default 64) | --repeat R
 //        --threads N  search/evaluate worker threads (positive; default
 //                     is the hardware count)
@@ -611,6 +612,12 @@ int main(int argc, char** argv) {
   Options opts = parse_flags(argc, argv, first);
   if (opts.search_flag) cmd = "search";
   if (cmd.empty() || opts.args.empty()) usage();
+  // Search verification builds its own execution plans, which carry no
+  // profiling: the flag would be dropped without a word.
+  if (opts.vm_profile && (cmd == "search" || cmd == "rank"))
+    cli_error("--vm-profile profiles transform/complete --verify runs; "
+              "search and rank do not take it",
+              2);
   g_opts = &opts;
   g_run.command = cmd;
   // Reject unknown commands before any file is read or analyzed.
