@@ -39,6 +39,7 @@ class VmCompiler {
       leaf_regs =
           std::max(leaf_regs, static_cast<size_t>(lp.op_end - lp.op_begin));
     vm_.leaf_regs_.assign(leaf_regs * VmProgram::kLeafWidth, 0.0);
+    vm_.carry_now_.assign(vm_.carry_vals_.size(), 0);
   }
 
  private:
@@ -314,6 +315,124 @@ class VmCompiler {
     L.check_end = static_cast<int>(vm_.checks_.size());
     // A leaf's statements are its children, compiled consecutively.
     if (leaf) L.leaf = build_leaf_plan(stmt_of.front(), stmt_of.back() + 1);
+    vm_.loops_[idx].carry = build_carry_plan(n, idx);
+  }
+
+  static i64 magnitude(i64 v) { return v < 0 ? checked_sub(0, v) : v; }
+
+  // The carried-entry plan of loop `idx` (node `n`, the parent P): the
+  // leaf it reaches through its chain of links, and every value a leaf
+  // entry evaluates, split into the leaf variable's term and the rest,
+  // with the change of that rest per row of P. A link's value when it
+  // runs is its single_trip_term, so it moves with the rows like any
+  // other. -1 when there is no such leaf, or the leaf or a bound is of
+  // a form the carried path leaves to the per-entry path: a non-unit
+  // leaf step, a cover-mode leaf bound, a bound term with a
+  // denominator, a kAffine operand, or a compiled constant that
+  // overflows.
+  int build_carry_plan(const Node& n, int idx) {
+    const LoopChain ch = loop_chain(n);
+    if (!ch.inner || !ch.inner->guards().empty() || single_trip_term(n) >= 0)
+      return -1;
+    VmProgram::CarryPlan C;
+    C.links = static_cast<int>(ch.links.size());
+    C.leaf = idx + C.links + 1;
+    const VmProgram::LoopInfo& P = vm_.loops_[idx];
+    const VmProgram::LoopInfo& L = vm_.loops_[C.leaf];
+    auto max_min = [](const VmProgram::CBound& b) {
+      return b.tight || b.terms.size() == 1;
+    };
+    if (L.leaf < 0 || P.step <= 0 || L.step != 1 || !max_min(L.lower) ||
+        !max_min(L.upper) || vm_.leaf_plans_[L.leaf].has_affine)
+      return -1;
+    for (int id = idx + 1; id <= C.leaf; ++id)
+      for (const VmProgram::CBound* b :
+           {&vm_.loops_[id].lower, &vm_.loops_[id].upper})
+        for (const VmProgram::CBoundTerm& t : b->terms)
+          if (t.den != 1) return -1;
+    // (slot, change per row) of P's variable and each link's.
+    std::vector<std::pair<int, i64>> moving{{P.slot, P.step}};
+    std::vector<int> fixed;  // the other slots the expressions read
+    std::vector<VmProgram::CarryVal> vals;
+    i64 size = P.step;  // |constant| + sum |coef|, and the steps
+    auto add = [&](const LinExpr& e) {
+      VmProgram::CarryVal v;
+      v.base.constant = e.constant;
+      i64 sz = magnitude(e.constant);
+      for (const auto& [slot, coef] : e.terms) {
+        sz = checked_add(sz, magnitude(coef));
+        if (slot == L.slot) {
+          v.coef = coef;
+          continue;
+        }
+        v.base.terms.emplace_back(slot, coef);
+        bool moves = false;
+        for (const auto& [ms, md] : moving) {
+          if (ms != slot) continue;
+          v.delta = checked_add(v.delta, checked_mul(coef, md));
+          moves = true;
+        }
+        if (!moves && std::find(fixed.begin(), fixed.end(), slot) == fixed.end())
+          fixed.push_back(slot);
+      }
+      size = std::max(size, sz);
+      vals.push_back(std::move(v));
+    };
+    auto add_bounds = [&](const VmProgram::LoopInfo& K, int first) {
+      const auto& lo = K.lower.terms;
+      add(lo[first].expr);
+      for (size_t t = 0; t < lo.size(); ++t)
+        if (static_cast<int>(t) != first) add(lo[t].expr);
+      for (const VmProgram::CBoundTerm& t : K.upper.terms) add(t.expr);
+    };
+    std::vector<int> init_of(vm_.accesses_.size(), -1);  // access -> value
+    try {
+      for (int j = 0; j < C.links; ++j) {
+        const VmProgram::LoopInfo& K = vm_.loops_[idx + 1 + j];
+        if (K.step <= 0) return -1;
+        size = std::max(size, K.step);
+        const size_t at = vals.size();
+        add_bounds(K, single_trip_term(*ch.links[j]));
+        moving.emplace_back(K.slot, vals[at].delta);
+      }
+      C.leaf_lower = static_cast<int>(vals.size());
+      add_bounds(L, 0);
+      C.leaf_upper = C.leaf_lower + static_cast<int>(L.lower.terms.size());
+      C.inits = static_cast<int>(vals.size());
+      for (int i = L.init_begin; i != L.init_end; ++i) {
+        const VmProgram::Access& a = vm_.accesses_[vm_.inits_[i].access];
+        init_of[vm_.inits_[i].access] = static_cast<int>(vals.size());
+        add(a.offset);
+        vals.back().reg = a.reg;
+      }
+      C.checks = static_cast<int>(vals.size());
+      for (int i = L.check_begin; i != L.check_end; ++i) {
+        const VmProgram::EntryCheck& k = vm_.checks_[i];
+        const VmProgram::Access& a = vm_.accesses_[k.access];
+        add(vm_.dims_[a.first_dim + k.dim].expr);
+        vals.back().lo = vm_.arrays_[a.array].lo[k.dim];
+        vals.back().hi = vm_.arrays_[a.array].hi[k.dim];
+      }
+    } catch (const OverflowError&) {
+      return -1;
+    }
+    // Every partial sum then stays within 2^58, and a coefficient times
+    // a span within 2^59.
+    C.max_mag = (i64{1} << 60) / size / 4;
+    C.val_begin = static_cast<int>(vm_.carry_vals_.size());
+    for (VmProgram::CarryVal& v : vals) vm_.carry_vals_.push_back(std::move(v));
+    C.val_end = static_cast<int>(vals.size());
+    C.pair_begin = static_cast<int>(vm_.carry_pairs_.size());
+    const VmProgram::LeafPlan& lp = vm_.leaf_plans_[L.leaf];
+    for (int i = lp.pair_begin; i != lp.pair_end; ++i)
+      vm_.carry_pairs_.emplace_back(init_of[vm_.leaf_pairs_[i].w],
+                                    init_of[vm_.leaf_pairs_[i].x]);
+    C.pair_end = static_cast<int>(vm_.carry_pairs_.size());
+    C.slot_begin = static_cast<int>(vm_.carry_slots_.size());
+    vm_.carry_slots_.insert(vm_.carry_slots_.end(), fixed.begin(), fixed.end());
+    C.slot_end = static_cast<int>(vm_.carry_slots_.size());
+    vm_.carry_plans_.push_back(C);
+    return static_cast<int>(vm_.carry_plans_.size()) - 1;
   }
 
   // Same flat offset function: equal constants and equal nonzero
@@ -425,7 +544,12 @@ class VmCompiler {
         bool own = x > w && x < w + si.naccesses;
         bool rec = own && std::find(recurrent.begin(), recurrent.end(), x) !=
                               recurrent.end();
-        vm_.leaf_pairs_.push_back({w, x, rec});
+        // The write's own offset function with a nonzero delta meets
+        // it only within one iteration: nothing to test at entry.
+        const VmProgram::Access& wa = vm_.accesses_[w];
+        if (rec || (wa.step_delta != 0 && same_offset(wa, vm_.accesses_[x])))
+          continue;
+        vm_.leaf_pairs_.push_back({w, x});
       }
     }
     plan.pair_end = static_cast<int>(vm_.leaf_pairs_.size());

@@ -4,6 +4,7 @@
 #include "exec/native.hpp"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -197,6 +198,48 @@ HandleLru& lru() {
 
 std::atomic<std::uint64_t> temp_seq{0};
 
+// ---- single-flight preparation ----
+
+// One preparation of a cache key in progress, and its outcome once
+// `done`: the kernel, or null and the reason.
+struct Flight {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::shared_ptr<NativeKernel> kernel;
+  Diagnostic why;
+};
+
+struct Flights {
+  std::mutex mu;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> by_key;
+};
+
+Flights& flights() {
+  static Flights* f = new Flights();
+  return *f;
+}
+
+// Publish a flight's outcome to its waiters and retire it: later
+// callers find the kernel in the LRU, or start a flight of their own.
+void land(const std::string& key, Flight& f, std::shared_ptr<NativeKernel> k,
+          Diagnostic why) {
+  {
+    std::lock_guard<std::mutex> lock(f.mu);
+    f.kernel = std::move(k);
+    f.why = std::move(why);
+    f.done = true;
+  }
+  f.cv.notify_all();
+  std::lock_guard<std::mutex> lock(flights().mu);
+  flights().by_key.erase(key);
+}
+
+std::shared_ptr<NativeKernel> prepare_uncached(const NativeKernelSource& src,
+                                               const std::string& cc,
+                                               const std::string& key,
+                                               Diagnostic* why);
+
 /// dlopen + dlsym one cache file; null on any failure.
 std::shared_ptr<NativeKernel> open_kernel(const std::string& path,
                                           const NativeKernelSource& spec,
@@ -311,6 +354,46 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
     return k;
   }
 
+  // Single flight: the first caller of a key prepares it; callers that
+  // miss the LRU meanwhile wait and share its kernel or its reason.
+  std::shared_ptr<Flight> flight;
+  bool first = false;
+  {
+    std::lock_guard<std::mutex> lock(flights().mu);
+    std::shared_ptr<Flight>& slot = flights().by_key[key];
+    first = !slot;
+    if (first) slot = std::make_shared<Flight>();
+    flight = slot;
+  }
+  if (!first) {
+    std::unique_lock<std::mutex> lock(flight->mu);
+    flight->cv.wait(lock, [&] { return flight->done; });
+    if (!flight->kernel && why) *why = flight->why;
+    return flight->kernel;
+  }
+  Diagnostic reason;
+  std::shared_ptr<NativeKernel> k;
+  try {
+    // A flight that landed between the LRU miss and this one's start
+    // left its kernel there.
+    k = lru().get(key);
+    if (!k) k = prepare_uncached(src, cc, key, &reason);
+  } catch (...) {
+    land(key, *flight, nullptr,
+         exec_warning("native engine: kernel preparation failed; using the VM"));
+    throw;
+  }
+  land(key, *flight, k, reason);
+  if (!k && why) *why = reason;
+  return k;
+}
+
+namespace {
+
+std::shared_ptr<NativeKernel> prepare_uncached(const NativeKernelSource& src,
+                                               const std::string& cc,
+                                               const std::string& key,
+                                               Diagnostic* why) {
   const std::string dir = native_cache_dir();
   const std::string so_path = dir + "/" + key + ".so";
 
@@ -401,8 +484,6 @@ std::shared_ptr<NativeKernel> native_prepare(const Program& p,
   }
   return lru().put(key, std::move(k));
 }
-
-namespace {
 
 /// Pack `mem` into the kernel's arguments and run it. False when the
 /// kernel bailed: the run met a fault or the instance budget, and

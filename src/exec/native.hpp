@@ -19,11 +19,13 @@
 // Writes go through a process-unique temp file and rename(2), so
 // concurrent sessions sharing a cache directory never observe a
 // half-written object — at worst both compile and the second rename
-// wins. A cache entry that fails to dlopen/dlsym (truncated, foreign
-// ABI) is deleted and recompiled, never trusted. Open handles live in
-// an in-process LRU (64 entries) of
-// refcounted handles; eviction dlcloses once the last running kernel
-// is done.
+// wins. Within one process, preparation is single-flight per key: the
+// first caller compiles, and callers that arrive meanwhile wait and
+// share its kernel, or its reason when it fails. A cache entry that
+// fails to dlopen/dlsym (truncated, foreign ABI) is deleted and
+// recompiled, never trusted. Open handles live in an in-process LRU
+// (64 entries) of refcounted handles; eviction dlcloses once the last
+// running kernel is done.
 //
 // Failure split: anything that prevents *preparing* a kernel (no
 // compiler, compile error, dlopen unsupported) makes native_prepare

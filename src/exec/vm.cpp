@@ -198,6 +198,7 @@ void VmProgram::exec_stmt(const StmtInfo& s, InterpStats& st,
 // that exhausts the budget, which then runs per instance.
 size_t VmProgram::run_leaf(const LoopInfo& L, size_t enter_pc, i64 lo, i64 hi,
                            InterpStats& st, i64 max_instances) {
+  ++leaf_entries_;
   const LeafPlan& P = leaf_plans_[static_cast<size_t>(L.leaf)];
   const size_t body_pc = enter_pc + 1;
   const i64 k = P.stmt_end - P.stmt_begin;
@@ -225,10 +226,7 @@ size_t VmProgram::run_leaf(const LoopInfo& L, size_t enter_pc, i64 lo, i64 hi,
       return body_pc;
     }
   }
-  const int width = leaf_batchable(P, m) ? kLeafWidth : 1;
-  for (i64 i0 = 0; i0 < m; i0 += width)
-    leaf_chunk(P, L, lo, i0, static_cast<int>(std::min<i64>(width, m - i0)));
-  (width == 1 ? serial_leaf_instances_ : batched_instances_) += m * k;
+  run_chunks(P, L, lo, m, leaf_batchable(P, m));
   st.instances += m * k;
   // Leave the state of the iteration the dispatch loop resumes at: the
   // final one (its back-edge exits) or the first unbudgeted one.
@@ -278,7 +276,6 @@ bool meet_across(i64 ow, i64 dw, i64 ox, i64 dx, i64 m) {
 bool VmProgram::leaf_batchable(const LeafPlan& P, i64 m) const {
   for (int i = P.pair_begin; i != P.pair_end; ++i) {
     const LeafPair& pr = leaf_pairs_[i];
-    if (pr.recurrent) continue;
     const Access& w = accesses_[pr.w];
     const Access& x = accesses_[pr.x];
     if (meet_across(offs_[w.reg], w.step_delta, offs_[x.reg], x.step_delta,
@@ -286,6 +283,250 @@ bool VmProgram::leaf_batchable(const LeafPlan& P, i64 m) const {
       return false;
   }
   return true;
+}
+
+// The carried path (vm.hpp). Called right after kLoopEnter entered P,
+// the parent of a carried leaf, at lo (its first row counted). Walks
+// P's rows itself. carry_segments decides, for the whole activation,
+// which rows enter the links and the leaf, that no hoisted check
+// fails, that the budget covers it, and which rows must test the leaf
+// pairs; each row then only sets the entry offsets, each its carried
+// value plus the leaf variable's term, and runs the leaf's chunks.
+// Returns P's back-edge, so the exit happens there, with the counts
+// the per-entry path would have made. An activation for which that is
+// not decided (a check or the budget would fail, or a value could
+// overflow where the per-entry path's would not) returns P's body
+// start at its first row, and runs per entry, faults and all.
+size_t VmProgram::run_carried(const LoopInfo& P, size_t enter_pc, i64 lo,
+                              i64 hi, InterpStats& st, i64 max_instances) {
+  const CarryPlan& C = carry_plans_[static_cast<size_t>(P.carry)];
+  const size_t body_pc = enter_pc + 1;
+  i64 span;
+  if (__builtin_sub_overflow(hi, lo, &span)) return body_pc;
+  const i64 rows = span / P.step + 1;
+  CarrySeg segs[kMaxSegs];
+  i64 link_iters = 0, trips = 0;
+  const int nsegs =
+      carry_start(C, P, lo, rows)
+          ? carry_segments(C, rows, max_instances - st.instances, segs,
+                           link_iters, trips)
+          : -1;
+  if (nsegs < 0) return body_pc;
+  const LoopInfo& L = loops_[static_cast<size_t>(C.leaf)];
+  const LeafPlan& LP = leaf_plans_[static_cast<size_t>(L.leaf)];
+  const i64 k = LP.stmt_end - LP.stmt_begin;
+  const CarryVal* const cv = carry_vals_.data() + C.val_begin;
+  const i64* const now = carry_now_.data() + C.val_begin;
+  auto at = [&](int j, i64 r) { return now[j] + r * cv[j].delta; };
+  i64 entries = 0;
+  for (int s = 0; s < nsegs; ++s) {
+    const CarrySeg& g = segs[s];
+    entries += g.r1 - g.r0 + 1;
+    for (i64 r = g.r0; r <= g.r1; ++r) {
+      const i64 llo = at(g.lo, r);
+      const i64 m = at(g.hi, r) - llo + 1;
+      // P's and the links' values, which leaf operands may read.
+      env_[P.slot] = lo + r * P.step;
+      for (int l = 0, v = 0; l < C.links; ++l) {
+        const LoopInfo& K = loops_[static_cast<size_t>(C.leaf - C.links + l)];
+        env_[K.slot] = at(v, r);
+        v += static_cast<int>(K.lower.terms.size() + K.upper.terms.size());
+      }
+      for (int j = C.inits; j < C.checks; ++j)
+        offs_[cv[j].reg] = at(j, r) + cv[j].coef * llo;
+      run_chunks(LP, L, llo, m, !g.test_pairs || leaf_batchable(LP, m));
+    }
+  }
+  leaf_entries_ += entries;
+  carried_entries_ += entries;
+  st.instances += trips * k;
+  st.loop_iterations += rows - 1 + link_iters + trips;
+  env_[P.slot] = lo + (rows - 1) * P.step;
+  return static_cast<size_t>(code_[enter_pc].jump) - 1;
+}
+
+// Row 0's values of an activation of P with `rows` rows starting at
+// lo, into carry_now_; false when some value the activation reads
+// could leave C.max_mag, the range in which no per-entry partial sum
+// overflows. Slot values move monotonically over the rows, so their
+// first and last rows bound them; a bound's value stays within its
+// terms', and a link's value is one of them.
+bool VmProgram::carry_start(const CarryPlan& C, const LoopInfo& P, i64 lo,
+                            i64 rows) {
+  auto fits = [&](i64 v) { return v >= -C.max_mag && v <= C.max_mag; };
+  const i64 r1 = rows - 1;
+  i64 last;
+  if (__builtin_mul_overflow(r1, P.step, &last) ||
+      __builtin_add_overflow(lo, last, &last) || !fits(lo) || !fits(last))
+    return false;
+  for (int i = C.slot_begin; i != C.slot_end; ++i)
+    if (!fits(env_[carry_slots_[i]])) return false;
+  const CarryVal* cv = carry_vals_.data() + C.val_begin;
+  i64* const now = carry_now_.data() + C.val_begin;
+  auto start = [&](int j) {
+    i64 v = cv[j].base.constant;
+    for (const auto& [slot, coef] : cv[j].base.terms) {
+      i64 t;
+      if (__builtin_mul_overflow(coef, env_[slot], &t) ||
+          __builtin_add_overflow(v, t, &v))
+        return false;
+    }
+    i64 end;
+    if (__builtin_mul_overflow(r1, cv[j].delta, &end) ||
+        __builtin_add_overflow(v, end, &end) || !fits(v) || !fits(end))
+      return false;
+    now[j] = v;
+    return true;
+  };
+  int j = 0;
+  for (int l = 0; l < C.links; ++l) {
+    const LoopInfo& K = loops_[static_cast<size_t>(C.leaf - C.links + l)];
+    const int first = j;
+    j += static_cast<int>(K.lower.terms.size() + K.upper.terms.size());
+    for (int t = first; t < j; ++t)
+      if (!start(t)) return false;
+    env_[K.slot] = now[first];  // its value, for later expressions
+  }
+  for (; j < C.inits; ++j)
+    if (!start(j)) return false;
+  for (; j < C.val_end; ++j) now[j] = eval(cv[j].base);
+  return true;
+}
+
+// The rows of an activation (rows rows, row-0 values in carry_now_)
+// cut into segments: the rows that enter every link and the leaf, as
+// runs over which each leaf bound is one term. All bound terms have
+// denominator 1, so a loop runs at a row iff each lower term is at
+// most each upper term, an affine condition on the row; the links'
+// conditions give link_iters, the link entries the per-entry path
+// counts. Over a segment every entry value is affine in the row, so a
+// check that holds at its two ends holds between, and the trips sum
+// in closed form (`trips`). A pair apart at the ends of a segment in
+// the sense below is apart at every row of it; the others make the
+// segment test pairs per row. -1 when a check fails, the budget
+// `room` does not cover the activation, or the segments do not fit.
+int VmProgram::carry_segments(const CarryPlan& C, i64 rows, i64 room,
+                              CarrySeg* segs, i64& link_iters,
+                              i64& trips) const {
+  const CarryVal* const cv = carry_vals_.data() + C.val_begin;
+  const i64* const now = carry_now_.data() + C.val_begin;
+  auto at = [&](int j, i64 r) { return now[j] + r * cv[j].delta; };
+  i64 ra = 0, rb = rows - 1;
+  // Narrow [ra, rb] to the rows where term a is at most term b.
+  auto narrow = [&](int a, int b) {
+    i64 c;  // (b - a) grows by c per row from now[b] - now[a]
+    if (__builtin_sub_overflow(cv[b].delta, cv[a].delta, &c)) return false;
+    const i64 e = now[a] - now[b];
+    if (c > 0)
+      ra = std::max(ra, ceil_div(e, c));
+    else if (c < 0)
+      rb = std::min(rb, floor_div(e, c));
+    else if (e > 0)
+      rb = ra - 1;
+    return true;
+  };
+  auto runs = [&](int first, int nlo, int nhi) {
+    for (int a = first; a < first + nlo; ++a)
+      for (int b = first + nlo; b < first + nlo + nhi; ++b)
+        if (!narrow(a, b)) return false;
+    return true;
+  };
+  link_iters = 0;
+  for (int l = 0, v = 0; l < C.links; ++l) {
+    const LoopInfo& K = loops_[static_cast<size_t>(C.leaf - C.links + l)];
+    const int nlo = static_cast<int>(K.lower.terms.size());
+    const int nhi = static_cast<int>(K.upper.terms.size());
+    if (!runs(v, nlo, nhi)) return -1;
+    v += nlo + nhi;
+    link_iters += std::max<i64>(rb - ra + 1, 0);
+  }
+  if (!runs(C.leaf_lower, C.leaf_upper - C.leaf_lower, C.inits - C.leaf_upper))
+    return -1;
+
+  const LoopInfo& L = loops_[static_cast<size_t>(C.leaf)];
+  const LeafPlan& LP = leaf_plans_[static_cast<size_t>(L.leaf)];
+  __int128 total = 0;
+  int n = 0;
+  for (i64 r = ra; r <= rb; ++n) {
+    if (n == kMaxSegs) return -1;
+    CarrySeg& g = segs[n];
+    // The active terms at r; on a tie, the one that stays active.
+    g.lo = C.leaf_lower;
+    for (int a = g.lo + 1; a < C.leaf_upper; ++a)
+      if (at(a, r) > at(g.lo, r) ||
+          (at(a, r) == at(g.lo, r) && cv[a].delta > cv[g.lo].delta))
+        g.lo = a;
+    g.hi = C.leaf_upper;
+    for (int b = g.hi + 1; b < C.inits; ++b)
+      if (at(b, r) < at(g.hi, r) ||
+          (at(b, r) == at(g.hi, r) && cv[b].delta < cv[g.hi].delta))
+        g.hi = b;
+    // The segment ends before another term takes over.
+    i64 end = rb;
+    auto until = [&](int from, int to) {  // last row `to` stays ahead
+      i64 d;
+      if (__builtin_sub_overflow(cv[from].delta, cv[to].delta, &d)) return false;
+      if (d > 0) end = std::min(end, floor_div(now[to] - now[from], d));
+      return true;
+    };
+    for (int a = C.leaf_lower; a < C.leaf_upper; ++a)
+      if (!until(a, g.lo)) return -1;
+    for (int b = C.leaf_upper; b < C.inits; ++b)
+      if (!until(g.hi, b)) return -1;
+    g.r0 = r;
+    g.r1 = end;
+    for (int j = C.checks; j < C.val_end; ++j)
+      for (i64 e : {g.r0, g.r1}) {
+        const i64 l = at(g.lo, e);
+        const i64 first = at(j, e) + cv[j].coef * l;
+        const i64 final = first + cv[j].coef * (at(g.hi, e) - l);
+        if (std::min(first, final) < cv[j].lo ||
+            std::max(first, final) > cv[j].hi)
+          return -1;
+      }
+    auto trip = [&](i64 e) { return at(g.hi, e) - at(g.lo, e) + 1; };
+    total += static_cast<__int128>(g.r1 - g.r0 + 1) * (trip(g.r0) + trip(g.r1)) / 2;
+    // A pair is apart at every row if the hulls of its two offset
+    // ranges over the segment are disjoint (each range end is affine
+    // in the row), or if the two offsets keep one distance and do not
+    // meet at the segment's largest trip count (meet_across only grows
+    // with the count).
+    g.test_pairs = false;
+    for (int p = C.pair_begin; p != C.pair_end && !g.test_pairs; ++p) {
+      const int w = carry_pairs_[p].first, x = carry_pairs_[p].second;
+      auto off = [&](int a, i64 e) { return at(a, e) + cv[a].coef * at(g.lo, e); };
+      i64 wl = 0, wh = 0, xl = 0, xh = 0;
+      for (i64 e : {g.r0, g.r1}) {
+        const i64 ow = off(w, e), ox = off(x, e);
+        const i64 ew = ow + (trip(e) - 1) * cv[w].coef;
+        const i64 ex = ox + (trip(e) - 1) * cv[x].coef;
+        wl = e == g.r0 ? std::min(ow, ew) : std::min({wl, ow, ew});
+        wh = e == g.r0 ? std::max(ow, ew) : std::max({wh, ow, ew});
+        xl = e == g.r0 ? std::min(ox, ex) : std::min({xl, ox, ex});
+        xh = e == g.r0 ? std::max(ox, ex) : std::max({xh, ox, ex});
+      }
+      if (wh < xl || xh < wl) continue;
+      const i64 d0 = off(x, g.r0) - off(w, g.r0);
+      g.test_pairs = d0 != off(x, g.r1) - off(w, g.r1) ||
+                     meet_across(off(w, g.r0), cv[w].coef, off(x, g.r0),
+                                 cv[x].coef, std::max(trip(g.r0), trip(g.r1)));
+    }
+    r = end + 1;
+  }
+  if (total * (LP.stmt_end - LP.stmt_begin) > room) return -1;
+  trips = static_cast<i64>(total);
+  return n;
+}
+
+// The first m iterations of leaf loop L from lo, in chunks of
+// kLeafWidth iterations if `batched`, else of one.
+void VmProgram::run_chunks(const LeafPlan& P, const LoopInfo& L, i64 lo, i64 m,
+                           bool batched) {
+  const int width = batched ? kLeafWidth : 1;
+  for (i64 i0 = 0; i0 < m; i0 += width)
+    leaf_chunk(P, L, lo, i0, static_cast<int>(std::min<i64>(width, m - i0)));
+  (batched ? batched_instances_ : serial_leaf_instances_) +=
+      m * (P.stmt_end - P.stmt_begin);
 }
 
 // Iterations [i0, i0 + c) of leaf loop L, statement by statement:
@@ -543,6 +784,12 @@ InterpStats VmProgram::dispatch(i64 max_instances, const Team* team,
           // is reached as without the executor.
           pc = run_leaf(L, pc, lo, hi, st, max_instances);
           break;
+        } else if (L.carry >= 0 && !probe_ &&
+                   (!kWorker || !reach_marked_[in.arg + 1])) {
+          // Likewise; a worker keeps the per-entry path where a loop
+          // below is marked, whose chunks need their barriers.
+          pc = run_carried(L, pc, lo, hi, st, max_instances);
+          break;
         }
         ++pc;
         break;
@@ -601,6 +848,7 @@ InterpStats VmProgram::run(const InterpOptions& opts) {
     while ((i64{1} << probe_shift_) < probe_->line_elems) ++probe_shift_;
   }
   batched_instances_ = serial_leaf_instances_ = 0;
+  leaf_entries_ = carried_entries_ = 0;
   InterpStats st = opts.profile ? dispatch<Mode::kProfiled>(opts.max_instances)
                                 : dispatch<Mode::kSerial>(opts.max_instances);
   Stats::global().add("exec.vm.runs");
@@ -743,6 +991,7 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
                  "run_worker requires mark_partition() first");
   probe_ = nullptr;  // the cache probe and observer paths are serial
   batched_instances_ = serial_leaf_instances_ = 0;
+  leaf_entries_ = carried_entries_ = 0;
   const Team team{worker, nworkers, barrier};
   InterpStats st = dispatch<Mode::kWorker>(opts.max_instances, &team);
   add_leaf_counters();
@@ -752,6 +1001,8 @@ InterpStats VmProgram::run_worker(int worker, int nworkers,
 void VmProgram::add_leaf_counters() const {
   Stats::global().add("exec.vm.batched_instances", batched_instances_);
   Stats::global().add("exec.vm.serial_leaf_instances", serial_leaf_instances_);
+  Stats::global().add("exec.vm.leaf_entries", leaf_entries_);
+  Stats::global().add("exec.vm.carried_entries", carried_entries_);
 }
 
 void VmProgram::probe_note(ProbeState& ps, const Access& a) {

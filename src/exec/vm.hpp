@@ -53,11 +53,12 @@
 // the (write, other access on the same array) pairs to test at entry.
 // After enter_loop's hoisted checks, an interval test over the
 // budget-covered prefix m = min(n, room/k) (n trips, k statements,
-// room instances left in the budget) accepts every pair that is a
-// recurrent read by the write's own statement, or whose offsets never
-// meet at two different iterations: disjoint offset intervals, the
-// same offset function with a nonzero delta, or (overlapping) offset
-// progressions that miss each other's cells. Then each non-carried op
+// room instances left in the budget) accepts every pair whose offsets
+// never meet at two different iterations: disjoint offset intervals,
+// or (overlapping) offset progressions that miss each other's cells.
+// The plan leaves out the pairs that never need the test: a recurrent
+// read by the write's own statement, and the write's own offset
+// function with a nonzero delta. Then each non-carried op
 // runs over chunks of up to kLeafWidth iterations, while carried ops
 // and the write run element by element in order; if the test fails,
 // the same executor runs at chunk width 1. Either way every cell sees
@@ -68,6 +69,33 @@
 // where the budget runs out back to that path, so faults and their
 // text do not change. Per-instance execution remains for non-leaf
 // statements, CacheProbe runs, profiled runs and that last iteration.
+//
+// Carried leaf entries: most leaf activations come one per row of the
+// leaf's parent P, the nearest enclosing loop that is not a link of
+// the one-trip chains codegen and tiling emit (`do J = 2*K, 2*K`,
+// `do J = max(JT, 2*K), min(JT + 31, 2*K)`: loops that run at most
+// once, at a term both bounds share). When every link and leaf bound
+// term has denominator 1, the leaf's bounds take the max/min of their
+// terms, and the leaf steps by 1 and has no kAffine operand,
+// compile.cpp gives P a carry plan: each value a leaf entry
+// evaluates (link and leaf bound terms, entry offsets, hoisted-check
+// subscripts) split into the leaf variable's term and a rest that
+// changes by a constant per row of P. P's kLoopEnter then runs the
+// whole activation (run_carried): from row 0's values, a link or the
+// leaf runs at a row iff each lower term is at most each upper term,
+// an affine condition, so the rows that enter the leaf are one
+// interval, cut into segments over which each leaf bound is one term
+// and every entry value is affine in the row. Per segment, the
+// hoisted checks hold at every row iff they hold at its two ends, the
+// trips sum in closed form, and a leaf pair is proved apart for every
+// row or tested per row. Each row then only sets the entry offsets
+// and runs the leaf's chunks; counts are added in bulk. An activation
+// where a check or the budget would fail, or a value could overflow
+// where the per-entry path's would not, runs per entry from its first
+// row, so faults, their text, the failing Memory and InterpStats are
+// unchanged. The carried path runs in serial and worker runs (a
+// partition-marked P is walked over its chunk; a marked loop below P
+// keeps the per-entry path), never in profiled or cache-probe runs.
 //
 // The probe mode sizes arrays for declare_arrays without touching
 // memory, and collapses the plan's leaf loops into two endpoint
@@ -169,6 +197,10 @@ class VmProgram {
   /// leaf executor ran chunked (batched) or at chunk width 1 (serial).
   i64 batched_instances() const { return batched_instances_; }
   i64 serial_leaf_instances() const { return serial_leaf_instances_; }
+  /// Leaf activations the executor ran in the last run, and how many
+  /// of them the carried path entered from the parent's row values.
+  i64 leaf_entries() const { return leaf_entries_; }
+  i64 carried_entries() const { return carried_entries_; }
   /// Accesses whose bounds checks were hoisted to loop entry.
   i64 hoisted_accesses() const { return hoisted_accesses_; }
   /// Accesses that kept exact per-execution checks.
@@ -272,6 +304,7 @@ class VmProgram {
     bool probe_collapse = false;
     int probe_begin = 0, probe_end = 0;  // collapsed accesses (accesses_)
     int leaf = -1;  // leaf_plans_ index; -1: not a leaf loop
+    int carry = -1;  // carry_plans_ index; -1: no carried leaf below
   };
 
   enum class COp : unsigned char {
@@ -325,10 +358,11 @@ class VmProgram {
     int write = 0;                 // access id of the write
     bool carried = false;          // has carried ops
   };
-  // A write and another access of the same array in one leaf body.
+  // A write and another access of the same array in one leaf body
+  // that could meet it at another iteration (compile.cpp leaves out
+  // the write's recurrent reads and its own offset function).
   struct LeafPair {
-    int w = 0, x = 0;        // access ids
-    bool recurrent = false;  // x: recurrent read of w's statement
+    int w = 0, x = 0;  // access ids
   };
   struct LeafPlan {
     int op_begin = 0, op_end = 0;      // into leaf_ops_
@@ -336,6 +370,46 @@ class VmProgram {
     int pair_begin = 0, pair_end = 0;  // into leaf_pairs_
     bool has_affine = false;           // some op is kAffine
   };
+
+  // -- carried leaf entries (see the header comment) --
+  // One value a leaf entry needs, as the parent's rows change it: an
+  // entry expression with the leaf variable's term taken out (`base`),
+  // that term's coefficient, and the change per parent row.
+  struct CarryVal {
+    LinExpr base;
+    i64 delta = 0;       // per parent row
+    i64 coef = 0;        // of the leaf variable (inits and checks)
+    int reg = 0;         // inits: the offset register
+    i64 lo = 0, hi = 0;  // checks: the dimension's array bounds
+  };
+  struct CarryPlan {
+    int links = 0;  // loops that run at most once: ids parent+1 ..
+    int leaf = 0;   // loop id of the leaf, parent+links+1
+    // Into carry_vals_ from val_begin: each link's lower then upper
+    // bound terms (the term it runs at first), the leaf's lower then
+    // upper bound terms, its inits, then its checks.
+    int val_begin = 0, leaf_lower = 0, leaf_upper = 0, inits = 0, checks = 0,
+        val_end = 0;
+    // The leaf's pairs (LeafPair) as pairs of init indices, into
+    // carry_pairs_.
+    int pair_begin = 0, pair_end = 0;
+    // Slots the entry expressions read that the parent's rows leave
+    // unchanged (into carry_slots_).
+    int slot_begin = 0, slot_end = 0;
+    // An activation runs carried only if every value its entry
+    // expressions read stays within this magnitude: then no partial
+    // sum the per-entry path forms can overflow.
+    i64 max_mag = 0;
+  };
+  // Rows r0..r1 of an activation over which the leaf runs and its
+  // bounds are the terms lo and hi, so every entry value is affine in
+  // the row; whether its rows still test the leaf pairs one by one.
+  struct CarrySeg {
+    i64 r0 = 0, r1 = 0;
+    int lo = 0, hi = 0;
+    bool test_pairs = false;
+  };
+  static constexpr int kMaxSegs = 8;
 
   VmProgram() = default;
 
@@ -381,7 +455,14 @@ class VmProgram {
   [[noreturn]] void bounds_fail(const Access& a, int dim, i64 idx) const;
   size_t run_leaf(const LoopInfo& L, size_t enter_pc, i64 lo, i64 hi,
                   InterpStats& st, i64 max_instances);
+  size_t run_carried(const LoopInfo& P, size_t enter_pc, i64 lo, i64 hi,
+                     InterpStats& st, i64 max_instances);
+  bool carry_start(const CarryPlan& C, const LoopInfo& P, i64 lo, i64 rows);
+  int carry_segments(const CarryPlan& C, i64 rows, i64 room, CarrySeg* segs,
+                     i64& link_iters, i64& trips) const;
   bool leaf_batchable(const LeafPlan& P, i64 m) const;
+  void run_chunks(const LeafPlan& P, const LoopInfo& L, i64 lo, i64 m,
+                  bool batched);
   void leaf_chunk(const LeafPlan& P, const LoopInfo& L, i64 lo, i64 i0,
                   int c);
   void add_leaf_counters() const;
@@ -407,6 +488,10 @@ class VmProgram {
   std::vector<LeafStmt> leaf_stmts_;
   std::vector<LeafPair> leaf_pairs_;
   std::vector<int> leaf_args_;  // kFunc operand registers
+  std::vector<CarryPlan> carry_plans_;
+  std::vector<CarryVal> carry_vals_;
+  std::vector<int> carry_slots_;
+  std::vector<std::pair<int, int>> carry_pairs_;
   int num_slots_ = 0;
   int max_sregs_ = 0;
   i64 hoisted_accesses_ = 0;
@@ -435,8 +520,11 @@ class VmProgram {
   // Leaf chunk registers, kLeafWidth doubles per op of the largest
   // plan. A member, so every per-worker clone has its own.
   std::vector<double> leaf_regs_;
+  std::vector<i64> carry_now_;  // carry_vals_' values at the current row
   i64 batched_instances_ = 0;
   i64 serial_leaf_instances_ = 0;
+  i64 leaf_entries_ = 0;
+  i64 carried_entries_ = 0;
 };
 
 }  // namespace inlt

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -934,6 +935,35 @@ TEST_F(NativeTest, ConcurrentSessionsDontRaceTheCacheDir) {
     EXPECT_TRUE(errors[t].empty()) << "thread " << t << ": " << errors[t];
     expect_bit_identical(mems[t], vm_mem, "thread " + std::to_string(t));
   }
+}
+
+TEST_F(NativeTest, ConcurrentPrepareOfOneTextCompilesOnce) {
+  // Four threads prepare one program at once against an empty cache
+  // and a cleared LRU: the first compiles, the others wait for that
+  // compile and share its kernel.
+  Program p = gallery::simplified_cholesky();
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<NativeKernel>> kernels(kThreads);
+  std::atomic<int> ready{0};
+  StatsSnapshot s0 = Stats::global().snapshot();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      kernels[t] = native_prepare(p);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  StatsSnapshot d = Stats::global().snapshot() - s0;
+  EXPECT_EQ(d.counter("exec.native.compiles"), 1);
+  ASSERT_NE(kernels[0], nullptr);
+  for (int t = 1; t < kThreads; ++t)
+    EXPECT_EQ(kernels[t], kernels[0]) << "thread " << t;
+  size_t objects = 0;
+  for (const auto& e : fs::directory_iterator(dir_))
+    objects += e.path().extension() == ".so";
+  EXPECT_EQ(objects, 1u);
 }
 
 TEST_F(NativeTest, FallsBackToVmWithoutCompiler) {

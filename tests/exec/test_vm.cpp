@@ -23,6 +23,8 @@
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
+#include "pipeline/search.hpp"
+#include "pipeline/session.hpp"
 #include "support/stats.hpp"
 #include "tile/plan.hpp"
 #include "transform/completion.hpp"
@@ -409,6 +411,8 @@ struct LeafCounts {
   i64 batched = 0;
   i64 serial = 0;
   i64 instances = 0;
+  i64 entries = 0;  // leaf activations the executor ran
+  i64 carried = 0;  // of those, entered on the carried path
 };
 
 // Run `p` on a VmProgram and on the AST walker from the same random
@@ -430,7 +434,8 @@ LeafCounts leaf_differential(const Program& p,
   EXPECT_EQ(vs.loop_iterations, ws.loop_iterations) << what;
   EXPECT_EQ(vs.guard_failures, ws.guard_failures) << what;
   expect_bit_identical(vm_mem, walker_mem, what);
-  return {vm.batched_instances(), vm.serial_leaf_instances(), vs.instances};
+  return {vm.batched_instances(), vm.serial_leaf_instances(), vs.instances,
+          vm.leaf_entries(), vm.carried_entries()};
 }
 
 // The six orders of the Cholesky update nest (1 <= K < L <= J <= N)
@@ -985,6 +990,312 @@ end
       expect_bit_identical(serial, par, "partitioned " + part);
     }
   }
+}
+
+// -- Carried leaf entries ---------------------------------------------
+
+TEST(LeafExecutor, CarriedRowsMatchTheWalker) {
+  // Parents whose rows the carried path walks, and (last four) leaves
+  // it leaves per entry: each bit for bit against the walker.
+  const std::vector<std::pair<std::string, std::string>> carried = {
+      // Triangular: the first four rows, then the last three, are
+      // zero-trip.
+      {"zero-trip first rows", R"(
+param N
+do I = 1, N
+  do J = 5, I
+    S1: A(I, J) = A(I, J) + B(J, I) * 2.0
+  end
+end
+)"},
+      {"zero-trip last rows", R"(
+param N
+do I = 1, N
+  do J = I, N - 3
+    S1: A(I, J) = A(I, J - 1) * 0.5 + B(I, J)
+  end
+end
+)"},
+      {"non-unit parent steps", R"(
+param N
+do K = 1, N, 2
+  do I = K, N, 3
+    do J = K, I
+      S1: A(I, J) = A(I, J) - A(I, K) * A(J, K)
+    end
+  end
+end
+)"},
+      // min/max bounds with partial last tiles, and a leaf whose lower
+      // bound changes its active term mid-activation.
+      {"tiled", R"(
+param N
+do IT = 1, N, 5
+  do JT = 1, N, 4
+    do I = max(IT, 2), min(IT + 4, N)
+      do J = max(JT, I - 3), min(JT + 3, N, I + 6)
+        S1: C(I, J) = C(I, J) + A(I, J) * B(J, I)
+      end
+    end
+  end
+end
+)"},
+      // One-trip chains: a link that runs exactly once, and a tiled
+      // one that runs at most once.
+      {"one-trip link", R"(
+param N
+do K = 1, N
+  do J = 2*K, 2*K
+    do L = K, N
+      S1: A(L, K) = A(L, K) + B(J - K, L) * 0.5
+    end
+  end
+end
+)"},
+      {"tiled one-trip link", R"(
+param N
+do K = 1, N
+  do LT = -N, -1, 4
+    do J = 1, N
+      do L = max(LT, -J), min(LT + 3, -J)
+        do M = K, N
+          S1: A(J, M) = A(J, M) - A(K, M) * B(-L, K)
+        end
+      end
+    end
+  end
+end
+)"},
+  };
+  const std::vector<std::pair<std::string, std::string>> per_entry = {
+      {"leaf step 2", R"(
+param N
+do I = 1, N
+  do J = 1, I, 2
+    S1: A(I, J) = A(I, J) + B(J, I)
+  end
+end
+)"},
+      // Even rows only: zero-trip rows in the middle of the activation.
+      {"bound denominators", R"(
+param N
+do I = 1, N
+  do J = ceil(I, 2), floor(I, 2)
+    S1: A(I, J) = B(J, I) * 3.0
+  end
+end
+)"},
+      // Rows 2..7 zero-trip: a cover-mode (max) upper bound.
+      {"cover-mode bound", R"(
+param N
+do I = 1, N
+  do J = 3, max(I - 5, 4 - I)
+    S1: A(I, J) = A(I, J) + 1.0
+  end
+end
+)"},
+      {"affine operand", R"(
+param N
+do I = 1, N
+  do J = 1, I
+    S1: A(I, J) = A(I, J) + M
+  end
+end
+)"},
+  };
+  auto programs = [](const auto& texts) {
+    std::vector<std::pair<std::string, Program>> out;
+    for (const auto& [name, text] : texts)
+      out.emplace_back(name, parse_program(text));
+    return out;
+  };
+  auto uncarried = programs(per_entry);
+  // Make M an affine operand (kAffine), as codegen substitutes.
+  uncarried.back().second.mutable_roots()[0]
+      ->mutable_children()[0]
+      ->mutable_children()[0]
+      ->mutable_stmt_data()
+      .rhs->substitute_var("M", AffineExpr::variable("I") * 2 +
+                                    AffineExpr::variable("J"));
+  for (i64 n : {1, 2, 9, 23, 70}) {
+    const std::map<std::string, i64> params{{"N", n}};
+    for (const auto& [name, p] : programs(carried)) {
+      LeafCounts c = leaf_differential(p, params, name + " N=" + std::to_string(n));
+      EXPECT_EQ(c.carried, c.entries) << name << " N=" << n;
+      if (n >= 9) {
+        EXPECT_GT(c.carried, 0) << name;
+      }
+    }
+    for (const auto& [name, p] : uncarried) {
+      LeafCounts c = leaf_differential(p, params, name + " N=" + std::to_string(n));
+      EXPECT_EQ(c.carried, 0) << name << " N=" << n;
+    }
+  }
+}
+
+// The error text and Memory of a run, and of the same run with the
+// profiler on (the per-instance path) and, unless it faults out of
+// bounds (the walker checks each access, not each loop entry), on the
+// walker.
+struct FaultParity {
+  std::string vm, per_instance, walker;
+};
+FaultParity fault_parity(const Program& p,
+                         const std::map<std::string, i64>& params,
+                         const Memory& proto, i64 budget,
+                         const std::string& what, bool walker = true) {
+  InterpOptions opts;
+  opts.max_instances = budget;
+  InterpOptions prof = opts;
+  prof.profile = true;
+  Memory vm_mem, prof_mem, walk_mem = proto;
+  FaultParity f;
+  f.vm = run_vm_catching(p, params, proto, opts, vm_mem);
+  f.per_instance = run_vm_catching(p, params, proto, prof, prof_mem);
+  InterpOptions walk = opts;
+  walk.engine = ExecEngine::kAstWalker;
+  try {
+    interpret(p, params, walk_mem, walk);
+  } catch (const Error& e) {
+    f.walker = e.what();
+  }
+  EXPECT_EQ(f.vm, f.per_instance) << what;
+  expect_bit_identical(vm_mem, prof_mem, what);
+  if (walker) {
+    EXPECT_EQ(f.vm, f.walker) << what;
+    expect_bit_identical(vm_mem, walk_mem, what);
+  }
+  return f;
+}
+
+TEST(LeafExecutor, CarriedOutOfBoundsAtALaterRowMatches) {
+  // Rows I <= N - 3 stay inside A's second dimension; row N - 2 is the
+  // first whose entry check fails (in the tiled form, at its last
+  // tile). The carried activation leaves it to the per-entry path,
+  // which faults at that entry after exactly the instances before it:
+  // with that many as the budget the run still faults out of bounds,
+  // with one fewer it runs out first.
+  const i64 n = 40;
+  const std::map<std::string, i64> params{{"N", n}};
+  const i64 rows_before = (n - 3) * (n - 2) / 2;
+  for (const auto& [text, before] :
+       {std::pair<std::string, i64>{R"(
+param N
+do I = 1, N
+  do J = 1, I
+    S1: A(I, J) = B(I, J) * 2.0
+  end
+end
+)",
+                                    rows_before},
+        {R"(
+param N
+do I = 1, N
+  do JT = 1, N, 8
+    do J = max(JT, 1), min(JT + 7, I)
+      S1: A(I, J) = B(I, J) * 2.0
+    end
+  end
+end
+)",
+         rows_before + 32}}) {
+    Program p = parse_program(text);
+    Memory proto;
+    proto.declare("A", {1, 1}, {n, n - 3});
+    proto.declare("B", {1, 1}, {n, n});
+    randomize(proto, 6);
+    const std::string oob = "array index out of bounds: A dim 1 index " +
+                            std::to_string(n - 2) + " not in [1, " +
+                            std::to_string(n - 3) + "]";
+    EXPECT_EQ(fault_parity(p, params, proto, 1000000, "oob", false).vm, oob);
+    EXPECT_EQ(fault_parity(p, params, proto, before, "at budget", false).vm,
+              oob);
+    EXPECT_EQ(fault_parity(p, params, proto, before - 1, "budget").vm,
+              "interpreter instance budget exceeded");
+  }
+}
+
+TEST(LeafExecutor, CarriedBudgetRunsOutMidParent) {
+  // Every budget up to the total, over parents walked carried (with a
+  // one-trip link and a tiled leaf): the activation the budget does
+  // not cover runs per entry and stops at the same instance.
+  const std::vector<std::string> texts = {update_orders()[0].second, R"(
+param N
+do K = 1, N
+  do J = 2*K, 2*K
+    do L = K, N
+      S1: A(L, K) = A(L, K) + A(J - K, L) * 0.5
+    end
+  end
+end
+)",
+                                          R"(
+param N
+do IT = 1, N, 3
+  do I = max(IT, 2), min(IT + 2, N)
+    do J = max(1, I - 4), I
+      S1: C(I, J) = C(I, J) + A(I, J) * B(J, I)
+    end
+  end
+end
+)"};
+  for (const std::string& text : texts) {
+    Program p = parse_program(text);
+    const std::map<std::string, i64> params{{"N", 9}};
+    Memory proto;
+    declare_arrays(p, params, proto);
+    randomize(proto, 7);
+    Memory done = proto;
+    VmProgram vm(p, params, done);
+    const i64 total = vm.run().instances;
+    EXPECT_GT(vm.carried_entries(), 0);
+    for (i64 budget = 0; budget <= total; ++budget) {
+      FaultParity f = fault_parity(p, params, proto, budget,
+                                   "budget " + std::to_string(budget));
+      EXPECT_EQ(f.vm.empty(), budget == total) << budget;
+    }
+  }
+}
+
+TEST(LeafExecutor, CarriedEntriesCounted) {
+  // The Cholesky source: every row of the update nest's J loop enters
+  // its leaf L carried; only S2's I leaf (under K, beside S1) does not.
+  Program p = load_testdata("cholesky.loop");
+  const std::map<std::string, i64> params{{"N", 64}};
+  Memory mem;
+  declare_arrays(p, params, mem);
+  fill_spd(mem, 1);
+  StatsSnapshot s0 = Stats::global().snapshot();
+  VmProgram vm(p, params, mem);
+  vm.run();
+  StatsSnapshot d = Stats::global().snapshot() - s0;
+  EXPECT_GT(vm.carried_entries(), 0.9 * static_cast<double>(vm.leaf_entries()));
+  EXPECT_EQ(d.counter("exec.vm.leaf_entries"), vm.leaf_entries());
+  EXPECT_EQ(d.counter("exec.vm.carried_entries"), vm.carried_entries());
+}
+
+TEST(LeafExecutor, CarriedCountsIndependentOfSearchThreads) {
+  // search --full --verify 64 --skew-bound 1: every verification run
+  // is the same VM run at any thread count, so are its entry counts.
+  std::vector<std::pair<i64, i64>> counts;
+  for (int threads : {1, 4}) {
+    SessionOptions so;
+    so.threads = threads;
+    TransformSession s(load_testdata("cholesky.loop"), so);
+    SearchOptions o;
+    o.mode = SearchMode::kFull;
+    o.verify_params = {{"N", 64}};
+    SearchSpace space;
+    space.skew_bound = 1;
+    StatsSnapshot s0 = Stats::global().snapshot();
+    SearchResult r = s.search(space, o);
+    StatsSnapshot d = Stats::global().snapshot() - s0;
+    EXPECT_EQ(r.stats.verified, r.stats.legal);
+    counts.emplace_back(d.counter("exec.vm.leaf_entries"),
+                        d.counter("exec.vm.carried_entries"));
+  }
+  EXPECT_GT(counts[0].second, 0);
+  EXPECT_EQ(counts[0], counts[1]);
 }
 
 }  // namespace
