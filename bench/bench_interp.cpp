@@ -17,10 +17,8 @@
 // kernel and size, the share of statement instances the VM's leaf
 // executor ran batched — deterministic, so the Cholesky share is gated.
 // Without a compiler the native report
-// records {"unavailable": true} and the gates skip. Unknown
-// --benchmark_* flags are accepted and ignored so the binary can run
-// under the CI smoke invocation shared by every bench.
-#include <chrono>
+// records {"unavailable": true} and the gates skip. See
+// bench/harness.hpp for --benchmark_min_time.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +31,7 @@
 #include "exec/interp.hpp"
 #include "exec/native.hpp"
 #include "exec/vm.hpp"
+#include "harness.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "support/stats.hpp"
@@ -41,12 +40,6 @@
 namespace {
 
 using namespace inlt;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 Program stencil() {
   return parse_program(R"(
@@ -97,9 +90,9 @@ EngineRun measure(const Program& p, const std::map<std::string, i64>& params,
   }
   for (;;) {
     Memory mem = proto;
-    double t0 = now_s();
+    const double t0 = bench::now_s();
     interpret(p, params, mem, opts);
-    er.seconds += now_s() - t0;
+    er.seconds += bench::now_s() - t0;
     er.runs += 1;
     if (er.seconds >= budget_s && er.runs >= 3) break;
   }
@@ -141,21 +134,12 @@ void emit_engine(std::ostream& os, const char* name, const EngineRun& er) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double budget_s = 0.25;
-  std::string out_path = "BENCH_interp.json";
+  const bench::Args args =
+      bench::parse_args(argc, argv, {"BENCH_interp.json", 0.25});
   std::string native_out_path = "BENCH_native.json";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--native-out=", 0) == 0) {
-      native_out_path = arg.substr(13);
-    } else if (arg.rfind("--benchmark_min_time=", 0) == 0) {
-      double v = std::atof(arg.c_str() + std::strlen("--benchmark_min_time="));
-      if (v > 0) budget_s = arg.back() == 'x' ? std::min(0.25, 0.05 * v) : v;
-    }
-    // Other --benchmark_* flags: accepted, ignored.
-  }
+  for (int i = 1; i < argc; ++i)
+    if (std::strncmp(argv[i], "--native-out=", 13) == 0)
+      native_out_path = argv[i] + 13;
 
   std::string native_why;
   const bool have_native = native_available(&native_why);
@@ -199,8 +183,8 @@ int main(int argc, char** argv) {
       fill_spd(proto, 3);
 
       EngineRun walker =
-          measure(p, params, proto, ExecEngine::kAstWalker, budget_s);
-      EngineRun vm = measure(p, params, proto, ExecEngine::kVm, budget_s);
+          measure(p, params, proto, ExecEngine::kAstWalker, args.budget_s);
+      EngineRun vm = measure(p, params, proto, ExecEngine::kVm, args.budget_s);
       double speedup = walker.ips() > 0 ? vm.ips() / walker.ips() : 0;
       largest_speedup = speedup;  // sizes ascend; last one wins
       const double share = batched_share(p, params, proto);
@@ -210,7 +194,7 @@ int main(int argc, char** argv) {
       double native_vs_vm = 0;
       bool identical = true;
       if (have_native) {
-        native = measure(p, params, proto, ExecEngine::kNative, budget_s);
+        native = measure(p, params, proto, ExecEngine::kNative, args.budget_s);
         native_vs_vm = vm.ips() > 0 ? native.ips() / vm.ips() : 0;
         largest_native_vs_vm = native_vs_vm;
         Memory vm_mem = proto;
@@ -296,9 +280,9 @@ int main(int argc, char** argv) {
       << ",\"recompiles_second_run\":" << recompiles_second_run
       << ",\"geomean_native_vs_vm_at_largest\":" << geomean << "}\n";
 
-  std::ofstream out(out_path);
+  std::ofstream out(args.out);
   out << js.str();
-  std::printf("wrote %s\n", out_path.c_str());
+  std::printf("wrote %s\n", args.out.c_str());
   std::ofstream nout(native_out_path);
   nout << njs.str();
   if (have_native)

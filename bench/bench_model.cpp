@@ -37,11 +37,13 @@
 // bench/baseline.json) and `search.inflight_peak`, the most survivors
 // the streaming fan-out held unsettled at once (recorded as data).
 //
-// Emits BENCH_model.json (override with --out=PATH). Unknown
-// --benchmark_* flags are accepted and ignored so the binary can run
-// under the CI smoke invocation shared by every bench.
+// Each variant's wall time is the fastest of at least three runs, more
+// while the --benchmark_min_time budget lasts; a budget scaled below
+// the default, as in the CI smoke pass, runs each variant once.
+//
+// Emits BENCH_model.json (override with --out=PATH); see
+// bench/harness.hpp for --benchmark_min_time.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -51,6 +53,7 @@
 #include <vector>
 
 #include "exec/interp.hpp"
+#include "harness.hpp"
 #include "ir/gallery.hpp"
 #include "model/cost.hpp"
 #include "pipeline/search.hpp"
@@ -85,14 +88,16 @@ struct FamilyReport {
   }
 };
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// How long measure_program times one variant: the fastest of
+// `min_runs` runs, more while `seconds` lasts.
+struct RunBudget {
+  int min_runs;
+  double seconds;
+};
 
 // Probe + time one generated program at N = kN.
-void measure_program(const Program& p, VariantRow* row) {
+void measure_program(const Program& p, const RunBudget& budget,
+                     VariantRow* row) {
   const std::map<std::string, i64> params = {{"N", kN}};
   {
     Memory mem;
@@ -107,13 +112,16 @@ void measure_program(const Program& p, VariantRow* row) {
     row->accesses = probe.accesses;
   }
   double best = 0;
-  for (int rep = 0; rep < 3; ++rep) {
+  double spent = 0;
+  for (int rep = 0; rep < budget.min_runs || spent < budget.seconds;
+       ++rep) {
     Memory mem;
     declare_arrays(p, params, mem);
     fill_spd(mem, 1);
-    double t0 = now_s();
+    const double t0 = bench::now_s();
     interpret(p, params, mem, {});
-    double dt = now_s() - t0;
+    const double dt = bench::now_s() - t0;
+    spent += dt;
     if (rep == 0 || dt < best) best = dt;
   }
   row->seconds = best;
@@ -153,7 +161,8 @@ void finish(FamilyReport* fam) {
 // Family 1/2: §6 completion from order rows (one unit row per named
 // loop, outermost first); inexpressible orders are skipped.
 FamilyReport order_family(const std::string& name, Program (*make)(),
-                          const std::vector<std::string>& orders) {
+                          const std::vector<std::string>& orders,
+                          const RunBudget& budget) {
   FamilyReport fam;
   fam.name = name;
   TransformSession session(make());
@@ -186,7 +195,7 @@ FamilyReport order_family(const std::string& name, Program (*make)(),
     VariantRow row;
     row.name = order;
     row.model_lines = estimate_cost(layout, matrix, mopts).total_lines;
-    measure_program(*cand.program, &row);
+    measure_program(*cand.program, budget, &row);
     fam.rows.push_back(std::move(row));
   }
   finish(&fam);
@@ -197,7 +206,7 @@ FamilyReport order_family(const std::string& name, Program (*make)(),
 // stages scores the whole legal permutation × skew space, then every
 // hit's generated program is probed.
 FamilyReport rank_family(const std::string& name, Program (*make)(),
-                         SearchSpace space) {
+                         SearchSpace space, const RunBudget& budget) {
   FamilyReport fam;
   fam.name = name;
   TransformSession session(make());
@@ -214,7 +223,7 @@ FamilyReport rank_family(const std::string& name, Program (*make)(),
     label << "candidate#" << h.index;
     row.name = label.str();
     row.model_lines = h.cost->total_lines;
-    measure_program(*cand.program, &row);
+    measure_program(*cand.program, budget, &row);
     fam.rows.push_back(std::move(row));
   }
   finish(&fam);
@@ -245,10 +254,10 @@ RankSpaceReport rank_space() {
   sopts.top_k = 5;
   Stats::global().counter("search.inflight_peak").store(0);
   const StatsSnapshot before = Stats::global().snapshot();
-  const double t0 = now_s();
+  const double t0 = bench::now_s();
   SearchResult res = session.search(SearchSpace{2, 2}, sopts);
   RankSpaceReport r;
-  r.seconds = now_s() - t0;
+  r.seconds = bench::now_s() - t0;
   const StatsSnapshot delta = Stats::global().snapshot() - before;
   r.candidates = res.stats.candidates_total;
   r.legal = res.stats.legal;
@@ -291,20 +300,19 @@ void emit_family(std::ostream& os, const FamilyReport& fam) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_model.json";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-    // --benchmark_* flags: accepted, ignored.
-  }
+  const bench::Args defaults{"BENCH_model.json", 0.05};
+  const bench::Args args = bench::parse_args(argc, argv, defaults);
+  const RunBudget budget{args.budget_s < defaults.budget_s ? 1 : 3,
+                         args.budget_s};
 
   std::vector<FamilyReport> fams;
-  fams.push_back(order_family("cholesky_orders", &gallery::cholesky,
-                              {"KJL", "KLJ", "LJK", "LKJ", "JKL", "JLK"}));
-  fams.push_back(order_family("lu_orders", &gallery::lu,
-                              {"KJL", "KLJ", "LJK", "LKJ", "JKL", "JLK"}));
+  const std::vector<std::string> orders = {"KJL", "KLJ", "LJK",
+                                           "LKJ", "JKL", "JLK"};
+  fams.push_back(
+      order_family("cholesky_orders", &gallery::cholesky, orders, budget));
+  fams.push_back(order_family("lu_orders", &gallery::lu, orders, budget));
   fams.push_back(rank_family("skew_example", &gallery::augmentation_example,
-                             SearchSpace{1, 1}));
+                             SearchSpace{1, 1}, budget));
 
   bool all_pass = true;
   for (const FamilyReport& fam : fams) {
@@ -355,8 +363,8 @@ int main(int argc, char** argv) {
      << ",\"inflight_peak\":" << rs.inflight_peak
      << ",\"seconds\":" << rs.seconds << "}";
   js << ",\"rank_agreement\":" << (all_pass ? "true" : "false") << "}\n";
-  std::ofstream out(out_path);
+  std::ofstream out(args.out);
   out << js.str();
-  std::printf("wrote %s\n", out_path.c_str());
+  std::printf("wrote %s\n", args.out.c_str());
   return all_pass ? 0 : 1;
 }

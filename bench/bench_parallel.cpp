@@ -15,12 +15,9 @@
 // Emits BENCH_parallel.json (override with --out=PATH). Speedups are
 // reported as data, not asserted: they depend on the host's core
 // count (nproc on the CI runners; 1 on a uniprocessor, where every
-// ratio is ~1 and only the bit-identity check has teeth). Unknown
-// --benchmark_* flags are accepted and ignored so the binary can run
-// under the CI smoke invocation shared by every bench.
-#include <chrono>
+// ratio is ~1 and only the bit-identity check has teeth). See
+// bench/harness.hpp for --benchmark_min_time.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -29,6 +26,7 @@
 
 #include "codegen/generate.hpp"
 #include "exec/interp.hpp"
+#include "harness.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "support/profile.hpp"
@@ -38,12 +36,6 @@
 namespace {
 
 using namespace inlt;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 Program stencil() {
   return parse_program(R"(
@@ -146,9 +138,9 @@ Run measure(const Kernel& k, const std::map<std::string, i64>& params,
   }
   for (;;) {
     Memory mem = proto;
-    double t0 = now_s();
+    const double t0 = bench::now_s();
     interpret(k.program, params, mem, opts);
-    r.seconds += now_s() - t0;
+    r.seconds += bench::now_s() - t0;
     r.runs += 1;
     if (r.seconds >= budget_s && r.runs >= 3) break;
   }
@@ -158,26 +150,16 @@ Run measure(const Kernel& k, const std::map<std::string, i64>& params,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double budget_s = 0.25;
-  std::string out_path = "BENCH_parallel.json";
+  const bench::Args args =
+      bench::parse_args(argc, argv, {"BENCH_parallel.json", 0.25});
+  // --profile attaches the execution profiler's per-thread-count report
+  // (utilization, barrier share, measured parallel fraction) to each
+  // timed entry. The profiler's clock reads ride inside the timed
+  // region, so --profile numbers are not comparable to unprofiled ones
+  // — the CI regression gate runs without it.
   bool profile = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg == "--profile") {
-      // Attach the execution profiler's per-thread-count report
-      // (utilization, barrier share, measured parallel fraction) to
-      // each timed entry. The profiler's clock reads ride inside the
-      // timed region, so --profile numbers are not comparable to
-      // unprofiled ones — the CI regression gate runs without it.
-      profile = true;
-    } else if (arg.rfind("--benchmark_min_time=", 0) == 0) {
-      double v = std::atof(arg.c_str() + std::strlen("--benchmark_min_time="));
-      if (v > 0) budget_s = arg.back() == 'x' ? std::min(0.25, 0.05 * v) : v;
-    }
-    // Other --benchmark_* flags: accepted, ignored.
-  }
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--profile") == 0) profile = true;
 
   const std::vector<i64> sizes = {64, 96, 128};
   const std::vector<int> threads = {1, 2, 4, 8};
@@ -213,7 +195,7 @@ int main(int argc, char** argv) {
           ExecProfiler::global().clear();
           ExecProfiler::global().enable();
         }
-        Run r = measure(k, params, proto, threads[t], budget_s);
+        Run r = measure(k, params, proto, threads[t], args.budget_s);
         if (prof_this) ExecProfiler::global().disable();
         if (threads[t] == 1) serial_per_run = r.per_run();
         double speedup =
@@ -247,8 +229,8 @@ int main(int argc, char** argv) {
   }
   js << "]}\n";
 
-  std::ofstream out(out_path);
+  std::ofstream out(args.out);
   out << js.str();
-  std::printf("wrote %s\n", out_path.c_str());
+  std::printf("wrote %s\n", args.out.c_str());
   return 0;
 }

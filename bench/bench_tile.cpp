@@ -20,10 +20,8 @@
 // plus a generous floor on the recorded auto-tile wall-clock ratio:
 // on hosts whose outer cache swallows the whole working set the
 // fetch reduction does not convert to wall clock (see EXPERIMENTS.md
-// C11). Unknown --benchmark_* flags are accepted and ignored so the
-// binary runs under the CI smoke invocation shared by every bench.
+// C11). See bench/harness.hpp for --benchmark_min_time.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +32,7 @@
 
 #include "exec/interp.hpp"
 #include "exec/native.hpp"
+#include "harness.hpp"
 #include "ir/parser.hpp"
 #include "support/cache_geometry.hpp"
 #include "tile/plan.hpp"
@@ -41,12 +40,6 @@
 namespace {
 
 using namespace inlt;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Left-looking (jki) Cholesky: the output of completing the paper's
 // Cholesky fragment with the L-before-K order — the (K, J) band tiles.
@@ -124,9 +117,9 @@ Run measure(const Program& p, const std::map<std::string, i64>& params,
   double spent = 0;
   for (;;) {
     Memory mem = proto;
-    double t0 = now_s();
+    const double t0 = bench::now_s();
     interpret(p, params, mem, opts);
-    const double dt = now_s() - t0;
+    const double dt = bench::now_s() - t0;
     spent += dt;
     if (r.runs == 0 || dt < r.best) r.best = dt;
     r.runs += 1;
@@ -181,24 +174,18 @@ i64 probe_lines(const Program& p, const std::map<std::string, i64>& params,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double budget_s = 0.2;
-  std::string out_path = "BENCH_tile.json";
+  const bench::Args args =
+      bench::parse_args(argc, argv, {"BENCH_tile.json", 0.2});
   std::vector<i64> sizes_n = {128, 256};
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--n=", 0) == 0) {
-      sizes_n.clear();
-      std::istringstream is(arg.substr(4));
-      std::string tok;
-      while (std::getline(is, tok, ',')) sizes_n.push_back(std::atoll(tok.c_str()));
-      if (sizes_n.empty()) sizes_n = {128, 256};
-    } else if (arg.rfind("--benchmark_min_time=", 0) == 0) {
-      double v = std::atof(arg.c_str() + std::strlen("--benchmark_min_time="));
-      if (v > 0) budget_s = arg.back() == 'x' ? std::min(0.2, 0.05 * v) : v;
-    }
-    // Other --benchmark_* flags: accepted, ignored.
+    const std::string arg = argv[i];
+    if (arg.rfind("--n=", 0) != 0) continue;
+    sizes_n.clear();
+    std::istringstream is(arg.substr(4));
+    std::string tok;
+    while (std::getline(is, tok, ','))
+      sizes_n.push_back(std::atoll(tok.c_str()));
+    if (sizes_n.empty()) sizes_n = {128, 256};
   }
 
   std::string native_why;
@@ -241,9 +228,10 @@ int main(int argc, char** argv) {
                       k.name + " untiled/native");
 
       const i64 untiled_lines = probe_lines(k.program, params, proto);
-      Run un_vm = measure(k.program, params, proto, ExecEngine::kVm, budget_s);
+      Run un_vm =
+          measure(k.program, params, proto, ExecEngine::kVm, args.budget_s);
       Run un_nat =
-          measure(k.program, params, proto, ExecEngine::kNative, budget_s);
+          measure(k.program, params, proto, ExecEngine::kNative, args.budget_s);
 
       if (s) js << ",";
       js << "{\"n\":" << n
@@ -279,9 +267,10 @@ int main(int argc, char** argv) {
         check_identical(tiled, params, proto, ref, ExecEngine::kNative,
                         k.name + " tiled/native");
         const i64 tiled_lines = probe_lines(tiled, params, proto);
-        Run t_vm = measure(tiled, params, proto, ExecEngine::kVm, budget_s);
+        Run t_vm =
+            measure(tiled, params, proto, ExecEngine::kVm, args.budget_s);
         Run t_nat =
-            measure(tiled, params, proto, ExecEngine::kNative, budget_s);
+            measure(tiled, params, proto, ExecEngine::kNative, args.budget_s);
         const double nat_speedup =
             t_nat.per_run() > 0 ? un_nat.per_run() / t_nat.per_run() : 0;
         const double vm_speedup =
@@ -333,8 +322,8 @@ int main(int argc, char** argv) {
   js << "],\"best_auto_native_speedup_n256\":"
      << best_auto_native_speedup_n256 << "}\n";
 
-  std::ofstream out(out_path);
+  std::ofstream out(args.out);
   out << js.str();
-  std::printf("wrote %s\n", out_path.c_str());
+  std::printf("wrote %s\n", args.out.c_str());
   return 0;
 }

@@ -11,7 +11,7 @@ namespace inlt {
 
 namespace {
 
-// Thread-local so concurrent sessions (and evaluate_all workers) can
+// Thread-local so concurrent sessions (and search() workers) can
 // install independent or shared caches without synchronizing here.
 thread_local ProjectionCache* tl_projection_cache = nullptr;
 

@@ -27,7 +27,7 @@ namespace inlt {
 /// wrong projection — the stored value is exactly what the uncached
 /// computation produced, and a hit is bit-identical to a
 /// recomputation. Thread-safe; shared by the worker threads of
-/// TransformSession::evaluate_all.
+/// TransformSession::search().
 class ProjectionCache {
  public:
   using Hasher = std::uint64_t (*)(const ConstraintSystem&, int);

@@ -392,28 +392,15 @@ CostEstimate CostModel::estimate(const IntMat& m, const AstRecovery& rec,
 }
 
 CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
-                           const AstRecovery& rec, const ModelOptions& opts) {
-  return CostModel(src, opts).estimate(m, rec);
-}
-
-CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
                            const ModelOptions& opts) {
-  AstRecovery rec = recover_ast(src, m);
-  return estimate_cost(src, m, rec, opts);
+  return CostModel(src, opts).estimate(m, recover_ast(src, m));
 }
 
 CostEstimate estimate_cost(const IvLayout& src, const DependenceSet& deps,
                            const IntMat& m, const AstRecovery& rec,
                            const ModelOptions& opts) {
-  return estimate_cost(src, m, rec, target_dependences(src, deps, m, rec),
-                       opts);
-}
-
-CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
-                           const AstRecovery& rec,
-                           const DependenceSet& target_deps,
-                           const ModelOptions& opts) {
-  return CostModel(src, opts).estimate(m, rec, target_deps);
+  return CostModel(src, opts).estimate(m, rec,
+                                       target_dependences(src, deps, m, rec));
 }
 
 std::string CostEstimate::to_text() const {

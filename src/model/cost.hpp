@@ -181,38 +181,25 @@ class CostModel {
   std::atomic<i64>& misses_;
 };
 
-/// Estimate the cost of candidate `m` against the source layout. `rec`
-/// must come from recover_ast(src, m). Pure static analysis: no code
-/// generation, no execution. Statements whose per-statement
-/// transformation is rank-deficient are completed with nullspace rows
-/// (the innermost loops augmentation would add); see DESIGN.md for the
-/// model's known inaccuracies. This and the overloads below are
-/// one-shot wrappers over a temporary CostModel.
-CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
-                           const AstRecovery& rec,
-                           const ModelOptions& opts = {});
-
-/// Convenience: recover the AST, then estimate. Throws (like
-/// recover_ast) when the matrix is not block-structured.
+/// Estimate the cost of candidate `m` against the source layout: a
+/// one-shot wrapper over a temporary CostModel that recovers the AST
+/// first. Pure static analysis: no code generation, no execution.
+/// Statements whose per-statement transformation is rank-deficient
+/// are completed with nullspace rows (the innermost loops augmentation
+/// would add); see DESIGN.md for the model's known inaccuracies.
+/// Throws (like recover_ast) when the matrix is not block-structured.
 CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
                            const ModelOptions& opts = {});
 
-/// Dependence-aware estimate: the base estimate plus the parallel-work
-/// term. The candidate's doall partition (analyze_target_parallelism)
-/// fills `partition` and `parallel_fraction` at any thread count; the
-/// parallel share of the lines is divided by `opts.exec_threads` in
-/// effective_lines. With exec_threads == 1 total_lines, refs and
-/// effective_lines equal the base estimate's.
+/// Dependence-aware estimate; `rec` must come from recover_ast(src, m).
+/// The base estimate plus the parallel-work term: the candidate's
+/// doall partition (analyze_target_parallelism) fills `partition` and
+/// `parallel_fraction` at any thread count; the parallel share of the
+/// lines is divided by `opts.exec_threads` in effective_lines. With
+/// exec_threads == 1 total_lines, refs and effective_lines equal the
+/// base estimate's.
 CostEstimate estimate_cost(const IvLayout& src, const DependenceSet& deps,
                            const IntMat& m, const AstRecovery& rec,
-                           const ModelOptions& opts = {});
-
-/// Same, from the candidate's target-space dependences
-/// (target_dependences(src, deps, m, rec)) when the caller already
-/// holds them, as search's candidate pipeline does.
-CostEstimate estimate_cost(const IvLayout& src, const IntMat& m,
-                           const AstRecovery& rec,
-                           const DependenceSet& target_deps,
                            const ModelOptions& opts = {});
 
 }  // namespace inlt

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "dependence/direction.hpp"
 #include "pipeline/candidate.hpp"
@@ -116,6 +117,14 @@ std::unique_ptr<CandidateGenerator> PermutationSkewGenerator::clone() const {
 }
 
 namespace {
+
+// Worker threads for a session's SessionOptions::threads request: 0
+// means the machine's parallelism, n > 0 exactly n.
+int resolve_threads(int requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
 
 // One depth-first walk over a candidate space: the generator, the
 // engine that prunes it (null in exact mode) and the matrix the walk
@@ -495,7 +504,7 @@ SearchResult TransformSession::search(CandidateGenerator& gen,
   // from the session's engine, whose memo the walk above the cut then
   // reuses. Full-mode survivors cost milliseconds each and go one per
   // unit, as do the survivors of a space too small to cut.
-  const int nthreads = resolve_threads(opts_.threads, std::numeric_limits<int>::max());
+  const int nthreads = resolve_threads(opts_.threads);
   int cut = nslots;
   if (prune && nthreads > 1 && !pipe.has(StageKind::kCodegen)) {
     Walk probe(gen, engine_.get(), slots, width);

@@ -1,25 +1,11 @@
 #include "pipeline/session.hpp"
 
-#include <atomic>
-#include <thread>
-
 #include "codegen/simplify.hpp"
 #include "ir/parser.hpp"
 #include "support/trace.hpp"
 #include "transform/incremental.hpp"
 
 namespace inlt {
-
-int resolve_threads(int requested, size_t work_items) {
-  int n = requested;
-  if (n <= 0) {
-    // Default to the machine's parallelism; an explicit request is
-    // honored as-is.
-    unsigned hw = std::thread::hardware_concurrency();
-    n = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  return std::max(1, std::min(n, static_cast<int>(work_items)));
-}
 
 TransformSession TransformSession::from_source(const std::string& source_text,
                                                SessionOptions opts) {
@@ -93,32 +79,6 @@ CandidateResult TransformSession::evaluate_impl(
 
 CandidateResult TransformSession::evaluate(const IntMat& m) {
   return evaluate_impl(m);
-}
-
-std::vector<CandidateResult> TransformSession::evaluate_all(
-    const std::vector<IntMat>& candidates) {
-  std::vector<CandidateResult> out(candidates.size());
-  if (candidates.empty()) return out;
-  int nthreads =
-      resolve_threads(opts_.threads, candidates.size());
-  if (nthreads == 1) {
-    for (size_t i = 0; i < candidates.size(); ++i)
-      out[i] = evaluate_impl(candidates[i]);
-    return out;
-  }
-  std::atomic<size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= candidates.size()) return;
-      out[i] = evaluate_impl(candidates[i]);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(nthreads));
-  for (int t = 0; t < nthreads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  return out;
 }
 
 }  // namespace inlt

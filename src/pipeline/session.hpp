@@ -16,9 +16,8 @@
 //    chains inside a single code generation) reuse projections;
 //  * every candidate's outcome is reported as structured Diagnostics
 //    collected in a per-session DiagnosticEngine;
-//  * `evaluate_all` fans a batch of candidates across a small thread
-//    pool (the per-candidate paths are side-effect-free; results are
-//    deterministic and index-aligned with the input).
+//  * `search` walks a whole candidate space, deciding and evaluating
+//    candidates on the session's worker threads (search.hpp).
 //
 // Instrumentation (FM eliminations, cache hits/misses, legality
 // checks, per-stage codegen time) accumulates on Stats::global().
@@ -55,7 +54,7 @@ struct SessionOptions {
   bool exact = false;
   /// Run the simplification pass on generated programs.
   bool simplify = true;
-  /// Worker threads for evaluate_all; 0 = use hardware concurrency,
+  /// Worker threads for search(); 0 = use hardware concurrency,
   /// 1 = sequential, n > 1 = exactly n workers.
   int threads = 0;
 };
@@ -184,12 +183,6 @@ struct CandidateResult {
   std::optional<VerifyResult> verify;
 };
 
-/// Resolve a worker-thread request against hardware concurrency and
-/// the number of work items (the semantics of SessionOptions::threads).
-/// Shared by evaluate_all and the deferred evaluation stage of
-/// full-mode search().
-int resolve_threads(int requested, size_t work_items);
-
 class TransformSession {
  public:
   /// Parse `source_text` and analyze it. Throws on parse/analysis
@@ -209,13 +202,6 @@ class TransformSession {
   /// code. Never throws for candidate-specific failures — they land in
   /// the result's diagnostics (and in diags()).
   CandidateResult evaluate(const IntMat& m);
-
-  /// Evaluate a batch across the session thread pool. Results are
-  /// index-aligned with `candidates` and identical to sequential
-  /// evaluate() calls (cached projections are bit-identical to
-  /// uncached ones).
-  std::vector<CandidateResult> evaluate_all(
-      const std::vector<IntMat>& candidates);
 
   /// Walk a candidate space depth-first through the incremental
   /// legality engine: prefixes whose partial transformed dependences
@@ -243,7 +229,7 @@ class TransformSession {
   DiagnosticEngine& diags() { return diags_; }
 
   /// The FM projection memo. Clearing it turns the next evaluation
-  /// cold again (bench_session measures exactly this).
+  /// cold again.
   ProjectionCache& projection_cache() { return cache_; }
 
   /// Process-wide instrumentation registry (counters incremented by
@@ -262,7 +248,7 @@ class TransformSession {
   ProjectionCache cache_;
   // Created lazily by the first search(); owns the prefix memo trie.
   std::unique_ptr<IncrementalLegality> engine_;
-  std::mutex diag_mu_;  // evaluate_all workers report concurrently
+  std::mutex diag_mu_;  // search() workers report concurrently
   DiagnosticEngine diags_;
 };
 

@@ -152,7 +152,7 @@ TEST(CostModel, ConvenienceOverloadMatchesExplicitRecovery) {
   IvLayout layout(p);
   IntMat ident = IntMat::identity(layout.size());
   AstRecovery rec = recover_ast(layout, ident);
-  CostEstimate a = estimate_cost(layout, ident, rec, small_opts());
+  CostEstimate a = CostModel(layout, small_opts()).estimate(ident, rec);
   CostEstimate b = estimate_cost(layout, ident, small_opts());
   EXPECT_DOUBLE_EQ(a.total_lines, b.total_lines);
   ASSERT_EQ(a.refs.size(), b.refs.size());

@@ -190,8 +190,8 @@ TEST(CostModel, ConcurrentEstimatesShareOneMemo) {
   const StatsSnapshot delta = Stats::global().snapshot() - before;
 
   for (size_t i = 0; i < legal.size(); ++i) {
-    const CostEstimate one =
-        estimate_cost(layout, legal[i], recs[i], tdeps[i], model.options());
+    const CostEstimate one = CostModel(layout, model.options())
+                                 .estimate(legal[i], recs[i], tdeps[i]);
     for (int t = 0; t < 4; ++t)
       expect_same(got[t][i], one, "candidate " + std::to_string(i));
   }

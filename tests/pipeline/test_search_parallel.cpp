@@ -4,11 +4,15 @@
 // rejection provenance — with or without semantic verification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "ir/gallery.hpp"
 #include "ir/printer.hpp"
@@ -168,6 +172,35 @@ TEST(SearchParallel, LegalityOnlyModeUnaffectedByThreadCount) {
   ASSERT_EQ(seq.hits.size(), par.hits.size());
   for (size_t i = 0; i < seq.hits.size(); ++i)
     EXPECT_EQ(seq.hits[i].index, par.hits[i].index);
+}
+
+TEST(SearchParallel, ExactModeReportsTheSameDiagnosticsAtFourThreads) {
+  // Exact mode cannot prune, so each of LU's 24 orders runs through
+  // codegen on the worker threads, and the illegal ones report into
+  // the session's diagnostics concurrently.
+  auto run = [](int threads) {
+    SessionOptions opts;
+    opts.exact = true;
+    opts.threads = threads;
+    TransformSession session(gallery::lu(), opts);
+    SearchResult res = session.search(SearchSpace{});
+    std::vector<std::string> messages;
+    for (const Diagnostic& d : session.diags().all())
+      messages.push_back(d.message);
+    std::sort(messages.begin(), messages.end());  // a multiset
+    return std::make_pair(std::move(res), std::move(messages));
+  };
+  const auto [seq, seq_messages] = run(1);
+  const auto [par, par_messages] = run(4);
+  EXPECT_EQ(seq.stats.evaluated, seq.stats.candidates_total);
+  EXPECT_GT(seq.stats.legal, 0);
+  EXPECT_GT(seq.stats.illegal_evaluated, 0);
+  expect_identical(seq, par);
+  ASSERT_EQ(seq.hits.size(), par.hits.size());
+  for (size_t i = 0; i < seq.hits.size(); ++i)
+    EXPECT_EQ(seq.hits[i].result.error, par.hits[i].result.error);
+  EXPECT_FALSE(seq_messages.empty());
+  EXPECT_EQ(seq_messages, par_messages);
 }
 
 // -- the split walk ----------------------------------------------------

@@ -1,11 +1,10 @@
 // TransformSession: projection-cache correctness (cached results are
-// bit-identical to uncached), structured diagnostics for illegal
-// candidates, and deterministic threaded evaluate_all.
+// bit-identical to uncached) and structured diagnostics for illegal
+// candidates. Concurrent evaluation is covered by search() in
+// test_search_parallel.cpp.
 #include "pipeline/session.hpp"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "codegen/generate.hpp"
 #include "ir/gallery.hpp"
@@ -173,59 +172,6 @@ TEST(SessionTest, LegalityViolationsMirrorDiagnostics) {
   ASSERT_EQ(r.legality.violations.size(), r.legality.diagnostics.size());
   for (size_t i = 0; i < r.legality.violations.size(); ++i)
     EXPECT_EQ(r.legality.violations[i], r.legality.diagnostics[i].message);
-}
-
-std::vector<IntMat> lu_candidates(const IvLayout& layout) {
-  std::vector<IntMat> out;
-  std::vector<std::string> order = {"I", "J", "K", "L"};
-  std::sort(order.begin(), order.end());
-  do {
-    out.push_back(loop_permutation(layout, order));
-  } while (std::next_permutation(order.begin(), order.end()));
-  return out;
-}
-
-TEST(SessionTest, EvaluateAllMatchesSequentialAndIsDeterministic) {
-  Program p = gallery::lu();
-
-  // Sequential reference.
-  SessionOptions seq_opts;
-  seq_opts.threads = 1;
-  TransformSession seq(p, seq_opts);
-  std::vector<IntMat> cands = lu_candidates(seq.layout());
-  std::vector<CandidateResult> expected;
-  for (const IntMat& m : cands) expected.push_back(seq.evaluate(m));
-
-  SessionOptions par_opts;
-  par_opts.threads = 4;
-  TransformSession par(p, par_opts);
-  for (int round = 0; round < 2; ++round) {  // cold round, then warm
-    std::vector<CandidateResult> got = par.evaluate_all(cands);
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].legal, expected[i].legal) << "candidate " << i;
-      ASSERT_EQ(got[i].program.has_value(), expected[i].program.has_value());
-      if (got[i].program) {
-        EXPECT_EQ(print_program(*got[i].program),
-                  print_program(*expected[i].program))
-            << "candidate " << i << " round " << round;
-      }
-      EXPECT_EQ(got[i].error, expected[i].error) << "candidate " << i;
-    }
-  }
-}
-
-TEST(SessionTest, EvaluateAllSequentialFallback) {
-  SessionOptions opts;
-  opts.threads = 1;
-  TransformSession session(gallery::cholesky(), opts);
-  std::vector<IntMat> cands = {
-      loop_permutation(session.layout(), {"K", "I", "J", "L"}),
-      loop_permutation(session.layout(), {"K", "J", "I", "L"}),
-  };
-  std::vector<CandidateResult> rs = session.evaluate_all(cands);
-  ASSERT_EQ(rs.size(), 2u);
-  EXPECT_TRUE(rs[0].legal) << rs[0].error;
 }
 
 TEST(SessionTest, FromSourceParsesAndAnalyzesOnce) {
