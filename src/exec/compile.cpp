@@ -323,17 +323,15 @@ class VmCompiler {
   // The carried-entry plan of loop `idx` (node `n`, the parent P): the
   // leaf it reaches through its chain of links, and every value a leaf
   // entry evaluates, split into the leaf variable's term and the rest,
-  // with the change of that rest per row of P. A link's value when it
-  // runs is its single_trip_term, so it moves with the rows like any
-  // other. -1 when there is no such leaf, or the leaf or a bound is of
-  // a form the carried path leaves to the per-entry path: a non-unit
-  // leaf step, a cover-mode leaf bound, a bound term with a
-  // denominator, a kAffine operand, or a compiled constant that
-  // overflows.
+  // with the change of that rest per row of P. A link runs once at
+  // every row, at its one bound term, so its value moves with the rows
+  // like any other. -1 when there is no such leaf, or the leaf is of a
+  // form the carried path leaves to the per-entry path: a non-unit
+  // step, a cover-mode bound, a bound term with a denominator, a
+  // kAffine operand, or a compiled constant that overflows.
   int build_carry_plan(const Node& n, int idx) {
     const LoopChain ch = loop_chain(n);
-    if (!ch.inner || !ch.inner->guards().empty() || single_trip_term(n) >= 0)
-      return -1;
+    if (!ch.inner || !ch.inner->guards().empty() || n.runs_once()) return -1;
     VmProgram::CarryPlan C;
     C.links = static_cast<int>(ch.links.size());
     C.leaf = idx + C.links + 1;
@@ -345,11 +343,9 @@ class VmCompiler {
     if (L.leaf < 0 || P.step <= 0 || L.step != 1 || !max_min(L.lower) ||
         !max_min(L.upper) || vm_.leaf_plans_[L.leaf].has_affine)
       return -1;
-    for (int id = idx + 1; id <= C.leaf; ++id)
-      for (const VmProgram::CBound* b :
-           {&vm_.loops_[id].lower, &vm_.loops_[id].upper})
-        for (const VmProgram::CBoundTerm& t : b->terms)
-          if (t.den != 1) return -1;
+    for (const VmProgram::CBound* b : {&L.lower, &L.upper})
+      for (const VmProgram::CBoundTerm& t : b->terms)
+        if (t.den != 1) return -1;
     // (slot, change per row) of P's variable and each link's.
     std::vector<std::pair<int, i64>> moving{{P.slot, P.step}};
     std::vector<int> fixed;  // the other slots the expressions read
@@ -378,26 +374,18 @@ class VmCompiler {
       size = std::max(size, sz);
       vals.push_back(std::move(v));
     };
-    auto add_bounds = [&](const VmProgram::LoopInfo& K, int first) {
-      const auto& lo = K.lower.terms;
-      add(lo[first].expr);
-      for (size_t t = 0; t < lo.size(); ++t)
-        if (static_cast<int>(t) != first) add(lo[t].expr);
-      for (const VmProgram::CBoundTerm& t : K.upper.terms) add(t.expr);
-    };
     std::vector<int> init_of(vm_.accesses_.size(), -1);  // access -> value
     try {
       for (int j = 0; j < C.links; ++j) {
         const VmProgram::LoopInfo& K = vm_.loops_[idx + 1 + j];
         if (K.step <= 0) return -1;
         size = std::max(size, K.step);
-        const size_t at = vals.size();
-        add_bounds(K, single_trip_term(*ch.links[j]));
-        moving.emplace_back(K.slot, vals[at].delta);
+        add(K.lower.terms[0].expr);
+        moving.emplace_back(K.slot, vals.back().delta);
       }
-      C.leaf_lower = static_cast<int>(vals.size());
-      add_bounds(L, 0);
-      C.leaf_upper = C.leaf_lower + static_cast<int>(L.lower.terms.size());
+      for (const VmProgram::CBoundTerm& t : L.lower.terms) add(t.expr);
+      C.leaf_upper = static_cast<int>(vals.size());
+      for (const VmProgram::CBoundTerm& t : L.upper.terms) add(t.expr);
       C.inits = static_cast<int>(vals.size());
       for (int i = L.init_begin; i != L.init_end; ++i) {
         const VmProgram::Access& a = vm_.accesses_[vm_.inits_[i].access];

@@ -33,33 +33,13 @@ LoopPlan plan_loop(const Node& loop) {
   return plan;
 }
 
-bool runs_once(const Node& n) {
-  const Bound& lo = n.lower();
-  return lo.single() && lo.terms[0].den == 1 && lo.terms == n.upper().terms;
-}
-
-int single_trip_term(const Node& loop) {
-  const Bound& lo = loop.lower();
-  const Bound& hi = loop.upper();
-  auto max_min = [](const Bound& b) {
-    return b.single() || b.mode == Bound::Mode::kTight;
-  };
-  if (!max_min(lo) || !max_min(hi)) return -1;
-  for (size_t i = 0; i < lo.terms.size(); ++i)
-    if (lo.terms[i].den == 1 &&
-        std::find(hi.terms.begin(), hi.terms.end(), lo.terms[i]) !=
-            hi.terms.end())
-      return static_cast<int>(i);
-  return -1;
-}
-
 LoopChain loop_chain(const Node& loop) {
   LoopChain ch;
   if (loop.children().size() != 1 || !loop.children()[0]->is_loop())
     return ch;
   const Node* n = loop.children()[0].get();
   while (n->guards().empty() && n->children().size() == 1 &&
-         n->children()[0]->is_loop() && single_trip_term(*n) >= 0) {
+         n->children()[0]->is_loop() && n->runs_once()) {
     ch.links.push_back(n);
     n = n->children()[0].get();
   }
@@ -104,9 +84,7 @@ std::vector<int> apart_dims(const std::vector<AffineExpr>& write,
 JamPlan plan_jam(const Node& loop) {
   JamPlan none, jam;
   LoopChain ch = loop_chain(loop);
-  if (loop.step() != 1 || runs_once(loop) || !ch.inner) return none;
-  for (const Node* link : ch.links)
-    if (!runs_once(*link)) return none;
+  if (loop.step() != 1 || loop.runs_once() || !ch.inner) return none;
   const Node* leaf = ch.inner;
   jam.chain = std::move(ch.links);
   if (!leaf->guards().empty() || leaf->step() != 1 ||

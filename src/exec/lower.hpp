@@ -31,22 +31,10 @@ struct LoopPlan {
 /// The plan of loop node `loop`, from the Program alone.
 LoopPlan plan_loop(const Node& loop);
 
-/// Both bounds of `loop` are one and the same expression with
-/// denominator 1: it runs exactly once.
-bool runs_once(const Node& loop);
-
-/// The index of a lower-bound term with denominator 1 that is also an
-/// upper-bound term, both bounds taking the max/min of their terms (or
-/// having one term): then `loop` runs at most once, at that term's
-/// value. -1 when there is none. Codegen's one-trip loops (`do J = 2*K,
-/// 2*K`) are the case of one term each; tiling one gives
-/// `do J = max(JT, 2*K), min(JT + 31, 2*K)`.
-int single_trip_term(const Node& loop);
-
 /// `loop`'s only child, followed down the chain of links: unguarded
-/// loops with one child loop and a single_trip_term. `inner` is the
-/// first loop that is not such a link, null when `loop` has another
-/// child or a statement child.
+/// loops with one child loop that run exactly once (Node::runs_once).
+/// `inner` is the first loop that is not such a link, null when `loop`
+/// has another child or a statement child.
 struct LoopChain {
   const Node* inner = nullptr;
   std::vector<const Node*> links;  ///< outer first
@@ -55,13 +43,10 @@ LoopChain loop_chain(const Node& loop);
 
 /// How the C emitter unrolls and jams a column-walking nest (DESIGN.md
 /// "Jammed column walks"): `loop` (J) has unit step, does not run
-/// exactly once, and has, through a loop_chain of loops that run once,
-/// one leaf loop L
-/// of unit step with one-term bounds. Each loop of `chain` is
-/// unguarded, has one child and runs exactly once (its bounds are one
-/// and the same expression). Some leaf write has J with coefficient 1
-/// in its last subscript and no L there, so 8 consecutive J values
-/// touch 8 adjacent doubles.
+/// exactly once, and has, through its loop_chain, one leaf loop L of
+/// unit step with one-term bounds. Some leaf write has J with
+/// coefficient 1 in its last subscript and no L there, so 8
+/// consecutive J values touch 8 adjacent doubles.
 struct JamPlan {
   const Node* leaf = nullptr;  ///< null: `loop` does not jam
   std::vector<const Node*> chain;  ///< the one-trip loops, outer first

@@ -288,10 +288,10 @@ bool VmProgram::leaf_batchable(const LeafPlan& P, i64 m) const {
 // The carried path (vm.hpp). Called right after kLoopEnter entered P,
 // the parent of a carried leaf, at lo (its first row counted). Walks
 // P's rows itself. carry_segments decides, for the whole activation,
-// which rows enter the links and the leaf, that no hoisted check
-// fails, that the budget covers it, and which rows must test the leaf
-// pairs; each row then only sets the entry offsets, each its carried
-// value plus the leaf variable's term, and runs the leaf's chunks.
+// which rows enter the leaf, that no hoisted check fails, that the
+// budget covers it, and which rows must test the leaf pairs; each row
+// then only sets the link values and entry offsets, each its carried
+// value (plus the leaf variable's term), and runs the leaf's chunks.
 // Returns P's back-edge, so the exit happens there, with the counts
 // the per-entry path would have made. An activation for which that is
 // not decided (a check or the budget would fail, or a value could
@@ -305,11 +305,10 @@ size_t VmProgram::run_carried(const LoopInfo& P, size_t enter_pc, i64 lo,
   if (__builtin_sub_overflow(hi, lo, &span)) return body_pc;
   const i64 rows = span / P.step + 1;
   CarrySeg segs[kMaxSegs];
-  i64 link_iters = 0, trips = 0;
+  i64 trips = 0;
   const int nsegs =
       carry_start(C, P, lo, rows)
-          ? carry_segments(C, rows, max_instances - st.instances, segs,
-                           link_iters, trips)
+          ? carry_segments(C, rows, max_instances - st.instances, segs, trips)
           : -1;
   if (nsegs < 0) return body_pc;
   const LoopInfo& L = loops_[static_cast<size_t>(C.leaf)];
@@ -327,11 +326,8 @@ size_t VmProgram::run_carried(const LoopInfo& P, size_t enter_pc, i64 lo,
       const i64 m = at(g.hi, r) - llo + 1;
       // P's and the links' values, which leaf operands may read.
       env_[P.slot] = lo + r * P.step;
-      for (int l = 0, v = 0; l < C.links; ++l) {
-        const LoopInfo& K = loops_[static_cast<size_t>(C.leaf - C.links + l)];
-        env_[K.slot] = at(v, r);
-        v += static_cast<int>(K.lower.terms.size() + K.upper.terms.size());
-      }
+      for (int l = 0; l < C.links; ++l)
+        env_[loops_[static_cast<size_t>(C.leaf - C.links + l)].slot] = at(l, r);
       for (int j = C.inits; j < C.checks; ++j)
         offs_[cv[j].reg] = at(j, r) + cv[j].coef * llo;
       run_chunks(LP, L, llo, m, !g.test_pairs || leaf_batchable(LP, m));
@@ -340,7 +336,7 @@ size_t VmProgram::run_carried(const LoopInfo& P, size_t enter_pc, i64 lo,
   leaf_entries_ += entries;
   carried_entries_ += entries;
   st.instances += trips * k;
-  st.loop_iterations += rows - 1 + link_iters + trips;
+  st.loop_iterations += rows - 1 + C.links * rows + trips;
   env_[P.slot] = lo + (rows - 1) * P.step;
   return static_cast<size_t>(code_[enter_pc].jump) - 1;
 }
@@ -350,7 +346,7 @@ size_t VmProgram::run_carried(const LoopInfo& P, size_t enter_pc, i64 lo,
 // could leave C.max_mag, the range in which no per-entry partial sum
 // overflows. Slot values move monotonically over the rows, so their
 // first and last rows bound them; a bound's value stays within its
-// terms', and a link's value is one of them.
+// terms'.
 bool VmProgram::carry_start(const CarryPlan& C, const LoopInfo& P, i64 lo,
                             i64 rows) {
   auto fits = [&](i64 v) { return v >= -C.max_mag && v <= C.max_mag; };
@@ -378,36 +374,28 @@ bool VmProgram::carry_start(const CarryPlan& C, const LoopInfo& P, i64 lo,
     now[j] = v;
     return true;
   };
-  int j = 0;
-  for (int l = 0; l < C.links; ++l) {
-    const LoopInfo& K = loops_[static_cast<size_t>(C.leaf - C.links + l)];
-    const int first = j;
-    j += static_cast<int>(K.lower.terms.size() + K.upper.terms.size());
-    for (int t = first; t < j; ++t)
-      if (!start(t)) return false;
-    env_[K.slot] = now[first];  // its value, for later expressions
-  }
-  for (; j < C.inits; ++j)
+  for (int j = 0; j < C.inits; ++j) {
     if (!start(j)) return false;
-  for (; j < C.val_end; ++j) now[j] = eval(cv[j].base);
+    if (j < C.links)  // a link's value, for later expressions
+      env_[loops_[static_cast<size_t>(C.leaf - C.links + j)].slot] = now[j];
+  }
+  for (int j = C.inits; j < C.val_end; ++j) now[j] = eval(cv[j].base);
   return true;
 }
 
 // The rows of an activation (rows rows, row-0 values in carry_now_)
-// cut into segments: the rows that enter every link and the leaf, as
-// runs over which each leaf bound is one term. All bound terms have
-// denominator 1, so a loop runs at a row iff each lower term is at
-// most each upper term, an affine condition on the row; the links'
-// conditions give link_iters, the link entries the per-entry path
-// counts. Over a segment every entry value is affine in the row, so a
-// check that holds at its two ends holds between, and the trips sum
-// in closed form (`trips`). A pair apart at the ends of a segment in
+// cut into segments: the rows that enter the leaf, as runs over which
+// each leaf bound is one term. The leaf's bound terms have
+// denominator 1, so it runs at a row iff each lower term is at most
+// each upper term, an affine condition on the row. Over a segment
+// every entry value is affine in the row, so a check that holds at
+// its two ends holds between, and the trips sum in closed form
+// (`trips`). A pair apart at the ends of a segment in
 // the sense below is apart at every row of it; the others make the
 // segment test pairs per row. -1 when a check fails, the budget
 // `room` does not cover the activation, or the segments do not fit.
 int VmProgram::carry_segments(const CarryPlan& C, i64 rows, i64 room,
-                              CarrySeg* segs, i64& link_iters,
-                              i64& trips) const {
+                              CarrySeg* segs, i64& trips) const {
   const CarryVal* const cv = carry_vals_.data() + C.val_begin;
   const i64* const now = carry_now_.data() + C.val_begin;
   auto at = [&](int j, i64 r) { return now[j] + r * cv[j].delta; };
@@ -425,23 +413,9 @@ int VmProgram::carry_segments(const CarryPlan& C, i64 rows, i64 room,
       rb = ra - 1;
     return true;
   };
-  auto runs = [&](int first, int nlo, int nhi) {
-    for (int a = first; a < first + nlo; ++a)
-      for (int b = first + nlo; b < first + nlo + nhi; ++b)
-        if (!narrow(a, b)) return false;
-    return true;
-  };
-  link_iters = 0;
-  for (int l = 0, v = 0; l < C.links; ++l) {
-    const LoopInfo& K = loops_[static_cast<size_t>(C.leaf - C.links + l)];
-    const int nlo = static_cast<int>(K.lower.terms.size());
-    const int nhi = static_cast<int>(K.upper.terms.size());
-    if (!runs(v, nlo, nhi)) return -1;
-    v += nlo + nhi;
-    link_iters += std::max<i64>(rb - ra + 1, 0);
-  }
-  if (!runs(C.leaf_lower, C.leaf_upper - C.leaf_lower, C.inits - C.leaf_upper))
-    return -1;
+  for (int a = C.links; a < C.leaf_upper; ++a)
+    for (int b = C.leaf_upper; b < C.inits; ++b)
+      if (!narrow(a, b)) return -1;
 
   const LoopInfo& L = loops_[static_cast<size_t>(C.leaf)];
   const LeafPlan& LP = leaf_plans_[static_cast<size_t>(L.leaf)];
@@ -451,7 +425,7 @@ int VmProgram::carry_segments(const CarryPlan& C, i64 rows, i64 room,
     if (n == kMaxSegs) return -1;
     CarrySeg& g = segs[n];
     // The active terms at r; on a tie, the one that stays active.
-    g.lo = C.leaf_lower;
+    g.lo = C.links;
     for (int a = g.lo + 1; a < C.leaf_upper; ++a)
       if (at(a, r) > at(g.lo, r) ||
           (at(a, r) == at(g.lo, r) && cv[a].delta > cv[g.lo].delta))
@@ -469,7 +443,7 @@ int VmProgram::carry_segments(const CarryPlan& C, i64 rows, i64 room,
       if (d > 0) end = std::min(end, floor_div(now[to] - now[from], d));
       return true;
     };
-    for (int a = C.leaf_lower; a < C.leaf_upper; ++a)
+    for (int a = C.links; a < C.leaf_upper; ++a)
       if (!until(a, g.lo)) return -1;
     for (int b = C.leaf_upper; b < C.inits; ++b)
       if (!until(g.hi, b)) return -1;

@@ -72,30 +72,30 @@
 //
 // Carried leaf entries: most leaf activations come one per row of the
 // leaf's parent P, the nearest enclosing loop that is not a link of
-// the one-trip chains codegen and tiling emit (`do J = 2*K, 2*K`,
-// `do J = max(JT, 2*K), min(JT + 31, 2*K)`: loops that run at most
-// once, at a term both bounds share). When every link and leaf bound
-// term has denominator 1, the leaf's bounds take the max/min of their
-// terms, and the leaf steps by 1 and has no kAffine operand,
-// compile.cpp gives P a carry plan: each value a leaf entry
-// evaluates (link and leaf bound terms, entry offsets, hoisted-check
-// subscripts) split into the leaf variable's term and a rest that
-// changes by a constant per row of P. P's kLoopEnter then runs the
-// whole activation (run_carried): from row 0's values, a link or the
-// leaf runs at a row iff each lower term is at most each upper term,
-// an affine condition, so the rows that enter the leaf are one
-// interval, cut into segments over which each leaf bound is one term
-// and every entry value is affine in the row. Per segment, the
-// hoisted checks hold at every row iff they hold at its two ends, the
-// trips sum in closed form, and a leaf pair is proved apart for every
-// row or tested per row. Each row then only sets the entry offsets
-// and runs the leaf's chunks; counts are added in bulk. An activation
-// where a check or the budget would fail, or a value could overflow
-// where the per-entry path's would not, runs per entry from its first
-// row, so faults, their text, the failing Memory and InterpStats are
-// unchanged. The carried path runs in serial and worker runs (a
-// partition-marked P is walked over its chunk; a marked loop below P
-// keeps the per-entry path), never in profiled or cache-probe runs.
+// the one-trip chains codegen emits (`do J = 2*K, 2*K`: loops that run
+// exactly once, Node::runs_once). When every leaf bound term has
+// denominator 1, the leaf's bounds take the max/min of their terms,
+// and the leaf steps by 1 and has no kAffine operand, compile.cpp
+// gives P a carry plan: each value a leaf entry evaluates (link
+// values, leaf bound terms, entry offsets, hoisted-check subscripts)
+// split into the leaf variable's term and a rest that changes by a
+// constant per row of P. P's kLoopEnter then runs the whole
+// activation (run_carried): every link runs at every row, and from
+// row 0's values the leaf runs at a row iff each lower term is at
+// most each upper term, an affine condition, so the rows that enter
+// the leaf are one interval, cut into segments over which each leaf
+// bound is one term and every entry value is affine in the row. Per
+// segment, the hoisted checks hold at every row iff they hold at its
+// two ends, the trips sum in closed form, and a leaf pair is proved
+// apart for every row or tested per row. Each row then only sets the
+// link values and entry offsets and runs the leaf's chunks; counts
+// are added in bulk. An activation where a check or the budget would
+// fail, or a value could overflow where the per-entry path's would
+// not, runs per entry from its first row, so faults, their text, the
+// failing Memory and InterpStats are unchanged. The carried path
+// runs in serial and worker runs (a partition-marked P is walked over
+// its chunk; a marked loop below P keeps the per-entry path), never
+// in profiled or cache-probe runs.
 //
 // The probe mode sizes arrays for declare_arrays without touching
 // memory, and collapses the plan's leaf loops into two endpoint
@@ -383,13 +383,12 @@ class VmProgram {
     i64 lo = 0, hi = 0;  // checks: the dimension's array bounds
   };
   struct CarryPlan {
-    int links = 0;  // loops that run at most once: ids parent+1 ..
+    int links = 0;  // loops that run exactly once: ids parent+1 ..
     int leaf = 0;   // loop id of the leaf, parent+links+1
-    // Into carry_vals_ from val_begin: each link's lower then upper
-    // bound terms (the term it runs at first), the leaf's lower then
-    // upper bound terms, its inits, then its checks.
-    int val_begin = 0, leaf_lower = 0, leaf_upper = 0, inits = 0, checks = 0,
-        val_end = 0;
+    // Into carry_vals_ from val_begin: each link's one bound term
+    // (values 0 .. links-1), the leaf's lower bound terms (from links),
+    // its upper bound terms, its inits, then its checks.
+    int val_begin = 0, leaf_upper = 0, inits = 0, checks = 0, val_end = 0;
     // The leaf's pairs (LeafPair) as pairs of init indices, into
     // carry_pairs_.
     int pair_begin = 0, pair_end = 0;
@@ -459,7 +458,7 @@ class VmProgram {
                      InterpStats& st, i64 max_instances);
   bool carry_start(const CarryPlan& C, const LoopInfo& P, i64 lo, i64 rows);
   int carry_segments(const CarryPlan& C, i64 rows, i64 room, CarrySeg* segs,
-                     i64& link_iters, i64& trips) const;
+                     i64& trips) const;
   bool leaf_batchable(const LeafPlan& P, i64 m) const;
   void run_chunks(const LeafPlan& P, const LoopInfo& L, i64 lo, i64 m,
                   bool batched);

@@ -86,6 +86,11 @@ i64 Node::step() const {
   INLT_CHECK(is_loop());
   return step_;
 }
+bool Node::runs_once() const {
+  INLT_CHECK(is_loop());
+  return lower_.single() && lower_.terms[0].den == 1 &&
+         lower_.terms == upper_.terms;
+}
 void Node::set_var(std::string v) {
   INLT_CHECK(is_loop());
   var_ = std::move(v);

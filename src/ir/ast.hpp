@@ -68,6 +68,9 @@ class Node {
   const Bound& lower() const;
   const Bound& upper() const;
   i64 step() const;
+  /// Both bounds are one and the same term with denominator 1, so the
+  /// loop runs exactly once (codegen's `do J = 2*K, 2*K`).
+  bool runs_once() const;
   void set_var(std::string v);
   void set_bounds(Bound lower, Bound upper, i64 step = 1);
 

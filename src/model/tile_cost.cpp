@@ -34,6 +34,7 @@ double dim_lines(double extent, bool contiguous, const ModelOptions& opts) {
 }  // namespace
 
 double loop_trip_estimate(const Node* loop, const ModelOptions& opts) {
+  if (loop->runs_once()) return 1;
   const Bound& lo = loop->lower();
   const Bound& hi = loop->upper();
   if (lo.single() && hi.single() && lo.terms.front().den == 1 &&

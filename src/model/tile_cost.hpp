@@ -75,9 +75,9 @@ TileTraffic estimate_untiled_traffic(
     const Program& p, const std::vector<const Node*>& band_loops,
     const ModelOptions& opts = {});
 
-/// Trip count of a loop: exact when both bounds are single constant
-/// tight terms, ModelOptions::nominal_trip otherwise (zero-trip floors
-/// at 0).
+/// Trip count of a loop: 1 when it runs exactly once (Node::runs_once),
+/// exact when both bounds are single constant tight terms,
+/// ModelOptions::nominal_trip otherwise (zero-trip floors at 0).
 double loop_trip_estimate(const Node* loop, const ModelOptions& opts);
 
 }  // namespace inlt

@@ -127,14 +127,21 @@ BandReport detect_impl(const BandContext& ctx) {
     // so the farthest legal end is monotone in the start: [i..maxj(i)]
     // is maximal exactly when maxj strictly advanced. A single loop is
     // always a band (strip-mining preserves order), so every window
-    // has depth >= 1.
+    // has depth >= 1. A loop that runs exactly once never iterates, so
+    // tiling it gains nothing: no window starts at one or extends
+    // across one.
     size_t j = 0;
     bool have_prev = false;
     size_t prev_maxj = 0;
     for (size_t i = 0; i < path.size(); ++i) {
+      if (path[i]->runs_once()) continue;
       if (j < i) j = i;
       std::string note;
       while (j + 1 < path.size()) {
+        if (path[j + 1]->runs_once()) {
+          note = "loop " + path[j + 1]->var() + " runs exactly once";
+          break;
+        }
         note = window_violation(ctx, path, i, j + 1);
         if (!note.empty()) break;
         ++j;

@@ -23,7 +23,10 @@
 //    tile the original order is preserved.
 //
 // A single loop is trivially a band: strip-mining alone never reorders
-// anything.
+// anything. A loop that runs exactly once (Node::runs_once) is in no
+// detected band: it never iterates, so tiling it gains nothing.
+// band_reject_reason judges an explicitly named chain by the rule above
+// alone.
 #pragma once
 
 #include <string>

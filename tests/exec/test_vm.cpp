@@ -1040,8 +1040,9 @@ do IT = 1, N, 5
   end
 end
 )"},
-      // One-trip chains: a link that runs exactly once, and a tiled
-      // one that runs at most once.
+      // One-trip loops: a link that runs exactly once, and a tiled
+      // loop that runs at most once. The tiled one is no link: it is
+      // the leaf's parent, carried as one row whenever it runs.
       {"one-trip link", R"(
 param N
 do K = 1, N

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
@@ -22,6 +24,30 @@ TEST(Parser, SimplifiedCholeskyShape) {
   EXPECT_EQ(s1.lhs_array, "A");
   ASSERT_EQ(s1.lhs_subscripts.size(), 1u);
   EXPECT_EQ(s1.lhs_subscripts[0].to_string(), "I");
+}
+
+TEST(Node, RunsOnceWhenBothBoundsAreOneTerm) {
+  Program p = parse_program(R"(param N
+do K = 1, N
+  do J = 2*K, 2*K
+    do L = max(K, -J), min(K + 3, -J)
+      do M = ceil(K, 2), floor(K, 2)
+        do I = 3, 3
+          S1: A(K, I) = A(J, M) + 1.0
+        end
+      end
+    end
+  end
+end
+)");
+  std::map<std::string, bool> once;
+  walk(p, [&](const Node& n, const std::vector<const Node*>&) {
+    if (n.is_loop()) once[n.var()] = n.runs_once();
+  });
+  // L runs at most once, M at most once: neither exactly once.
+  EXPECT_EQ(once, (std::map<std::string, bool>{
+                      {"I", true}, {"J", true}, {"K", false}, {"L", false},
+                      {"M", false}}));
 }
 
 TEST(Parser, AffineExpressions) {

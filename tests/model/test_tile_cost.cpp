@@ -51,6 +51,25 @@ TEST(LoopTripEstimate, SymbolicBoundsUseNominal) {
   EXPECT_DOUBLE_EQ(loop_trip_estimate(loops[0], opts), 100.0);
 }
 
+TEST(LoopTripEstimate, ExactlyOnceLoopsTripOnce) {
+  // Codegen's one-trip loop: symbolic bounds, but one and the same
+  // term, so one trip rather than the nominal 64.
+  Program p = parse_program(R"(param N
+do J = 1, N
+  do L = -J, -J
+    do M = 1, N
+      S1: A(J, M) = A(J, M) + B(-L, M)
+    end
+  end
+end
+)");
+  std::vector<const Node*> loops = stmt_loops(p);
+  ModelOptions opts;
+  EXPECT_DOUBLE_EQ(loop_trip_estimate(loops[0], opts), 64.0);
+  EXPECT_DOUBLE_EQ(loop_trip_estimate(loops[1], opts), 1.0);
+  EXPECT_DOUBLE_EQ(loop_trip_estimate(loops[2], opts), 64.0);
+}
+
 // Matmul at nominal trip 64, line_elems 8, tiles 8x8x8.
 //
 // Each reference covers 64*64 elements = 64 * 64/8 = 512 lines. Each

@@ -123,6 +123,50 @@ TEST(TileStage, ParallelVerificationUsesRemappedPartition) {
   EXPECT_EQ(res.stats.verify_failed, 0);
 }
 
+// Runs at most once without running exactly once: a lower term with
+// denominator 1 that is also an upper term, as strip-mining a one-trip
+// loop gives (`do L = max(LT, -J), min(LT + 31, -J)`).
+bool strip_mined_one_trip(const Node& n) {
+  if (n.runs_once()) return false;
+  for (const BoundTerm& t : n.lower().terms)
+    for (const BoundTerm& u : n.upper().terms)
+      if (t.den == 1 && t == u) return true;
+  return false;
+}
+
+TEST(TileStage, LeavesOneTripLoopsUntiled) {
+  // LU's skew-bound-1 candidates emit loops that run exactly once
+  // (`do L = -J, -J`); the tile stage keeps them out of its bands, so
+  // no tiled hit visits every row of an empty tile.
+  SessionOptions opts;
+  opts.threads = 1;
+  TransformSession session(gallery::lu(), opts);
+
+  SearchOptions sopts;
+  sopts.tile = true;
+  SearchResult res = session.search(SearchSpace{1, 1}, sopts);
+
+  ASSERT_EQ(res.hits.size(), 162u);
+  int applied = 0, once = 0, strip_mined = 0;
+  std::string first;
+  for (const SearchHit& h : res.hits) {
+    ASSERT_TRUE(h.result.program.has_value()) << "hit " << h.index;
+    if (h.tile && h.tile->applied) ++applied;
+    int bad = 0;
+    walk(*h.result.program,
+         [&](const Node& n, const std::vector<const Node*>&) {
+           if (!n.is_loop()) return;
+           once += n.runs_once();
+           bad += strip_mined_one_trip(n);
+         });
+    if (bad > 0 && strip_mined++ == 0)
+      first = print_program(*h.result.program);
+  }
+  EXPECT_GT(applied, 0);
+  EXPECT_GT(once, 0);
+  EXPECT_EQ(strip_mined, 0) << "first such hit:\n" << first;
+}
+
 TEST(TileStage, ExplicitSizesPropagate) {
   SessionOptions opts;
   opts.threads = 1;

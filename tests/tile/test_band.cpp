@@ -109,6 +109,29 @@ TEST(BandDetect, SingleLoopIsAlwaysABand) {
   EXPECT_NE(band_with_vars(r, {"I"}), nullptr);
 }
 
+TEST(BandDetect, ExactlyOnceLoopsStayOutOfBands) {
+  // J, L, M is a permutable chain, but L never iterates: no window
+  // starts at it or extends across it.
+  Analyzed a(R"(param N
+do J = 1, N
+  do L = -J, -J
+    do M = 1, N
+      S1: A(J, M) = A(J, M) + B(-L, M)
+    end
+  end
+end
+)");
+  BandReport r = detect_bands(a.layout, a.deps);
+  for (const LoopBand& b : r.bands)
+    for (const std::string& v : b.vars) EXPECT_NE(v, "L");
+  const LoopBand* j = band_with_vars(r, {"J"});
+  ASSERT_NE(j, nullptr);
+  EXPECT_EQ(j->boundary_note, "loop L runs exactly once");
+  EXPECT_NE(band_with_vars(r, {"M"}), nullptr);
+  // An explicit chain is a direct request and is still accepted.
+  EXPECT_EQ(band_reject_reason(a.layout, a.deps, {"J", "L", "M"}), "");
+}
+
 TEST(BandRejectReason, AcceptsPermutableChains) {
   Analyzed s(kStencilSrc);
   EXPECT_TRUE(band_reject_reason(s.layout, s.deps, {"I", "J"}).empty());

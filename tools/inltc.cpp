@@ -65,8 +65,10 @@
 //                     default 1 = serial): --verify runs and search
 //                     verification chunk each doall level over a shared
 //                     worker pool (exec/parallel.hpp), bit-identical to
-//                     serial; rank/search scoring discounts the parallel
-//                     share of each candidate by this thread count
+//                     serial; rank/search cost estimates gain a
+//                     "parallel work" line (the Amdahl-discounted lines
+//                     at this thread count), but hits still rank by
+//                     estimated lines, then enumeration index
 //        --trace-out F  write a Chrome trace-event JSON of the run to F
 //                       (load in Perfetto / chrome://tracing); the run
 //                       report then also carries the span summary
